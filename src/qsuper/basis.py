@@ -38,6 +38,10 @@ class TriangularityViolation(Exception):
     """The bar expansion left the expected lower-order cone."""
 
 
+class NotConstrained(ValueError):
+    """The index is not constrained, so it names no basis element."""
+
+
 class NoMatch(Exception):
     """A product did not land on a basis element up to a q-power."""
 
@@ -384,7 +388,7 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
     """q^Psi detA^a Omega_ABC Omega_D' detD'^d as a reduced element."""
     M = tuple(M)
     if not is_constrained(shape, M):
-        raise ValueError("even diagonal blocks each need a zero diagonal entry")
+        raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
     N = shape.size
     abc = [0] * (N * N)
     low = [0] * (N * N)

@@ -21,7 +21,7 @@ from .glq import (
     format_local,
     to_mixed,
 )
-from .basis import omega_global
+from .basis import NotConstrained, omega_global
 from .actions import (
     GenSymbol,
     act_left,
@@ -174,8 +174,8 @@ def cmd_cb(args) -> int:
     for M in enumerate_block(shape, ro, co):
         try:
             el = omega_global(shape, M, a, d, variant)
-        except ValueError:
-            continue  # not a constrained index in this sector
+        except NotConstrained:
+            continue
         out.append(el)
     if args.format == "json":
         N = shape.size

@@ -1,7 +1,17 @@
-"""Exact linear algebra over the fraction field of Z[q, q^-1].
+"""Exact linear algebra over Z[q, q^-1], fraction-free.
 
 Used to express products over constrained spanning families and to cut
-out invariant subspaces; all pivoting is exact, no floating point.
+out invariant subspaces.  A system is held sparsely: one row per vector
+key, each a dict column -> LaurentPoly, with a column -> rows index so no
+step scans every row.  Gauss-Jordan elimination takes the columns left to
+right and prefers a unit pivot +-q^k, which eliminates with ring
+arithmetic; a non-unit pivot cross-multiplies the rows it clears, which
+are then divided by their integer content and lowest power of q
+(fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).  No
+fraction enters the elimination: each returned coordinate is one Frac,
+right-hand side over pivot.  The pivot columns are the leftmost
+independent set, so the results are those of elimination over the
+fraction field.
 """
 
 from __future__ import annotations
@@ -26,7 +36,9 @@ class Frac:
     """num/den with Laurent polynomial parts; den never zero.
 
     Normalization strips the common monomial and integer content and
-    cancels den into num when the division happens to be exact.
+    cancels den into num when the division happens to be exact.  There is
+    no polynomial gcd, so equal fractions may differ in representation;
+    hence no hash agrees with ``==`` and Frac is unhashable.
     """
 
     __slots__ = ("num", "den")
@@ -86,9 +98,6 @@ class Frac:
     def __eq__(self, other) -> bool:
         return isinstance(other, Frac) and self.num * other.den == other.num * self.den
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __repr__(self):
         return f"Frac({self.num}, {self.den})"
 
@@ -105,60 +114,90 @@ FRAC_ZERO = Frac(LaurentPoly.zero())
 FRAC_ONE = Frac(ONE)
 
 
-def _assemble(columns, target=None):
-    """Row-index the sparse columns; rows sorted for determinism."""
-    keys = set()
-    for col in columns:
-        keys.update(col)
-    if target is not None:
-        keys.update(target)
-    keys = sorted(keys)
-    pos = {k: r for r, k in enumerate(keys)}
-    rows = [[FRAC_ZERO] * len(columns) for _ in keys]
-    for c, col in enumerate(columns):
-        for k, v in col.items():
-            if not v.is_zero():
-                rows[pos[k]][c] = Frac(v)
-    rhs = None
-    if target is not None:
-        rhs = [FRAC_ZERO] * len(keys)
-        for k, v in target.items():
-            if not v.is_zero():
-                rhs[pos[k]] = Frac(v)
-    return rows, rhs
+def _is_unit(p: LaurentPoly) -> bool:
+    """p = +-q^k, the units of Z[q, q^-1]."""
+    if len(p.terms) != 1:
+        return False
+    (c,) = p.terms.values()
+    return c == 1 or c == -1
 
 
-def _eliminate(rows, rhs=None):
-    """In-place Gaussian elimination; returns list of (row, pivot col)."""
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for rr in range(r, len(rows)):
-            if not rows[rr][c].is_zero():
-                sel = rr
-                break
-        if sel is None:
+def _strip_content(row: dict) -> dict:
+    """The row divided by its integer content and its lowest power of q."""
+    if not row:
+        return row
+    g = 0
+    for v in row.values():
+        g = gcd(g, _int_content(v))
+    low = min(v.min_exp() for v in row.values())
+    if g == 1 and low == 0:
+        return row
+    return {
+        col: LaurentPoly({e - low: c // g for e, c in v.terms.items()})
+        for col, v in row.items()
+    }
+
+
+def _eliminate(columns, target=None):
+    """Sparse fraction-free Gauss-Jordan elimination of the system.
+
+    Rows are keyed by the vectors' keys in order of first appearance; each
+    is a dict column -> LaurentPoly, the target being column
+    ``len(columns)``.  Returns ``(rows, pivots, index)``: the reduced rows,
+    a dict pivot column -> row in column order, and the column -> rows
+    index.  Rows that hold no pivot are zero in every column of the
+    system, so only a target entry can remain in them.
+    """
+    pos = {}
+    rows = []
+    vectors = list(columns) if target is None else [*columns, target]
+    for c, vec in enumerate(vectors):
+        for k, v in vec.items():
+            if v.terms:
+                r = pos.get(k)
+                if r is None:
+                    r = pos[k] = len(rows)
+                    rows.append({})
+                rows[r][c] = v
+    index = [set() for _ in vectors]
+    for r, row in enumerate(rows):
+        for c in row:
+            index[c].add(r)
+
+    pivots = {}
+    used = [False] * len(rows)
+    for c in range(len(columns)):
+        cands = [r for r in index[c] if not used[r]]
+        if not cands:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        if rhs is not None:
-            rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        piv = rows[r][c]
-        for rr in range(len(rows)):
-            if rr == r or rows[rr][c].is_zero():
-                continue
-            f = rows[rr][c] / piv
-            for cc in range(c, ncols):
-                if not rows[r][cc].is_zero():
-                    rows[rr][cc] = rows[rr][cc] - f * rows[r][cc]
-            if rhs is not None:
-                rhs[rr] = rhs[rr] - f * rhs[r]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+        p = min(cands, key=lambda r: (not _is_unit(rows[r][c]), len(rows[r]), r))
+        used[p] = True
+        pivots[c] = p
+        prow = rows[p]
+        a = prow[c]
+        if _is_unit(a):
+            if not a.is_one():
+                ((k, s),) = a.terms.items()
+                for cc, v in prow.items():
+                    prow[cc] = v.shift(-k).scale(s)
+            a = None
+        for r in [r for r in index[c] if r != p]:
+            row = rows[r]
+            f = row[c]
+            if a is not None:
+                row = {cc: a * v for cc, v in row.items()}
+            for cc, v in prow.items():
+                old = row.get(cc)
+                new = -(f * v) if old is None else old - f * v
+                if new.terms:
+                    row[cc] = new
+                    if old is None:
+                        index[cc].add(r)
+                else:
+                    del row[cc]
+                    index[cc].discard(r)
+            rows[r] = row if a is None else _strip_content(row)
+    return rows, pivots, index
 
 
 def solve_in_span(columns, target):
@@ -170,15 +209,16 @@ def solve_in_span(columns, target):
     """
     if not columns:
         return [] if all(v.is_zero() for v in target.values()) else None
-    rows, rhs = _assemble(columns, target)
-    pivots = _eliminate(rows, rhs)
-    pivot_rows = {r for r, _ in pivots}
-    for r in range(len(rows)):
-        if r not in pivot_rows and not rhs[r].is_zero():
-            return None
-    out = [FRAC_ZERO] * len(columns)
-    for r, c in pivots:
-        out[c] = rhs[r] / rows[r][c]
+    n = len(columns)
+    rows, pivots, _ = _eliminate(columns, target)
+    pivot_rows = set(pivots.values())
+    if any(row for r, row in enumerate(rows) if r not in pivot_rows):
+        return None
+    out = [FRAC_ZERO] * n
+    for c, r in pivots.items():
+        rhs = rows[r].get(n)
+        if rhs is not None:
+            out[c] = Frac(rhs, rows[r][c])
     return out
 
 
@@ -197,18 +237,17 @@ def nullspace(columns):
     """
     if not columns:
         return []
-    rows, _ = _assemble(columns)
-    pivots = _eliminate(rows)
-    pivot_cols = {c: r for r, c in pivots}
+    rows, pivots, index = _eliminate(columns)
+    pivot_of = {r: c for c, r in pivots.items()}
     basis = []
     for c in range(len(columns)):
-        if c in pivot_cols:
+        if c in pivots:
             continue
         vec = [FRAC_ZERO] * len(columns)
         vec[c] = FRAC_ONE
-        for pc, pr in pivot_cols.items():
-            if not rows[pr][c].is_zero():
-                vec[pc] = -(rows[pr][c] / rows[pr][pc])
+        for r in index[c]:
+            pc = pivot_of[r]
+            vec[pc] = Frac(-rows[r][c], rows[r][pc])
         basis.append(vec)
     return basis
 
@@ -216,8 +255,7 @@ def nullspace(columns):
 def rank(columns) -> int:
     if not columns:
         return 0
-    rows, _ = _assemble(columns)
-    return len(_eliminate(rows))
+    return len(_eliminate(columns)[1])
 
 
 def in_span(columns, target) -> bool:

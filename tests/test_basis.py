@@ -13,6 +13,7 @@ from qsuper.glq import LocalElement, bar_local, berezinian, to_mixed
 from qsuper.basis import (
     CBElement,
     NoMatch,
+    NotConstrained,
     TriangularityViolation,
     corner_dominates,
     covariant_shift_check,
@@ -286,8 +287,9 @@ class TestNad:
         assert f.terms == {(zero_matrix(2), 2, 1): ONE}
 
     def test_constraint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotConstrained):
             n_ad(S11, (1, 0, 0, 0), 0, 0)
+        assert issubclass(NotConstrained, ValueError)
 
     @pytest.mark.parametrize("M,a,d", [
         ((0, 0, 0, 0), 0, 0),

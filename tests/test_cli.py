@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from qsuper import basis, verify
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.glq import LocalElement, berezinian, to_mixed
 from qsuper.cli import main
@@ -182,3 +183,30 @@ class TestErrorsAndDeterminism:
                       capsys=capsys)
         assert rc == 0
         assert LocalElement.from_json(json.loads(out)) == f
+
+
+def _kernel_fault(*args):
+    raise ValueError("non-exact Laurent division")
+
+
+class TestKernelFaultsPropagate:
+    """Only NotConstrained means "this index names no basis element"; any
+    other ValueError from the kernel is a fault and is never skipped."""
+
+    def test_cb_reports_fault(self, capsys, monkeypatch):
+        monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        rc = main(["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1"])
+        captured = capsys.readouterr()
+        assert rc != 0
+        assert captured.out == ""
+        assert "non-exact Laurent division" in captured.err
+
+    def test_cb_blocks_suite_raises(self, monkeypatch):
+        monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        with pytest.raises(ValueError, match="non-exact"):
+            verify.suite_cb_blocks(S21)
+
+    def test_ber_shift_suite_raises(self, monkeypatch):
+        monkeypatch.setattr(verify, "n_ad", _kernel_fault)
+        with pytest.raises(ValueError, match="non-exact"):
+            verify.suite_ber_shift(S21)
