@@ -14,25 +14,28 @@ and implements the two-row Kashiwara operators.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, ONE, q_binom
 from .algebra import (
     AlgebraElement,
     Shape,
+    col_sums,
+    degree_matrices,
     mat_entry,
     matrix_to_word,
+    row_sums,
     x_norm,
     zero_matrix,
 )
-from .superspace import det_q_A
+from .superspace import _inversions, det_q_A
 from .glq import LocalElement, to_mixed, is_constrained
 from .exactlinalg import nullspace, solve_in_span
 
 __all__ = [
     "AdaptedElement",
     "GenSymbol",
-    "SubalgebraSpec",
     "act_left",
     "act_right",
     "epsilon",
@@ -77,12 +80,6 @@ class GenSymbol(NamedTuple):
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         return self
-
-
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    left_gens: tuple
-    right_gens: tuple
 
 
 def epsilon(gen: GenSymbol) -> LaurentPoly:
@@ -293,19 +290,13 @@ def _thaw_local(frozen) -> LocalElement:
 def _det_letter_act(shape: Shape, kind: str, i: int, side: str, which: str):
     """Action on detA or detD', computed on the expanded determinant."""
     if which == "dA":
-        out = _act_poly(shape, kind, i, side, det_q_A(shape))
+        out = _act_terms(shape, kind, i, side, det_q_A(shape))
         return _freeze_local(to_mixed(out))
     # detD' is the q^{-1}-determinant of the y-matrix
-    from .glq import detDprime_raw_frozen  # y-word expansion lives there
-
-    m, n, N = shape.m, shape.n, shape.size
-    from itertools import permutations
-
+    m, n = shape.m, shape.n
     out = LocalElement.zero(shape)
     for tau in permutations(range(n)):
-        inv = sum(
-            1 for s in range(n) for t in range(s + 1, n) if tau[s] > tau[t]
-        )
+        inv = _inversions(tau)
         letters = tuple(
             ("y", m + 1 + r, m + 1 + tau[r]) for r in range(n)
         )
@@ -327,14 +318,8 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str, which: str):
     c_tail, c_head, signed = CONVENTIONS[(side, kind)]
     u_letter = (which, 1)
     w = _weight_pair(shape, (u_letter,), i, side, signed)
-    inv = LocalElement(
-        shape,
-        {
-            (zero_matrix(shape.size), -1, 0)
-            if which == "dA"
-            else (zero_matrix(shape.size), 0, -1): ONE
-        },
-    )
+    a, d = (-1, 0) if which == "dA" else (0, -1)
+    inv = LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
     out = (inv * hit * inv).scale(
         LaurentPoly.q_power(-2 * (c_tail + c_head) * w, -1)
     )
@@ -398,19 +383,15 @@ def _act_letters_local(shape, kind, i, side, letters) -> LocalElement:
     return out
 
 
-def _act_poly(shape, kind, i, side, f: AlgebraElement) -> AlgebraElement:
-    out = AlgebraElement.zero(shape)
-    for M, coeff in f.terms.items():
-        letters = _poly_letters(shape, M)
-        out = out + _act_letters_poly(shape, kind, i, side, letters).scale(coeff)
-    return out
-
-
-def _act_local(shape, kind, i, side, f: LocalElement) -> LocalElement:
-    out = LocalElement.zero(shape)
-    for (M, a, d), coeff in f.terms.items():
-        letters = _mixed_letters(shape, M, a, d)
-        out = out + _act_letters_local(shape, kind, i, side, letters).scale(coeff)
+def _act_terms(shape, kind, i, side, f):
+    """E_i/F_i on a polynomial or localized element, word by word."""
+    out = type(f).zero(shape)
+    for key, coeff in f.terms.items():
+        if isinstance(f, AlgebraElement):
+            hit = _act_letters_poly(shape, kind, i, side, _poly_letters(shape, key))
+        else:
+            hit = _act_letters_local(shape, kind, i, side, _mixed_letters(shape, *key))
+        out = out + hit.scale(coeff)
     return out
 
 
@@ -433,29 +414,14 @@ def _weight_of(shape, key, side: str, i: int) -> int:
 
 
 def _act(gen: GenSymbol, f, side: str):
-    if isinstance(f, AlgebraElement):
-        shape = f.shape
-        if gen.validate(shape).kind in ("K", "Kinv"):
-            s = 1 if gen.kind == "K" else -1
-            out = AlgebraElement.zero(shape)
-            for M, c in f.terms.items():
-                w = _weight_of(shape, M, side, gen.index)
-                out = out + AlgebraElement.monomial(
-                    shape, M, c * LaurentPoly.q_power(2 * s * w)
-                )
-            return out
-        return _act_poly(shape, gen.kind, gen.index, side, f)
     shape = f.shape
     if gen.validate(shape).kind in ("K", "Kinv"):
         s = 1 if gen.kind == "K" else -1
-        out = LocalElement.zero(shape)
-        for key, c in f.terms.items():
-            w = _weight_of(shape, key, side, gen.index)
-            out = out + LocalElement(
-                shape, {key: c * LaurentPoly.q_power(2 * s * w)}
-            )
-        return out
-    return _act_local(shape, gen.kind, gen.index, side, f)
+        return type(f)(shape, {
+            key: c * LaurentPoly.q_power(2 * s * _weight_of(shape, key, side, gen.index))
+            for key, c in f.terms.items()
+        })
+    return _act_terms(shape, gen.kind, gen.index, side, f)
 
 
 def act_left(gen: GenSymbol, f):
@@ -475,41 +441,26 @@ def act_right(gen: GenSymbol, f):
 
 def window_indices(shape: Shape, max_degree: int, a_range=(0, 0), d_range=(0, 0)):
     """Constrained basis indices (M, a, d) within the window bounds."""
-    from .glq import _candidates
-
-    N = shape.size
     out = []
     for a in range(a_range[0], a_range[1] + 1):
         for d in range(d_range[0], d_range[1] + 1):
-            seen = set()
             for M in _window_matrices(shape, max_degree):
-                if (M, a, d) not in seen:
-                    seen.add((M, a, d))
-                    out.append((M, a, d))
+                out.append((M, a, d))
     return out
 
 
 @lru_cache(maxsize=None)
 def _window_matrices(shape: Shape, max_degree: int):
-    from .algebra import enumerate_block
-
+    """Constrained matrices by degree, then by (row sums, column sums),
+    then lexicographically."""
     N = shape.size
     out = []
-
-    def rows(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for h in range(total + 1):
-            for rest in rows(total - h, parts - 1):
-                yield (h,) + rest
-
     for deg in range(max_degree + 1):
-        for ro in rows(deg, N):
-            for co in rows(deg, N):
-                for M in enumerate_block(shape, ro, co):
-                    if is_constrained(shape, M):
-                        out.append(M)
+        block_order = sorted(
+            degree_matrices(shape, deg),
+            key=lambda M: (row_sums(M, N), col_sums(M, N), M),
+        )
+        out.extend(M for M in block_order if is_constrained(shape, M))
     return tuple(out)
 
 
@@ -552,15 +503,10 @@ def invariants_window(
     for coeffs in nullspace(columns):
         f = LocalElement.zero(shape)
         for key, c in zip(basis, coeffs):
-            cl = c.to_laurent()
-            if not cl.is_zero():
-                f = f + LocalElement(shape, {key: cl})
+            if not c.is_zero():
+                f = f + LocalElement(shape, {key: c})
         out.append(f)
     return out
-
-
-def _local_coords(shape, fs):
-    return [dict(f.terms) for f in fs]
 
 
 @dataclass(frozen=True)
@@ -605,10 +551,9 @@ def canonical_span_check(
             f"{len(inv)} invariants vs {len(selected)} basis elements"
         )
     if inv:
-        vecs = _local_coords(shape, omegas + inv)
-        cols, targets = vecs[: len(omegas)], vecs[len(omegas) :]
-        for t in targets:
-            if solve_in_span(cols, t) is None:
+        cols = [f.terms for f in omegas]
+        for f in inv:
+            if solve_in_span(cols, f.terms) is None:
                 raise SpanMismatch("invariant outside the basis span")
     return SpanReport(tuple(selected), len(inv), True)
 

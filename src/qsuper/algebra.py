@@ -16,7 +16,7 @@ from .laurent import LaurentPoly, ONE
 QSQ_DIFF = LaurentPoly({2: 1, -2: -1})  # q^2 - q^-2
 
 
-class ShapeMismatch(Exception):
+class ShapeMismatch(ValueError):
     pass
 
 
@@ -70,6 +70,11 @@ def mat_rows(M, N):
 
 def zero_matrix(N):
     return (0,) * (N * N)
+
+
+def unit_matrix(N, i, j):
+    """The exponent matrix of the single generator x_ij."""
+    return word_to_matrix(((i, j),), N)
 
 
 def validate_matrix(shape: Shape, M) -> None:
@@ -190,26 +195,83 @@ def _straighten_cached(shape: Shape, word):
     return tuple(sorted(straighten_word(shape, word).items()))
 
 
-class AlgebraElement:
-    """A normal-form element: finite map exponent matrix -> LaurentPoly."""
+class LinearElement:
+    """Finite map basis key -> nonzero LaurentPoly over one shape.
+
+    The module structure shared by polynomial and localized elements;
+    subclasses supply the keys, ``one`` and the product.
+    """
 
     __slots__ = ("shape", "terms")
 
-    def __init__(self, shape: Shape, terms=None, validate: bool = False):
+    def __init__(self, shape: Shape, terms=None):
         self.shape = shape
         self.terms = {}
         if terms:
-            for M, c in terms.items():
+            for key, c in terms.items():
                 if not c.is_zero():
-                    if validate:
-                        validate_matrix(shape, M)
-                    self.terms[M] = c
-
-    # -- constructors --------------------------------------------------
+                    self.terms[key] = c
 
     @classmethod
-    def zero(cls, shape: Shape) -> "AlgebraElement":
+    def zero(cls, shape: Shape):
         return cls(shape)
+
+    def _check(self, other):
+        if self.shape != other.shape:
+            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
+
+    def __add__(self, other):
+        self._check(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            s = terms.get(key, LaurentPoly.zero()) + c
+            if s.is_zero():
+                terms.pop(key, None)
+            else:
+                terms[key] = s
+        return type(self)(self.shape, terms)
+
+    def __neg__(self):
+        return type(self)(self.shape, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if isinstance(c, int):
+            c = LaurentPoly.from_int(c)
+        if c.is_zero():
+            return type(self)(self.shape)
+        return type(self)(self.shape, {key: t * c for key, t in self.terms.items()})
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are not available")
+        out = type(self).one(self.shape)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.shape == other.shape
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.shape, tuple(sorted(self.terms.items()))))
+
+
+class AlgebraElement(LinearElement):
+    """A normal-form element: finite map exponent matrix -> LaurentPoly."""
+
+    __slots__ = ()
+
+    # -- constructors --------------------------------------------------
 
     @classmethod
     def one(cls, shape: Shape) -> "AlgebraElement":
@@ -217,9 +279,7 @@ class AlgebraElement:
 
     @classmethod
     def generator(cls, shape: Shape, i: int, j: int) -> "AlgebraElement":
-        M = [0] * shape.size**2
-        M[(i - 1) * shape.size + (j - 1)] = 1
-        return cls(shape, {tuple(M): ONE}, validate=True)
+        return cls.monomial(shape, unit_matrix(shape.size, i, j))
 
     @classmethod
     def monomial(cls, shape: Shape, M, coeff: LaurentPoly = ONE) -> "AlgebraElement":
@@ -230,35 +290,7 @@ class AlgebraElement:
     def from_word(cls, shape: Shape, word, coeff: LaurentPoly = ONE) -> "AlgebraElement":
         return cls(shape, straighten_word(shape, word, coeff))
 
-    # -- linear structure ------------------------------------------------
-
-    def _check(self, other: "AlgebraElement"):
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for M, c in other.terms.items():
-            s = terms.get(M, LaurentPoly.zero()) + c
-            if s.is_zero():
-                terms.pop(M, None)
-            else:
-                terms[M] = s
-        return AlgebraElement(self.shape, terms)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, {M: -c for M, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        if c.is_zero():
-            return AlgebraElement(self.shape)
-        return AlgebraElement(self.shape, {M: t * c for M, t in self.terms.items()})
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
@@ -275,14 +307,6 @@ class AlgebraElement:
                     else:
                         terms[key] = s
         return AlgebraElement(self.shape, terms)
-
-    def __pow__(self, k: int) -> "AlgebraElement":
-        if k < 0:
-            raise ValueError("negative power in the polynomial algebra")
-        out = AlgebraElement.one(self.shape)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def bar(self) -> "AlgebraElement":
         """Coefficient-wise q -> q^-1, words reversed with the super sign."""
@@ -303,21 +327,8 @@ class AlgebraElement:
 
     # -- views ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, M) -> LaurentPoly:
         return self.terms.get(tuple(M), LaurentPoly.zero())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.shape, tuple(sorted((M, c) for M, c in self.terms.items()))))
 
     def __repr__(self):
         return f"AlgebraElement({format_element(self)})"
@@ -370,7 +381,10 @@ class AlgebraElement:
             mat_from_rows(t["matrix"]): LaurentPoly.from_json(t["coeff"])
             for t in obj["terms"]
         }
-        return cls(shape, terms, validate=True)
+        f = cls(shape, terms)
+        for M in f.terms:
+            validate_matrix(shape, M)
+        return f
 
 
 def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:
@@ -448,6 +462,28 @@ def enumerate_block(shape: Shape, ro, co):
     return sorted(out)
 
 
+def degree_matrices(shape: Shape, deg: int):
+    """All exponent matrices of total degree deg, lexicographically.
+
+    Odd entries are capped at 1.  A generator, so a caller that needs only
+    the first few pays only for those.
+    """
+    cells = shape.generators()
+
+    def rec(idx, left, acc):
+        if idx == len(cells):
+            if left == 0:
+                yield tuple(acc)
+            return
+        cap = min(left, 1) if shape.gen_parity(*cells[idx]) else left
+        for v in range(cap + 1):
+            acc.append(v)
+            yield from rec(idx + 1, left - v, acc)
+            acc.pop()
+
+    yield from rec(0, deg, [])
+
+
 def count_monomials(shape: Shape, k: int) -> int:
     """Number of ordered monomials of total degree k, by direct counting.
 
@@ -466,18 +502,11 @@ def count_monomials(shape: Shape, k: int) -> int:
     return dp[k]
 
 
-def format_element(f: AlgebraElement) -> str:
-    """Grep-friendly text form: sums of q-power coefficients times x[i,j] factors."""
-    if f.is_zero():
-        return "0"
-    N = f.shape.size
+def format_terms(pairs) -> str:
+    """Grep-friendly sum of (coefficient, monomial text) pairs; the
+    monomial text of the unit is "1"."""
     parts = []
-    for M in sorted(f.terms):
-        c = f.terms[M]
-        factors = []
-        for (i, j) in matrix_to_word(M, N):
-            factors.append(f"x[{i},{j}]")
-        mono = "*".join(factors) if factors else "1"
+    for c, mono in pairs:
         cs = str(c)
         if cs == "1":
             parts.append(mono)
@@ -487,4 +516,14 @@ def format_element(f: AlgebraElement) -> str:
             parts.append(f"{cs}*{mono}" if mono != "1" else cs)
         else:
             parts.append(f"({cs})*{mono}" if mono != "1" else f"({cs})")
-    return " + ".join(parts).replace("+ -", "- ")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+def format_element(f: AlgebraElement) -> str:
+    """Text form: sums of q-power coefficients times x[i,j] factors."""
+    N = f.shape.size
+    pairs = []
+    for M in sorted(f.terms):
+        mono = "*".join(f"x[{i},{j}]" for (i, j) in matrix_to_word(M, N))
+        pairs.append((f.terms[M], mono or "1"))
+    return format_terms(pairs)

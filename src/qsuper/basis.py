@@ -20,14 +20,17 @@ from qsuper.algebra import (
     col_sums,
     enumerate_block,
     mat_entry,
-    norm_exponent,
     row_sums,
     x_norm,
     zero_matrix,
 )
-from qsuper.exactlinalg import LinearSolveFailure, solve_in_span_laurent
+# solves call exactlinalg.solve_in_span through the module, so a span
+# wrapped around that binding (qbench/tracing.py) sees them
+from qsuper import exactlinalg
+from qsuper.exactlinalg import LinearSolveFailure
 from qsuper.glq import (
     LocalElement,
+    _candidates as _global_candidates,
     bar_local,
     is_constrained,
     to_mixed,
@@ -97,26 +100,6 @@ def leq(shape: Shape, M, N) -> bool:
     if row_sums(M, sz) != row_sums(N, sz) or col_sums(M, sz) != col_sums(N, sz):
         raise ValueError("comparable matrices must share row and column sums")
     return M in _downset(shape, N)
-
-
-def corner_sums(M, N: int):
-    """North-west partial sums, the fast dominance proxy for the order."""
-    out = []
-    for i in range(1, N + 1):
-        acc = 0
-        for j in range(1, N + 1):
-            acc = sum(
-                mat_entry(M, N, u, v)
-                for u in range(1, i + 1)
-                for v in range(1, j + 1)
-            )
-            out.append(acc)
-    return tuple(out)
-
-
-def corner_dominates(M, N, size: int) -> bool:
-    """Entrywise corner-sum comparison: necessary for M <= N."""
-    return all(a <= b for a, b in zip(corner_sums(M, size), corner_sums(N, size)))
 
 
 def _pick_maximal(shape: Shape, indices):
@@ -200,7 +183,9 @@ def solve_block(shape: Shape, indices, monomials, bar_fn, variant: Variant):
 def _express_over(shape: Shape, f, indices, columns):
     """Coordinates of f over the given monomial family (exact, unique)."""
     cols = [columns[M].terms for M in indices]
-    sol = solve_in_span_laurent(cols, f.terms)
+    sol = exactlinalg.solve_in_span(cols, f.terms)
+    if sol is None:
+        raise LinearSolveFailure("target vector is outside the span")
     return {M: c for M, c in zip(indices, sol) if not c.is_zero()}
 
 
@@ -299,24 +284,20 @@ def _abc_prefactor(shape: Shape, M) -> int:
     return -total
 
 
-def _split_regions(shape: Shape, M):
-    """(rows <= m part, lower-left part) as full-size matrices."""
+def _split_regions(shape: Shape, M, lower):
+    """(the rest, the part where lower(i, j) holds) as full-size matrices."""
     N = shape.size
-    top = [0] * (N * N)
-    low = [0] * (N * N)
+    parts = ([0] * (N * N), [0] * (N * N))
     for i in range(1, N + 1):
         for j in range(1, N + 1):
-            v = mat_entry(M, N, i, j)
-            if i <= shape.m:
-                top[(i - 1) * N + (j - 1)] = v
-            else:
-                low[(i - 1) * N + (j - 1)] = v
-    return tuple(top), tuple(low)
+            parts[lower(i, j)][(i - 1) * N + (j - 1)] = mat_entry(M, N, i, j)
+    return tuple(parts[0]), tuple(parts[1])
 
 
 def n_abc(shape: Shape, M) -> AlgebraElement:
     """The product monomial for the three-block stage."""
-    top, low = _split_regions(shape, M)
+    # rows <= m, and the lower-left block
+    top, low = _split_regions(shape, M, lambda i, j: i > shape.m)
     f = omega_H(shape, top).expansion * _x_block(
         shape, *_block_key(shape, low), "C", Variant.MINUS_Q
     )[low]
@@ -389,38 +370,13 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
     M = tuple(M)
     if not is_constrained(shape, M):
         raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
-    N = shape.size
-    abc = [0] * (N * N)
-    low = [0] * (N * N)
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            v = mat_entry(M, N, i, j)
-            if i > shape.m and j > shape.m:
-                low[(i - 1) * N + (j - 1)] = v
-            else:
-                abc[(i - 1) * N + (j - 1)] = v
-    zero = zero_matrix(N)
-    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
-    out = out * to_mixed(omega_ABC(shape, tuple(abc)).expansion)
-    out = out * y_substitute(_dprime_x_expansion(shape, tuple(low)))
-    return out * LocalElement(shape, {(zero, 0, d): ONE})
-
-
-def _global_candidates(shape: Shape, rows, cols, a_lo, d_lo):
     m = shape.m
-    a_hi = min(min(rows[:m]), min(cols[:m]))
-    d_hi = min(min(rows[m:]), min(cols[m:]))
-    out = []
-    for alpha in range(a_hi, a_lo - 1, -1):
-        for delta in range(d_hi, d_lo - 1, -1):
-            ro = tuple(r - alpha for r in rows[:m]) + tuple(r - delta for r in rows[m:])
-            co = tuple(c - alpha for c in cols[:m]) + tuple(c - delta for c in cols[m:])
-            if any(v < 0 for v in ro + co):
-                continue
-            for T in enumerate_block(shape, ro, co):
-                if is_constrained(shape, T):
-                    out.append((T, alpha, delta))
-    return out
+    abc, low = _split_regions(shape, M, lambda i, j: i > m and j > m)
+    zero = zero_matrix(shape.size)
+    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
+    out = out * to_mixed(omega_ABC(shape, abc).expansion)
+    out = out * y_substitute(_dprime_x_expansion(shape, low))
+    return out * LocalElement(shape, {(zero, 0, d): ONE})
 
 
 def express_in_n(shape: Shape, f: LocalElement) -> dict:
@@ -438,8 +394,10 @@ def express_in_n(shape: Shape, f: LocalElement) -> dict:
             continue
         try:
             columns = [n_ad(shape, T, alpha, delta).terms for T, alpha, delta in cands]
-            sol = solve_in_span_laurent(columns, f.terms)
+            sol = exactlinalg.solve_in_span(columns, f.terms)
         except LinearSolveFailure:
+            continue
+        if sol is None:
             continue
         return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
     raise LinearSolveFailure("element is not expressible over the N family")

@@ -1,7 +1,9 @@
 """Command-line surface: compute, verify, and serialize kernel objects.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All output is
-deterministic (sorted terms, canonical JSON).
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments or input files), 3 kernel fault (any other exception, reported
+as ``error: <Type>: <message>``).  All output is deterministic (sorted
+terms, canonical JSON).
 """
 
 from __future__ import annotations
@@ -11,7 +13,13 @@ import json
 import sys
 
 from .laurent import Variant
-from .algebra import AlgebraElement, Shape, enumerate_block, format_element
+from .algebra import (
+    AlgebraElement,
+    Shape,
+    enumerate_block,
+    format_element,
+    mat_rows,
+)
 from .superspace import det_q_A, det_qinv_D, minor, minor_star
 from .glq import (
     LocalElement,
@@ -29,7 +37,7 @@ from .actions import (
     conventions,
     invariants_window,
 )
-from .verify import SUITES, max_degree_cap, run_suite
+from .verify import FIXED_SHAPES, SUITES, max_degree_cap, run_suite
 
 __all__ = ["main"]
 
@@ -44,18 +52,25 @@ def _dump(obj) -> str:
 
 def _shape(args) -> Shape:
     m, n = args.shape
-    return Shape(m, n)
+    try:
+        return Shape(m, n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def _load_element(path: str):
-    if path == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            obj = json.load(fh)
-    if obj.get("coords") == "mixed":
-        return LocalElement.from_json(obj)
-    return AlgebraElement.from_json(obj)
+    try:
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                obj = json.load(fh)
+        if obj.get("coords") == "mixed":
+            return LocalElement.from_json(obj)
+        return AlgebraElement.from_json(obj)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            IndexError) as exc:
+        raise UsageError(f"bad element {path!r}: {exc}")
 
 
 def _emit_element(f, fmt: str) -> str:
@@ -73,7 +88,8 @@ def _parse_ints(raw: str):
         raise UsageError(f"expected comma-separated integers, got {raw!r}")
 
 
-def _parse_gens(raw: str):
+def _parse_gens(raw: str, shape: Shape):
+    """Generator tokens such as E1,F2,Kinv3, each in range for the shape."""
     if not raw:
         return ()
     out = []
@@ -81,10 +97,14 @@ def _parse_gens(raw: str):
         tok = tok.strip()
         for kind in ("Kinv", "E", "F", "K"):
             if tok.startswith(kind) and tok[len(kind):].isdigit():
-                out.append(GenSymbol(kind, int(tok[len(kind):])))
+                gen = GenSymbol(kind, int(tok[len(kind):]))
                 break
         else:
             raise UsageError(f"bad generator token {tok!r}")
+        try:
+            out.append(gen.validate(shape))
+        except ValueError as exc:
+            raise UsageError(str(exc))
     return tuple(out)
 
 
@@ -92,10 +112,14 @@ def _parse_sector(raw: str):
     a, d = 0, 0
     for part in raw.split(","):
         key, _, val = part.partition("=")
+        try:
+            power = int(val)
+        except ValueError:
+            raise UsageError(f"bad sector component {part!r}")
         if key == "a":
-            a = int(val)
+            a = power
         elif key == "d":
-            d = int(val)
+            d = power
         else:
             raise UsageError(f"bad sector component {part!r}")
     return a, d
@@ -113,6 +137,8 @@ def cmd_mul(args) -> int:
     if len(args.element) != 2:
         raise UsageError("mul needs exactly two --element inputs")
     a, b = (_load_element(p) for p in args.element)
+    if a.shape != b.shape:
+        raise UsageError(f"elements of shapes {a.shape} and {b.shape}")
     if isinstance(a, LocalElement) != isinstance(b, LocalElement):
         a = a if isinstance(a, LocalElement) else to_mixed(a)
         b = b if isinstance(b, LocalElement) else to_mixed(b)
@@ -131,6 +157,8 @@ def cmd_minor(args) -> int:
     shape = _shape(args)
     rows = _parse_ints(args.rows)
     cols = _parse_ints(args.cols)
+    if not all(1 <= i <= shape.size for i in rows + cols):
+        raise UsageError(f"minor indices must lie in 1..{shape.size}")
     fn = minor_star if args.star else minor
     print(_emit_element(fn(shape, rows, cols), args.format))
     return 0
@@ -168,6 +196,8 @@ def cmd_cb(args) -> int:
     shape = _shape(args)
     ro = _parse_ints(args.ro)
     co = _parse_ints(args.co)
+    if len(ro) != shape.size or len(co) != shape.size:
+        raise UsageError(f"--ro and --co need {shape.size} entries each")
     a, d = _parse_sector(args.sector)
     variant = Variant.PLUS_Q if args.variant == "q" else Variant.MINUS_Q
     out = []
@@ -182,8 +212,7 @@ def cmd_cb(args) -> int:
         print(_dump([
             {
                 "index": {
-                    "matrix": [list(el.index[0][r * N:(r + 1) * N])
-                               for r in range(N)],
+                    "matrix": mat_rows(el.index[0], N),
                     "a": el.index[1],
                     "d": el.index[2],
                 },
@@ -201,8 +230,8 @@ def cmd_cb(args) -> int:
 
 def cmd_inv(args) -> int:
     shape = _shape(args)
-    left = _parse_gens(args.left)
-    right = _parse_gens(args.right)
+    left = _parse_gens(args.left, shape)
+    right = _parse_gens(args.right, shape)
     deg = max_degree_cap(args.max_degree)
     a_range = _parse_range(args.a_range)
     d_range = _parse_range(args.d_range)
@@ -217,10 +246,10 @@ def cmd_inv(args) -> int:
 
 
 def cmd_act(args) -> int:
-    gens = _parse_gens(args.gen)
+    f = _load_element(args.element[0])
+    gens = _parse_gens(args.gen, f.shape)
     if len(gens) != 1:
         raise UsageError("act takes exactly one --gen")
-    f = _load_element(args.element[0])
     act = act_left if args.side == "left" else act_right
     print(_emit_element(act(gens[0], f), args.format))
     return 0
@@ -228,6 +257,11 @@ def cmd_act(args) -> int:
 
 def cmd_verify(args) -> int:
     shape = _shape(args)
+    fixed = FIXED_SHAPES.get(args.suite)
+    if fixed is not None and shape != fixed:
+        raise UsageError(
+            f"suite {args.suite} runs at shape ({fixed.m}|{fixed.n}) only"
+        )
     ok, lines = run_suite(args.suite, shape)
     for line in lines:
         print(line)
@@ -314,9 +348,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,111 +7,24 @@ step scans every row.  Gauss-Jordan elimination takes the columns left to
 right and prefers a unit pivot +-q^k, which eliminates with ring
 arithmetic; a non-unit pivot cross-multiplies the rows it clears, which
 are then divided by their integer content and lowest power of q
-(fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).  No
-fraction enters the elimination: each returned coordinate is one Frac,
-right-hand side over pivot.  The pivot columns are the leftmost
-independent set, so the results are those of elimination over the
-fraction field.
+(fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).
+
+Coordinates are Laurent polynomials: each is one exact division, a
+right-hand side by its pivot, and a coordinate outside Z[q, q^-1] raises
+LinearSolveFailure.  The pivot columns are the leftmost independent set,
+so the coordinates are those that elimination over the fraction field
+gives, whenever those lie in Z[q, q^-1].
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from qsuper.laurent import LaurentPoly, ONE
+from qsuper.laurent import LaurentPoly, ONE, ZERO
 
 
 class LinearSolveFailure(Exception):
     """A vector expected to lie in a span (or in the base ring) does not."""
-
-
-def _int_content(p: LaurentPoly) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = gcd(g, abs(c))
-    return g or 1
-
-
-class Frac:
-    """num/den with Laurent polynomial parts; den never zero.
-
-    Normalization strips the common monomial and integer content and
-    cancels den into num when the division happens to be exact.  There is
-    no polynomial gcd, so equal fractions may differ in representation;
-    hence no hash agrees with ``==`` and Frac is unhashable.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = LaurentPoly.zero(), ONE
-        elif not den.is_one():
-            try:
-                num = num.divexact(den)
-                den = ONE
-            except ValueError:
-                shift = den.min_exp()
-                den = den.shift(-shift)
-                num = num.shift(-shift)
-                g = gcd(_int_content(num), _int_content(den))
-                lead = den.terms[den.max_exp()]
-                if lead < 0:
-                    g = -g
-                if g != 1:
-                    num = LaurentPoly({e: c // g for e, c in num.terms.items()})
-                    den = LaurentPoly({e: c // g for e, c in den.terms.items()})
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_int(cls, n: int) -> "Frac":
-        return cls(LaurentPoly.from_int(n))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "Frac") -> "Frac":
-        if self.den == other.den:
-            return Frac(self.num + other.num, self.den)
-        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "Frac":
-        out = Frac.__new__(Frac)
-        out.num = -self.num
-        out.den = self.den
-        return out
-
-    def __sub__(self, other: "Frac") -> "Frac":
-        return self + (-other)
-
-    def __mul__(self, other: "Frac") -> "Frac":
-        return Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "Frac") -> "Frac":
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return Frac(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Frac) and self.num * other.den == other.num * self.den
-
-    def __repr__(self):
-        return f"Frac({self.num}, {self.den})"
-
-    def to_laurent(self) -> LaurentPoly:
-        if self.den.is_one():
-            return self.num
-        try:
-            return self.num.divexact(self.den)
-        except ValueError:
-            raise LinearSolveFailure(f"coefficient {self!r} is not a Laurent polynomial")
-
-
-FRAC_ZERO = Frac(LaurentPoly.zero())
-FRAC_ONE = Frac(ONE)
 
 
 def _is_unit(p: LaurentPoly) -> bool:
@@ -128,7 +41,8 @@ def _strip_content(row: dict) -> dict:
         return row
     g = 0
     for v in row.values():
-        g = gcd(g, _int_content(v))
+        for c in v.terms.values():
+            g = gcd(g, c)
     low = min(v.min_exp() for v in row.values())
     if g == 1 and low == 0:
         return row
@@ -200,12 +114,25 @@ def _eliminate(columns, target=None):
     return rows, pivots, index
 
 
+def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """num / den, which must lie in Z[q, q^-1]."""
+    if den.is_one():
+        return num
+    try:
+        return num.divexact(den)
+    except ValueError:
+        raise LinearSolveFailure(
+            f"coordinate ({num}) / ({den}) is not a Laurent polynomial"
+        )
+
+
 def solve_in_span(columns, target):
     """Coefficients c with sum(c_i * columns_i) = target, or None.
 
     ``columns`` is a list of sparse vectors (dict key -> LaurentPoly),
     ``target`` one such vector.  Free coordinates are set to zero.  The
-    coefficients are returned as Frac.
+    coefficients are Laurent polynomials; LinearSolveFailure is raised
+    when the target lies in the span only over the fraction field.
     """
     if not columns:
         return [] if all(v.is_zero() for v in target.values()) else None
@@ -214,26 +141,19 @@ def solve_in_span(columns, target):
     pivot_rows = set(pivots.values())
     if any(row for r, row in enumerate(rows) if r not in pivot_rows):
         return None
-    out = [FRAC_ZERO] * n
+    out = [ZERO] * n
     for c, r in pivots.items():
         rhs = rows[r].get(n)
         if rhs is not None:
-            out[c] = Frac(rhs, rows[r][c])
+            out[c] = _quotient(rhs, rows[r][c])
     return out
-
-
-def solve_in_span_laurent(columns, target):
-    """As solve_in_span but coefficients must be Laurent polynomials."""
-    sol = solve_in_span(columns, target)
-    if sol is None:
-        raise LinearSolveFailure("target vector is outside the span")
-    return [f.to_laurent() for f in sol]
 
 
 def nullspace(columns):
     """Basis of {c : sum(c_i * columns_i) = 0}, one vector per free column.
 
-    Vectors are lists of Frac, normalized so the free coordinate is 1.
+    Vectors are lists of Laurent polynomials with the free coordinate 1;
+    LinearSolveFailure is raised when a pivot coordinate is not Laurent.
     """
     if not columns:
         return []
@@ -243,20 +163,10 @@ def nullspace(columns):
     for c in range(len(columns)):
         if c in pivots:
             continue
-        vec = [FRAC_ZERO] * len(columns)
-        vec[c] = FRAC_ONE
+        vec = [ZERO] * len(columns)
+        vec[c] = ONE
         for r in index[c]:
             pc = pivot_of[r]
-            vec[pc] = Frac(-rows[r][c], rows[r][pc])
+            vec[pc] = _quotient(-rows[r][c], rows[r][pc])
         basis.append(vec)
     return basis
-
-
-def rank(columns) -> int:
-    if not columns:
-        return 0
-    return len(_eliminate(columns)[1])
-
-
-def in_span(columns, target) -> bool:
-    return solve_in_span(columns, target) is not None

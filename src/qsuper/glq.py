@@ -17,26 +17,27 @@ from itertools import permutations
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
+    QSQ_DIFF,
     AlgebraElement,
+    LinearElement,
     Shape,
     col_sums,
     enumerate_block,
+    format_terms,
     mat_entry,
+    mat_from_rows,
+    mat_rows,
     matrix_to_word,
     row_sums,
+    unit_matrix,
+    validate_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, sub_minor_A
+from qsuper.superspace import _inversions, det_q_A, sub_minor_A
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
-
-QSQ_DIFF = LaurentPoly({2: 1, -2: -1})  # q^2 - q^-2
 
 
 # -- raw form: dict (monomial matrix, detA power) -> coefficient ----------
-
-
-def raw_zero():
-    return {}
 
 
 def raw_one(shape: Shape):
@@ -141,18 +142,6 @@ def raw_times_gen(shape: Shape, raw, i: int, j: int):
     return out
 
 
-def raw_times_alg(shape: Shape, raw, f: AlgebraElement):
-    """Right-multiply by a polynomial element (given in normal form)."""
-    N = shape.size
-    out: dict = {}
-    for M, c in f.terms.items():
-        cur = raw_scale(raw, c)
-        for letter in matrix_to_word(M, N):
-            cur = raw_times_gen(shape, cur, *letter)
-        out = raw_add(out, cur)
-    return out
-
-
 def raw_times_raw(shape: Shape, r1, r2):
     N = shape.size
     out: dict = {}
@@ -195,9 +184,7 @@ def detDprime_raw_frozen(shape: Shape):
     m, n = shape.m, shape.n
     out: dict = {}
     for tau in permutations(range(n)):
-        inv = sum(
-            1 for s in range(n) for t in range(s + 1, n) if tau[s] > tau[t]
-        )
+        inv = _inversions(tau)
         cur = raw_scale(raw_one(shape), LaurentPoly.q_power(-2 * inv, (-1) ** inv))
         for t in range(n):
             cur = raw_times_y(shape, cur, m + 1 + t, m + 1 + tau[t])
@@ -213,6 +200,13 @@ def detDprime_power_frozen(shape: Shape, p: int):
         return raw_freeze(raw_one(shape))
     prev = raw_thaw(detDprime_power_frozen(shape, p - 1))
     return raw_freeze(raw_times_raw(shape, prev, raw_thaw(detDprime_raw_frozen(shape))))
+
+
+def raw_times_detDprime(shape: Shape, raw, p: int):
+    """raw * detD'^p for p >= 0."""
+    if p == 0:
+        return raw
+    return raw_times_raw(shape, raw, raw_thaw(detDprime_power_frozen(shape, p)))
 
 
 @lru_cache(maxsize=None)
@@ -276,25 +270,12 @@ def rho(shape: Shape, M):
     return raw_thaw(rho_frozen(shape, M))
 
 
-def _diag_ok(shape, Mt):
-    return is_constrained(shape, Mt)
-
-
-def _candidates(shape: Shape, rows, cols, widen: int):
-    """Constrained triples (M, alpha, delta) with matching biweight.
-
-    rows/cols is the target biweight.  Negative detA powers only come
-    from lower-block letters (one per letter), and a polynomial target
-    never needs a negative detD' power, so the first window is
-    alpha >= -(lower-block content) and delta >= 0; each widening round
-    relaxes both bounds.
-    """
-    m, n = shape.m, shape.n
+def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
+    """Constrained triples (M, alpha, delta) of biweight rows/cols with
+    alpha >= a_lo and delta >= d_lo, largest powers first."""
+    m = shape.m
     a_hi = min(min(rows[:m]), min(cols[:m]))
     d_hi = min(min(rows[m:]), min(cols[m:]))
-    s_lower = min(sum(rows[m:]), sum(cols[m:]))
-    a_lo = min(a_hi, -s_lower) - 2 * widen
-    d_lo = min(0, d_hi) - widen
     out = []
     for alpha in range(a_hi, a_lo - 1, -1):
         for delta in range(d_hi, d_lo - 1, -1):
@@ -303,7 +284,7 @@ def _candidates(shape: Shape, rows, cols, widen: int):
             if any(v < 0 for v in ro + co):
                 continue
             for Mt in enumerate_block(shape, ro, co):
-                if _diag_ok(shape, Mt):
+                if is_constrained(shape, Mt):
                     out.append((Mt, alpha, delta))
     return out
 
@@ -312,29 +293,26 @@ def express_in_basis(shape: Shape, raw, rows, cols):
     """Write a raw element over the constrained mixed family.
 
     Returns dict (M, a, d) -> LaurentPoly.  The target biweight
-    (rows, cols) selects the finite candidate window; the window is
-    widened if the first solve fails.
+    (rows, cols), with no negative entry, selects the finite candidate
+    window.  Negative detA powers only come from lower-block letters (one
+    per letter), and a polynomial target never needs a negative detD'
+    power, so the first window is alpha >= -(lower-block content) and
+    delta >= 0; each widening round relaxes both bounds.
     """
     if not raw:
         return {}
+    rows, cols = tuple(rows), tuple(cols)
+    s_lower = min(sum(rows[shape.m:]), sum(cols[shape.m:]))
     for widen in (0, 1, 2):
-        cands = _candidates(shape, tuple(rows), tuple(cols), widen)
+        cands = _candidates(shape, rows, cols, -s_lower - 2 * widen, -widen)
         if not cands:
             continue
         L = max(0, -min(delta for _, _, delta in cands))
         cand_raws = []
         for Mt, alpha, delta in cands:
-            cr = rho(shape, Mt)
-            if delta + L:
-                cr = raw_times_raw(
-                    shape, cr, raw_thaw(detDprime_power_frozen(shape, delta + L))
-                )
+            cr = raw_times_detDprime(shape, rho(shape, Mt), delta + L)
             cand_raws.append(raw_shift_det(cr, alpha))
-        target_raw = raw
-        if L:
-            target_raw = raw_times_raw(
-                shape, raw, raw_thaw(detDprime_power_frozen(shape, L))
-            )
+        target_raw = raw_times_detDprime(shape, raw, L)
         emin = min(e for (_, e) in target_raw)
         for cr in cand_raws:
             emin = min(emin, min(e for (_, e) in cr))
@@ -345,9 +323,9 @@ def express_in_basis(shape: Shape, raw, rows, cols):
         if sol is None:
             continue
         out = {}
-        for (Mt, alpha, delta), coeff in zip(cands, sol):
+        for key, coeff in zip(cands, sol):
             if not coeff.is_zero():
-                out[(Mt, alpha, delta)] = coeff.to_laurent()
+                out[key] = coeff
         return out
     raise LinearSolveFailure(
         f"no expansion over the constrained family (biweight {rows}|{cols})"
@@ -367,22 +345,10 @@ def _reduce_pair(shape: Shape, M1, M2):
 # -- public elements ---------------------------------------------------------
 
 
-class LocalElement:
+class LocalElement(LinearElement):
     """Finite sum of constrained mixed monomials W(M) detA^a detD'^d."""
 
-    __slots__ = ("shape", "terms")
-
-    def __init__(self, shape: Shape, terms=None):
-        self.shape = shape
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    self.terms[key] = c
-
-    @classmethod
-    def zero(cls, shape: Shape) -> "LocalElement":
-        return cls(shape)
+    __slots__ = ()
 
     @classmethod
     def one(cls, shape: Shape) -> "LocalElement":
@@ -406,47 +372,15 @@ class LocalElement:
         if i > shape.m and j > shape.m:
             raise ValueError("lower-block x is not a mixed coordinate; "
                              "use to_mixed on the polynomial element")
-        M = [0] * shape.size**2
-        M[(i - 1) * shape.size + (j - 1)] = 1
-        return cls.monomial(shape, tuple(M))
+        return cls.monomial(shape, unit_matrix(shape.size, i, j))
 
     @classmethod
     def y_gen(cls, shape: Shape, mu: int, nu: int) -> "LocalElement":
         if not (mu > shape.m and nu > shape.m):
             raise IndexError("y indices must lie in the lower block")
-        M = [0] * shape.size**2
-        M[(mu - 1) * shape.size + (nu - 1)] = 1
-        return cls.monomial(shape, tuple(M))
+        return cls.monomial(shape, unit_matrix(shape.size, mu, nu))
 
-    # -- linear structure --------------------------------------------------
-
-    def _check(self, other):
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-    def __add__(self, other: "LocalElement") -> "LocalElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            s = terms.get(key, LaurentPoly.zero()) + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return LocalElement(self.shape, terms)
-
-    def __neg__(self):
-        return LocalElement(self.shape, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "LocalElement":
-        if isinstance(c, int):
-            c = LaurentPoly.from_int(c)
-        if c.is_zero():
-            return LocalElement(self.shape)
-        return LocalElement(self.shape, {k: v * c for k, v in self.terms.items()})
+    # -- products ----------------------------------------------------------
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
@@ -465,29 +399,8 @@ class LocalElement:
                         out[key] = s
         return LocalElement(self.shape, out)
 
-    def __pow__(self, k: int) -> "LocalElement":
-        out = LocalElement.one(self.shape)
-        if k < 0:
-            raise ValueError("general inverses are not available")
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalElement)
-            and self.shape == other.shape
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.shape, tuple(sorted(self.terms.items()))))
-
     def __repr__(self):
         return f"LocalElement({format_local(self)})"
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def biweight(self):
         N = self.shape.size
@@ -514,7 +427,7 @@ class LocalElement:
             "coords": "mixed",
             "terms": [
                 {
-                    "matrix": [list(M[r * N:(r + 1) * N]) for r in range(N)],
+                    "matrix": mat_rows(M, N),
                     "a": a,
                     "d": d,
                     "coeff": self.terms[(M, a, d)].to_json(),
@@ -528,7 +441,8 @@ class LocalElement:
         shape = Shape(obj["m"], obj["n"])
         out = cls.zero(shape)
         for t in obj["terms"]:
-            M = tuple(v for row in t["matrix"] for v in row)
+            M = mat_from_rows(t["matrix"])
+            validate_matrix(shape, M)
             out = out + cls.monomial(
                 shape, M, t["a"], t["d"], LaurentPoly.from_json(t["coeff"])
             )
@@ -558,11 +472,7 @@ def _local_raw(f: LocalElement):
     L = max(0, -min((d for (_, _, d) in f.terms), default=0))
     out: dict = {}
     for (M, a, d), c in f.terms.items():
-        raw = rho(shape, M)
-        if d + L:
-            raw = raw_times_raw(
-                shape, raw, raw_thaw(detDprime_power_frozen(shape, d + L))
-            )
+        raw = raw_times_detDprime(shape, rho(shape, M), d + L)
         out = raw_add(out, raw_scale(raw_shift_det(raw, a), c))
     return out, L
 
@@ -591,7 +501,7 @@ def _divide_detA(shape: Shape, g: AlgebraElement, K: int) -> AlgebraElement:
             raise LinearSolveFailure("element is not divisible by detA")
         for M, coeff in zip(cands, sol):
             if not coeff.is_zero():
-                out = out + AlgebraElement.monomial(shape, M, coeff.to_laurent())
+                out = out + AlgebraElement.monomial(shape, M, coeff)
     return out
 
 
@@ -602,8 +512,7 @@ def from_mixed(f: LocalElement) -> AlgebraElement:
         return AlgebraElement.zero(shape)
     if any(d < 0 for (_, _, d) in f.terms):
         raise ValueError("negative detD' power has no polynomial form")
-    raw, L = _local_raw(f)
-    assert L == 0
+    raw, _ = _local_raw(f)
     K = max(0, -min((e for (_, e) in raw), default=0))
     return _divide_detA(shape, expand_raw(shape, raw, K), K)
 
@@ -656,39 +565,22 @@ def sl_project(f: LocalElement) -> LocalElement:
     """Normal form modulo Ber = 1: fold the detD' power into detA."""
     out: dict = {}
     for (M, a, d), c in f.terms.items():
-        key = (M, a + d, 0)
-        s = out.get(key, LaurentPoly.zero()) + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
+        _raw_put(out, (M, a + d, 0), c)
     return LocalElement(f.shape, out)
 
 
 def format_local(f: LocalElement) -> str:
-    if f.is_zero():
-        return "0"
-    N = f.shape.size
-    parts = []
+    m, N = f.shape.m, f.shape.size
+    pairs = []
     for key in sorted(f.terms):
         M, a, d = key
-        c = f.terms[key]
         factors = []
         for (i, j) in matrix_to_word(M, N):
-            sym = "y" if (i > f.shape.m and j > f.shape.m) else "x"
+            sym = "y" if (i > m and j > m) else "x"
             factors.append(f"{sym}[{i},{j}]")
         if a:
             factors.append("detA" if a == 1 else f"detA^{a}")
         if d:
             factors.append("detD'" if d == 1 else f"detD'^{d}")
-        mono = "*".join(factors) if factors else "1"
-        cs = str(c)
-        if cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append(f"-{mono}")
-        elif len(c.terms) == 1:
-            parts.append(f"{cs}*{mono}" if mono != "1" else cs)
-        else:
-            parts.append(f"({cs})*{mono}" if mono != "1" else f"({cs})")
-    return " + ".join(parts).replace("+ -", "- ")
+        pairs.append((f.terms[key], "*".join(factors) or "1"))
+    return format_terms(pairs)

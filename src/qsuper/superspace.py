@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from qsuper.laurent import LaurentPoly, ONE
+from qsuper.laurent import LaurentPoly
 from qsuper.algebra import AlgebraElement, Shape
 
 

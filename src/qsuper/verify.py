@@ -16,16 +16,20 @@ from .laurent import LaurentPoly, ONE, Variant
 from .algebra import (
     AlgebraElement,
     Shape,
+    col_sums,
+    count_monomials,
+    degree_matrices,
     enumerate_block,
-    x_norm,
-    zero_matrix,
+    row_sums,
 )
 from .superspace import (
     det_q_A,
     det_qinv_D,
+    evec,
     laplace_verify,
     minor,
     minor_star,
+    valid_vector,
 )
 from .glq import (
     LocalElement,
@@ -38,13 +42,14 @@ from .glq import (
 from .basis import NotConstrained, n_ad, omega_global, express_in_n
 from .actions import (
     GenSymbol,
+    SpanMismatch,
     act_left,
     act_right,
     canonical_span_check,
     invariants_window,
 )
 
-__all__ = ["SUITES", "run_suite", "max_degree_cap"]
+__all__ = ["SUITES", "FIXED_SHAPES", "run_suite", "max_degree_cap"]
 
 
 def max_degree_cap(default: int) -> int:
@@ -59,25 +64,12 @@ def _qp(e, c=1):
     return LaurentPoly.q_power(e, c)
 
 
-def _count_monomials(shape: Shape, k: int) -> int:
-    """Number of exponent matrices of total degree k (odd entries <= 1)."""
-    N = shape.size
-    odd = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)
-           if shape.gen_parity(i, j)]
-    n_even = N * N - len(odd)
-    total = 0
-    for r in range(0, k + 1):
-        # r boxes in even entries, k - r among the odd entries (0/1 each)
-        total += math.comb(n_even + r - 1, r) * math.comb(len(odd), k - r)
-    return total
-
-
 def suite_relations(shape: Shape):
     lines, ok = [], True
     kmax = max_degree_cap(4)
     m, n = shape.m, shape.n
     for k in range(kmax + 1):
-        got = _count_monomials(shape, k)
+        got = count_monomials(shape, k)
         want = sum(
             math.comb(m * m + n * n + r - 1, r) * math.comb(2 * m * n, k - r)
             for r in range(k + 1)
@@ -91,20 +83,10 @@ def suite_relations(shape: Shape):
 
 
 def _index_vectors(shape: Shape, deg: int, star: bool):
-    N = shape.size
-    out = []
-    for combo in itertools.combinations_with_replacement(range(1, N + 1), deg):
-        counts = [combo.count(i) for i in range(1, N + 1)]
-        # the even directions of each superspace admit exponents > 1,
-        # the odd ones do not
-        bad = False
-        for i, c in enumerate(counts, start=1):
-            odd = (i > shape.m) if not star else (i <= shape.m)
-            if odd and c > 1:
-                bad = True
-        if not bad:
-            out.append(tuple(counts))
-    return out
+    """Exponent vectors of degree deg in the row (or dual) superspace."""
+    combos = itertools.combinations_with_replacement(range(1, shape.size + 1), deg)
+    vectors = (evec(shape, combo) for combo in combos)
+    return [a for a in vectors if valid_vector(shape, a, star)]
 
 
 def suite_laplace(shape: Shape):
@@ -120,6 +102,7 @@ def suite_laplace(shape: Shape):
                         checked += 1
                         if not laplace_verify(shape, a, a2, star):
                             good = False
+        good = good and checked > 0  # a check of nothing proves nothing
         ok = ok and good
         lines.append(f"{'dual ' if star else ''}expansion identities on "
                      f"{checked} index pairs {'ok' if good else 'FAIL'}")
@@ -195,36 +178,14 @@ def _small_blocks(shape: Shape, max_degree: int, max_block: int):
     N = shape.size
     seen = set()
     for deg in range(max_degree + 1):
-        for M in _degree_matrices(shape, deg):
-            ro = tuple(sum(M[r * N + c] for c in range(N)) for r in range(N))
-            co = tuple(sum(M[r * N + c] for r in range(N)) for c in range(N))
+        for M in degree_matrices(shape, deg):
+            ro, co = row_sums(M, N), col_sums(M, N)
             if (ro, co) in seen:
                 continue
             seen.add((ro, co))
             block = enumerate_block(shape, ro, co)
             if 1 < len(block) <= max_block:
                 yield block
-
-
-def _degree_matrices(shape: Shape, deg: int):
-    N = shape.size
-    cells = [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
-
-    def rec(idx, left, acc):
-        if idx == len(cells):
-            if left == 0:
-                yield tuple(acc)
-            return
-        i, j = cells[idx]
-        cap = left if not shape.gen_parity(i, j) else min(left, 1)
-        for v in range(cap + 1):
-            acc.append(v)
-            yield from rec(idx + 1, left - v, acc)
-            acc.pop()
-
-    flat = []
-    for M in rec(0, deg, flat):
-        yield M
 
 
 def suite_cb_blocks(shape: Shape):
@@ -250,6 +211,7 @@ def suite_cb_blocks(shape: Shape):
                     if not tail.is_zero() or c.coeff(0) != 0:
                         good = False
                 checked += 1
+    good = good and checked > 0
     ok = ok and good
     lines.append(f"{checked} basis elements bar-invariant and unitriangular "
                  f"{'ok' if good else 'FAIL'}")
@@ -262,7 +224,7 @@ def suite_ber_shift(shape: Shape):
     good = True
     checked = 0
     for deg in range(max_degree_cap(2) + 1):
-        for M in itertools.islice(_degree_matrices(shape, deg), 12):
+        for M in itertools.islice(degree_matrices(shape, deg), 12):
             try:
                 f = n_ad(shape, M, 0, 1)
             except NotConstrained:
@@ -270,6 +232,7 @@ def suite_ber_shift(shape: Shape):
             if f * ber != n_ad(shape, M, 1, 0):
                 good = False
             checked += 1
+    good = good and checked > 0
     ok = ok and good
     lines.append(f"Berezinian shift on {checked} normalized elements "
                  f"{'ok' if good else 'FAIL'}")
@@ -310,7 +273,7 @@ def suite_actions(shape: Shape):
 
 def suite_gl11(shape: Shape = None):
     """The rank-(1,1) dual canonical basis against its closed product form."""
-    sh = Shape(1, 1)
+    sh = FIXED_SHAPES["gl11"]
     lines, ok = [], True
     x = lambda i, j: to_mixed(AlgebraElement.generator(sh, i, j))
     x11inv = LocalElement(sh, {((0, 0, 0, 0), -1, 0): ONE})
@@ -353,7 +316,7 @@ def suite_gl11(shape: Shape = None):
 
 def suite_gl21(shape: Shape = None):
     """Invariant subalgebras of the rank-(2,1) localization."""
-    sh = Shape(2, 1)
+    sh = FIXED_SHAPES["gl21"]
     lines, ok = [], True
     E = lambda i: GenSymbol("E", i)
     F = lambda i: GenSymbol("F", i)
@@ -378,12 +341,15 @@ def suite_gl21(shape: Shape = None):
         good = rep.passed
         lines.append(f"invariant window spanned by {len(rep.selected)} basis "
                      f"elements {'ok' if good else 'FAIL'}")
-    except Exception as exc:  # SpanMismatch or sizing errors
+    except SpanMismatch as exc:
         good = False
         lines.append(f"span check FAILED: {exc}")
     ok = ok and good
     return ok, lines
 
+
+# suites stated for one shape, which ignore the shape they are given
+FIXED_SHAPES = {"gl11": Shape(1, 1), "gl21": Shape(2, 1)}
 
 SUITES = {
     "relations": suite_relations,

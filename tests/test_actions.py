@@ -17,7 +17,7 @@ from qsuper.glq import (
     det_dprime_local,
     to_mixed,
 )
-from qsuper.exactlinalg import nullspace, solve_in_span_laurent
+from qsuper.exactlinalg import nullspace, solve_in_span
 from qsuper.actions import (
     AdaptedElement,
     GenSymbol,
@@ -362,16 +362,14 @@ class TestInvariantsWindow:
         span = [dict(f.terms) for f in inv]
         for j in (1, 2, 3):
             target = dict(to_mixed(xg(S21, 1, j)).terms)
-            assert solve_in_span_laurent(span, target)
+            assert solve_in_span(span, target) is not None
         # unit is always invariant
         assert any(f == LocalElement.one(S21) for f in inv)
 
     def test_row_two_entry_is_not_invariant(self):
         inv = invariants_window(S21, (E(1), E(2)), (), max_degree=1)
         span = [dict(f.terms) for f in inv]
-        from qsuper.exactlinalg import in_span
-
-        assert not in_span(span, dict(to_mixed(xg(S21, 2, 1)).terms))
+        assert solve_in_span(span, dict(to_mixed(xg(S21, 2, 1)).terms)) is None
 
     def test_weight_zero_subwindow_under_k(self):
         ks = tuple(K(i) for i in range(1, 4))
@@ -404,7 +402,7 @@ class TestInvariantsWindow:
         assert len(inv) == len(listed)
         span = [dict(f.terms) for f in inv]
         for f in listed:
-            assert solve_in_span_laurent(span, dict(to_mixed(f).terms))
+            assert solve_in_span(span, dict(to_mixed(f).terms)) is not None
 
     def test_two_sided_invariants_are_principal_monomials(self):
         # joint invariants under left raising and right lowering are
@@ -430,7 +428,7 @@ class TestInvariantsWindow:
         span = [dict(f.terms) for f in inv]
         for g in (to_mixed(det_q_A(sh)), det_dprime_local(sh),
                   to_mixed(xg(sh, 1, 1))):
-            assert solve_in_span_laurent(span, dict(g.terms))
+            assert solve_in_span(span, dict(g.terms)) is not None
 
 
 class TestSpanCheck:
@@ -610,12 +608,12 @@ class TestKashiwara:
                 inv = AlgebraElement.zero(sh)
                 coords = {}
                 for M, c in zip(block, vec):
-                    cl = c.to_laurent()
-                    if not cl.is_zero():
-                        inv = inv + x_norm(sh, M).scale(cl)
-                        coords[M] = coords.get(M, LaurentPoly.zero()) + cl
+                    if not c.is_zero():
+                        inv = inv + x_norm(sh, M).scale(c)
+                        coords[M] = coords.get(M, LaurentPoly.zero()) + c
                 assert act_left(gen, inv).is_zero()
-                coeffs = solve_in_span_laurent(cols, coords)
+                coeffs = solve_in_span(cols, coords)
+                assert coeffs is not None
                 image = AlgebraElement.zero(sh)
                 for el, c in zip(els, coeffs):
                     if not c.is_zero():

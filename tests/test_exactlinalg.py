@@ -1,18 +1,10 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsuper.laurent import LaurentPoly, ONE
-from qsuper.exactlinalg import (
-    FRAC_ONE,
-    FRAC_ZERO,
-    Frac,
-    LinearSolveFailure,
-    in_span,
-    nullspace,
-    rank,
-    solve_in_span,
-    solve_in_span_laurent,
-)
+from qsuper.exactlinalg import LinearSolveFailure, nullspace, solve_in_span
 
 
 def lp(d):
@@ -24,6 +16,167 @@ laurents = st.dictionaries(
     st.integers(min_value=-5, max_value=5),
     max_size=4,
 ).map(LaurentPoly)
+
+ZERO = LaurentPoly.zero()
+Q = lp({1: 1})
+
+
+def _combine(vectors, coeffs):
+    out = {}
+    for vec, c in zip(vectors, coeffs):
+        for k, v in vec.items():
+            out[k] = out.get(k, ZERO) + c * v
+    return out
+
+
+def _nonzero(vec):
+    return {k: v for k, v in vec.items() if not v.is_zero()}
+
+
+class TestSolve:
+    def test_simple(self):
+        cols = [{"u": ONE, "v": lp({2: 1})}, {"v": ONE}]
+        target = {"u": lp({1: 1}), "v": LaurentPoly.zero()}
+        sol = solve_in_span(cols, target)
+        assert sol[0] == lp({1: 1})
+        assert sol[1] == lp({3: -1})
+
+    def test_inconsistent(self):
+        cols = [{"u": ONE}]
+        assert solve_in_span(cols, {"w": ONE}) is None
+
+    def test_non_laurent_coordinate_raises(self):
+        # 1 = (1/2) * 2 lies in the span only over the fraction field
+        with pytest.raises(LinearSolveFailure):
+            solve_in_span([{"u": lp({0: 2})}], {"u": ONE})
+
+    def test_dependent_columns(self):
+        cols = [{"u": ONE}, {"u": lp({2: 1})}]
+        sol = solve_in_span(cols, {"u": lp({2: 1})})
+        assert sol is not None
+        assert _nonzero(_combine(cols, sol)) == {"u": lp({2: 1})}
+
+    def test_in_span(self):
+        cols = [{"u": ONE, "v": ONE}, {"v": ONE}]
+        assert solve_in_span(cols, {"u": lp({5: 2})}) is not None
+        assert solve_in_span(cols, {"w": ONE}) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(laurents, min_size=2, max_size=2), laurents, laurents)
+    def test_solution_reconstructs_target(self, coeffs, p, r):
+        cols = [{"u": p, "v": r}, {"u": r, "v": p + ONE}]
+        target = _combine(cols, coeffs)
+        sol = solve_in_span(cols, target)
+        assert sol is not None
+        assert _nonzero(_combine(cols, sol)) == _nonzero(target)
+
+
+class TestNullspaceRank:
+    def test_independent(self):
+        cols = [{"u": ONE}, {"v": ONE}]
+        assert nullspace(cols) == []
+
+    def test_dependent(self):
+        cols = [{"u": ONE}, {"u": lp({2: 1})}]
+        ns = nullspace(cols)
+        assert len(ns) == 1
+        assert not _nonzero(_combine(cols, ns[0]))
+
+    def test_zero_column(self):
+        cols = [{"u": ONE}, {}]
+        ns = nullspace(cols)
+        assert len(ns) == 1
+        assert ns[0][1] == ONE
+
+
+# -- the reference's field: fractions of Laurent polynomials -------------------
+
+
+def _content(p: LaurentPoly) -> int:
+    g = 0
+    for c in p.terms.values():
+        g = gcd(g, abs(c))
+    return g or 1
+
+
+class Frac:
+    """num/den with Laurent polynomial parts; den never zero.
+
+    Normalization strips the common monomial and integer content and
+    cancels den into num when the division happens to be exact.  There is
+    no polynomial gcd, so equal fractions may differ in representation;
+    hence no hash agrees with ``==`` and Frac is unhashable.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            num, den = LaurentPoly.zero(), ONE
+        elif not den.is_one():
+            try:
+                num = num.divexact(den)
+                den = ONE
+            except ValueError:
+                shift = den.min_exp()
+                den = den.shift(-shift)
+                num = num.shift(-shift)
+                g = gcd(_content(num), _content(den))
+                if den.terms[den.max_exp()] < 0:
+                    g = -g
+                if g != 1:
+                    num = LaurentPoly({e: c // g for e, c in num.terms.items()})
+                    den = LaurentPoly({e: c // g for e, c in den.terms.items()})
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_int(cls, n: int) -> "Frac":
+        return cls(LaurentPoly.from_int(n))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __add__(self, other: "Frac") -> "Frac":
+        if self.den == other.den:
+            return Frac(self.num + other.num, self.den)
+        return Frac(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __neg__(self) -> "Frac":
+        return Frac(-self.num, self.den)
+
+    def __sub__(self, other: "Frac") -> "Frac":
+        return self + (-other)
+
+    def __mul__(self, other: "Frac") -> "Frac":
+        return Frac(self.num * other.num, self.den * other.den)
+
+    def __truediv__(self, other: "Frac") -> "Frac":
+        if other.num.is_zero():
+            raise ZeroDivisionError("division by zero fraction")
+        return Frac(self.num * other.den, self.den * other.num)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Frac) and self.num * other.den == other.num * self.den
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Frac({self.num}, {self.den})"
+
+    def to_laurent(self) -> LaurentPoly:
+        if self.den.is_one():
+            return self.num
+        try:
+            return self.num.divexact(self.den)
+        except ValueError:
+            raise LinearSolveFailure(f"coefficient {self!r} is not a Laurent polynomial")
+
+
+FRAC_ZERO = Frac(LaurentPoly.zero())
+FRAC_ONE = Frac(ONE)
 
 
 class TestFrac:
@@ -58,75 +211,6 @@ class TestFrac:
             return
         f = Frac(a * b, b)
         assert f.to_laurent() == a
-
-
-class TestSolve:
-    def test_simple(self):
-        cols = [{"u": ONE, "v": lp({2: 1})}, {"v": ONE}]
-        target = {"u": lp({1: 1}), "v": LaurentPoly.zero()}
-        sol = solve_in_span_laurent(cols, target)
-        assert sol[0] == lp({1: 1})
-        assert sol[1] == lp({3: -1})
-
-    def test_inconsistent(self):
-        cols = [{"u": ONE}]
-        assert solve_in_span(cols, {"w": ONE}) is None
-        with pytest.raises(LinearSolveFailure):
-            solve_in_span_laurent(cols, {"w": ONE})
-
-    def test_dependent_columns(self):
-        cols = [{"u": ONE}, {"u": lp({2: 1})}]
-        sol = solve_in_span(cols, {"u": lp({2: 1})})
-        assert sol is not None
-        acc = Frac(LaurentPoly.zero())
-        for c, col in zip(sol, cols):
-            acc = acc + c * Frac(col["u"])
-        assert acc == Frac(lp({2: 1}))
-
-    def test_in_span(self):
-        cols = [{"u": ONE, "v": ONE}, {"v": ONE}]
-        assert in_span(cols, {"u": lp({5: 2})})
-        assert not in_span(cols, {"w": ONE})
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(laurents, min_size=2, max_size=2), laurents, laurents)
-    def test_solution_reconstructs_target(self, coeffs, p, r):
-        cols = [{"u": p, "v": r}, {"u": r, "v": p + ONE}]
-        target = {}
-        for key in ("u", "v"):
-            acc = LaurentPoly.zero()
-            for c, col in zip(coeffs, cols):
-                acc = acc + c * col.get(key, LaurentPoly.zero())
-            target[key] = acc
-        sol = solve_in_span(cols, target)
-        assert sol is not None
-        for key in ("u", "v"):
-            acc = Frac(LaurentPoly.zero())
-            for c, col in zip(sol, cols):
-                acc = acc + c * Frac(col.get(key, LaurentPoly.zero()))
-            assert acc == Frac(target[key])
-
-
-class TestNullspaceRank:
-    def test_independent(self):
-        cols = [{"u": ONE}, {"v": ONE}]
-        assert nullspace(cols) == []
-        assert rank(cols) == 2
-
-    def test_dependent(self):
-        cols = [{"u": ONE}, {"u": lp({2: 1})}]
-        ns = nullspace(cols)
-        assert len(ns) == 1
-        v = ns[0]
-        acc = v[0] * Frac(ONE) + v[1] * Frac(lp({2: 1}))
-        assert acc.is_zero()
-        assert rank(cols) == 1
-
-    def test_zero_column(self):
-        cols = [{"u": ONE}, {}]
-        ns = nullspace(cols)
-        assert len(ns) == 1
-        assert ns[0][1] == Frac(ONE)
 
 
 # -- reference: dense Gauss-Jordan over the fraction field ---------------------
@@ -236,14 +320,6 @@ ENTRIES = [
 ]
 
 
-def _combine(vectors, coeffs):
-    out = {}
-    for vec, c in zip(vectors, coeffs):
-        for k, v in vec.items():
-            out[k] = out.get(k, LaurentPoly.zero()) + c * v
-    return out
-
-
 @st.composite
 def systems(draw):
     """Sparse systems of up to 6 x 6 with zero and dependent columns and
@@ -279,8 +355,24 @@ def systems(draw):
     return columns, target
 
 
-def _same(xs, ys):
-    return len(xs) == len(ys) and all(x == y for x, y in zip(xs, ys))
+def _laurent(vectors):
+    """The reference's Frac vectors as Laurent vectors; LinearSolveFailure
+    if any coordinate is not a Laurent polynomial."""
+    return [[f.to_laurent() for f in vec] for vec in vectors]
+
+
+def _agrees(got, want):
+    """``got()`` returns the Laurent form of the reference vectors ``want``,
+    or raises LinearSolveFailure exactly when that form does not exist."""
+    try:
+        expected = _laurent(want)
+    except LinearSolveFailure:
+        with pytest.raises(LinearSolveFailure):
+            got()
+        return None
+    result = got()
+    assert result == expected
+    return result
 
 
 class TestAgainstDenseReference:
@@ -288,30 +380,31 @@ class TestAgainstDenseReference:
     @given(systems())
     def test_solve_nullspace_rank(self, system):
         columns, target = system
-        got, want = solve_in_span(columns, target), dense_solve(columns, target)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert _same(got, want)
-        got_ns, want_ns = nullspace(columns), dense_nullspace(columns)
-        assert len(got_ns) == len(want_ns)
-        assert all(_same(g, w) for g, w in zip(got_ns, want_ns))
-        assert rank(columns) == dense_rank(columns)
+        want = dense_solve(columns, target)
+        if want is None:
+            assert solve_in_span(columns, target) is None
+        else:
+            _agrees(lambda: [solve_in_span(columns, target)], [want])
+        got_ns = _agrees(lambda: nullspace(columns), dense_nullspace(columns))
+        if got_ns is not None:
+            assert len(columns) - len(got_ns) == dense_rank(columns)
 
     def test_non_unit_pivot(self):
         # the only pivot is 2: the second row is cross-multiplied and left
         # with content 4 and a factor q, which are divided out
-        q = lp({1: 1})
         col = {"u": lp({0: 2}), "v": lp({0: 2, 2: 2})}
-        assert solve_in_span_laurent([col], {"u": lp({1: 2}), "v": lp({1: 2, 3: 2})}) == [q]
+        assert solve_in_span([col], {"u": lp({1: 2}), "v": lp({1: 2, 3: 2})}) == [Q]
         outside = {"u": lp({1: 2}), "v": lp({1: 4})}
         assert solve_in_span([col], outside) is None
         assert dense_solve([col], outside) is None
+        # 1/2 is a field coordinate only
         half = {"u": ONE, "v": lp({0: 1, 2: 1})}
-        sol = solve_in_span([col], half)
-        assert _same(sol, dense_solve([col], half))
-        assert sol[0] == Frac(ONE, lp({0: 2}))
+        assert dense_solve([col], half)[0] == Frac(ONE, lp({0: 2}))
+        with pytest.raises(LinearSolveFailure):
+            solve_in_span([col], half)
         dep = {"u": lp({0: 1, 2: 1}), "v": lp({0: 1, 2: 2, 4: 1})}
-        (vec,) = nullspace([col, dep])
-        assert _same(vec, dense_nullspace([col, dep])[0])
-        assert vec == [Frac(lp({0: -1, 2: -1}), lp({0: 2})), FRAC_ONE]
-        assert rank([col, dep]) == 1
+        assert dense_nullspace([col, dep]) == [[Frac(lp({0: -1, 2: -1}), lp({0: 2})), FRAC_ONE]]
+        with pytest.raises(LinearSolveFailure):
+            nullspace([col, dep])
+        # through the same non-unit pivot, a Laurent kernel vector
+        assert nullspace([col, {k: Q * v for k, v in col.items()}]) == [[-Q, ONE]]
