@@ -274,24 +274,14 @@ def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
         letters = _mixed_letters(shape, M, a, d)
         assert all(L[0] not in ("y", "dD") for L in letters)
         tail = tail + _act_letters_local(shape, kind, i, side, letters).scale(c)
-    return _freeze_local(head - tail)
-
-
-def _freeze_local(f: LocalElement):
-    return (f.shape, tuple(sorted(f.terms.items())))
-
-
-def _thaw_local(frozen) -> LocalElement:
-    shape, items = frozen
-    return LocalElement(shape, dict(items))
+    return head - tail
 
 
 @lru_cache(maxsize=None)
 def _det_letter_act(shape: Shape, kind: str, i: int, side: str, which: str):
     """Action on detA or detD', computed on the expanded determinant."""
     if which == "dA":
-        out = _act_terms(shape, kind, i, side, det_q_A(shape))
-        return _freeze_local(to_mixed(out))
+        return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
     # detD' is the q^{-1}-determinant of the y-matrix
     m, n = shape.m, shape.n
     out = LocalElement.zero(shape)
@@ -302,7 +292,7 @@ def _det_letter_act(shape: Shape, kind: str, i: int, side: str, which: str):
         )
         c = LaurentPoly.q_power(-2 * inv, (-1) ** inv)
         out = out + _act_letters_local(shape, kind, i, side, letters).scale(c)
-    return _freeze_local(out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -312,18 +302,17 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str, which: str):
     From X.(u u^{-1}) = 0:  X.u^{-1} = -q^{-2(c_head + c_tail) w(u)}
     u^{-1} (X.u) u^{-1}, with w(u) the K-pair weight of u.
     """
-    hit = _thaw_local(_det_letter_act(shape, kind, i, side, which))
+    hit = _det_letter_act(shape, kind, i, side, which)
     if hit.is_zero():
-        return _freeze_local(hit)
+        return hit
     c_tail, c_head, signed = CONVENTIONS[(side, kind)]
     u_letter = (which, 1)
     w = _weight_pair(shape, (u_letter,), i, side, signed)
     a, d = (-1, 0) if which == "dA" else (0, -1)
     inv = LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
-    out = (inv * hit * inv).scale(
+    return (inv * hit * inv).scale(
         LaurentPoly.q_power(-2 * (c_tail + c_head) * w, -1)
     )
-    return _freeze_local(out)
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +351,12 @@ def _act_letters_local(shape, kind, i, side, letters) -> LocalElement:
             hit = _x_letter_act(shape, kind, i, side, L[1], L[2])
             hit_elem = None if hit is None else _x_local(shape, hit[1], hit[2])
         elif L[0] == "y":
-            hit_elem = _thaw_local(
-                _y_letter_act(shape, kind, i, side, L[1], L[2])
-            )
+            hit_elem = _y_letter_act(shape, kind, i, side, L[1], L[2])
         elif L[1] == 1:
-            hit_elem = _thaw_local(_det_letter_act(shape, kind, i, side, L[0]))
+            hit_elem = _det_letter_act(shape, kind, i, side, L[0])
         else:
-            hit_elem = _thaw_local(_det_inverse_act(shape, kind, i, side, L[0]))
-        if hit_elem is None or (
-            isinstance(hit_elem, LocalElement) and hit_elem.is_zero()
-        ):
+            hit_elem = _det_inverse_act(shape, kind, i, side, L[0])
+        if hit_elem is None or hit_elem.is_zero():
             continue
         prefix, suffix = letters[:p], letters[p + 1 :]
         power = _conv_power(shape, side, kind, i, prefix, suffix)
@@ -499,14 +484,8 @@ def invariants_window(
             for key, c in cols[j].terms.items():
                 col[(gi, key)] = c
         columns.append(col)
-    out = []
-    for coeffs in nullspace(columns):
-        f = LocalElement.zero(shape)
-        for key, c in zip(basis, coeffs):
-            if not c.is_zero():
-                f = f + LocalElement(shape, {key: c})
-        out.append(f)
-    return out
+    # the window's keys are distinct, and zero coefficients drop out
+    return [LocalElement(shape, dict(zip(basis, coeffs))) for coeffs in nullspace(columns)]
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,17 @@ def _straighten_cached(shape: Shape, word):
     return tuple(sorted(straighten_word(shape, word).items()))
 
 
+def _put(terms, key, c):
+    """terms[key] += c, dropping the key when the sum is zero; c is a
+    LaurentPoly or an element."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s.terms:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 class LinearElement:
     """Finite map basis key -> nonzero LaurentPoly over one shape.
 

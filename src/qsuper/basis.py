@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from qsuper.laurent import LaurentPoly, ONE, Variant, solve_bar_equation
 from qsuper.algebra import (
+    _put,
     AlgebraElement,
     Shape,
     col_sums,
@@ -33,6 +34,7 @@ from qsuper.glq import (
     _candidates as _global_candidates,
     bar_local,
     is_constrained,
+    mixed_degree,
     to_mixed,
 )
 
@@ -126,18 +128,10 @@ def lusztig_solve_one(T, expand_bar, variant: Variant, pick_max, strictly_lower)
         barc: dict = {}
         for S, c in coords.items():
             for U, b in expand_bar(S).items():
-                s = barc.get(U, LaurentPoly.zero()) + c.bar() * b
-                if s.is_zero():
-                    barc.pop(U, None)
-                else:
-                    barc[U] = s
+                _put(barc, U, c.bar() * b)
         residual = dict(barc)
         for S, c in coords.items():
-            s = residual.get(S, LaurentPoly.zero()) - c
-            if s.is_zero():
-                residual.pop(S, None)
-            else:
-                residual[S] = s
+            _put(residual, S, -c)
         if not residual:
             return coords
         S = pick_max(residual.keys())
@@ -262,10 +256,7 @@ def omega_Dprime(shape: Shape, M) -> CBElement:
 
 def y_substitute(f: AlgebraElement) -> LocalElement:
     """Reinterpret a lower-right-block x-element as a word in y-entries."""
-    out = LocalElement.zero(f.shape)
-    for M, c in f.terms.items():
-        out = out + LocalElement.monomial(f.shape, M, 0, 0, c)
-    return out
+    return LocalElement.from_terms(f.shape, [(M, 0, 0, c) for M, c in f.terms.items()])
 
 
 def _dprime_x_expansion(shape: Shape, M) -> AlgebraElement:
@@ -328,14 +319,8 @@ def omega_ABC(shape: Shape, M) -> CBElement:
 
 
 def _region_sums(shape: Shape, M):
-    """(S(M2), S(M3), columns of M2, columns of M4, rows of M3, rows of M4)."""
+    """(columns of M2, columns of M4, rows of M3, rows of M4)."""
     N, m = shape.size, shape.m
-    s2 = sum(
-        mat_entry(M, N, i, j) for i in range(1, m + 1) for j in range(m + 1, N + 1)
-    )
-    s3 = sum(
-        mat_entry(M, N, i, j) for i in range(m + 1, N + 1) for j in range(1, m + 1)
-    )
     c2 = [
         sum(mat_entry(M, N, i, j) for i in range(1, m + 1))
         for j in range(m + 1, N + 1)
@@ -352,15 +337,15 @@ def _region_sums(shape: Shape, M):
         sum(mat_entry(M, N, i, j) for j in range(m + 1, N + 1))
         for i in range(m + 1, N + 1)
     ]
-    return s2, s3, c2, c4, r3, r4
+    return c2, c4, r3, r4
 
 
 def psi_power(shape: Shape, M, a: int, d: int) -> int:
-    s2, s3, c2, c4, r3, r4 = _region_sums(shape, M)
+    c2, c4, r3, r4 = _region_sums(shape, M)
     return (
         sum(x * y for x, y in zip(c2, c4))
         - sum(x * y for x, y in zip(r3, r4))
-        + (d - a) * (s2 + s3)
+        + (d - a) * mixed_degree(shape, M)
     )
 
 

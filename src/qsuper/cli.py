@@ -65,12 +65,14 @@ def _load_element(path: str):
         else:
             with open(path) as fh:
                 obj = json.load(fh)
-        if obj.get("coords") == "mixed":
-            return LocalElement.from_json(obj)
-        return AlgebraElement.from_json(obj)
+        if obj.get("coords") != "mixed":
+            return AlgebraElement.from_json(obj)
+        shape, terms = LocalElement.parse_json(obj)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
             IndexError) as exc:
         raise UsageError(f"bad element {path!r}: {exc}")
+    # reducing the terms is kernel work, so a fault there exits 3, not 2
+    return LocalElement.from_terms(shape, terms)
 
 
 def _emit_element(f, fmt: str) -> str:

@@ -1,8 +1,8 @@
 """The determinant localization of the supermatrix algebra, in mixed coordinates.
 
-Internally every element is manipulated in a *raw* form: sums of
-ordered x-monomials with a power of the even-block determinant detA at
-the far right (the only inverted element the raw form needs).  Public
+Internally every element is manipulated in a *raw* form, ``RawElement``:
+sums of ordered x-monomials with a power of the even-block determinant
+detA at the far right (the only inverted element the raw form needs).  Public
 elements live in the mixed normal form: monomials in the generators
 x_ij (i <= m or j <= m) and the Schur-complement entries y_uv, times
 detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
@@ -18,6 +18,7 @@ from itertools import permutations
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
     QSQ_DIFF,
+    _put,
     AlgebraElement,
     LinearElement,
     Shape,
@@ -37,52 +38,50 @@ from qsuper.superspace import _inversions, det_q_A, sub_minor_A
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
 
 
-# -- raw form: dict (monomial matrix, detA power) -> coefficient ----------
+# -- raw form: sums of c * x^M * detA^e -------------------------------------
 
 
-def raw_one(shape: Shape):
-    return {(zero_matrix(shape.size), 0): ONE}
+class RawElement(LinearElement):
+    """Finite sum of c * x^M detA^e with x^M an ordered x-monomial; keys (M, e).
 
+    A raw form is not a normal form: one element has many raw forms (a
+    factor detA may sit inside x^M or in the exponent e), so == compares
+    formal sums only.  Compare elements through expand_raw.
+    """
 
-def _raw_put(raw, key, c):
-    s = raw.get(key, LaurentPoly.zero()) + c
-    if s.is_zero():
-        raw.pop(key, None)
-    else:
-        raw[key] = s
+    __slots__ = ()
 
+    @classmethod
+    def one(cls, shape: Shape) -> "RawElement":
+        return cls(shape, {(zero_matrix(shape.size), 0): ONE})
 
-def raw_add(r1, r2):
-    out = dict(r1)
-    for k, c in r2.items():
-        _raw_put(out, k, c)
-    return out
+    @classmethod
+    def from_alg(cls, f: AlgebraElement) -> "RawElement":
+        return cls(f.shape, {(N, 0): c for N, c in f.terms.items()})
 
+    def shift_det(self, k: int) -> "RawElement":
+        """self * detA^k."""
+        if k == 0:
+            return self
+        return RawElement(self.shape, {(N, e + k): c for (N, e), c in self.terms.items()})
 
-def raw_scale(raw, c):
-    if isinstance(c, int):
-        c = LaurentPoly.from_int(c)
-    if c.is_zero():
-        return {}
-    return {k: v * c for k, v in raw.items()}
+    def times_detDprime(self, p: int) -> "RawElement":
+        """self * detD'^p for p >= 0."""
+        if p == 0:
+            return self
+        return self * detDprime_power(self.shape, p)
 
-
-def raw_shift_det(raw, k: int):
-    if k == 0:
-        return dict(raw)
-    return {(N, e + k): c for (N, e), c in raw.items()}
-
-
-def raw_from_alg(f: AlgebraElement):
-    return {(N, 0): c for N, c in f.terms.items()}
-
-
-def raw_freeze(raw):
-    return tuple(sorted((N, e, c) for (N, e), c in raw.items()))
-
-
-def raw_thaw(frozen):
-    return {(N, e): c for N, e, c in frozen}
+    def __mul__(self, other: "RawElement") -> "RawElement":
+        self._check(other)
+        shape = self.shape
+        out: dict = {}
+        for (M, e), c in other.terms.items():
+            cur = self.scale(c)
+            for letter in matrix_to_word(M, shape.size):
+                cur = raw_times_gen(shape, cur, *letter)
+            for (N, e1), c1 in cur.terms.items():
+                _put(out, (N, e1 + e), c1)
+        return RawElement(shape, out)
 
 
 def _det_push_series(e: int) -> LaurentPoly:
@@ -117,44 +116,33 @@ def t_correction(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     return _cofactor_sum(shape, mu, nu, 1)
 
 
-def raw_times_gen(shape: Shape, raw, i: int, j: int):
+def raw_times_gen(shape: Shape, raw: RawElement, i: int, j: int) -> RawElement:
     """Right-multiply a raw element by the generator x_ij."""
     m = shape.m
     gen = AlgebraElement.generator(shape, i, j)
     out: dict = {}
-    for (N, e), c in raw.items():
+    for (N, e), c in raw.terms.items():
         base = AlgebraElement(shape, {N: c}) * gen
         if e == 0 or (i <= m and j <= m):
             for N2, c2 in base.terms.items():
-                _raw_put(out, (N2, e), c2)
+                _put(out, (N2, e), c2)
         elif i <= m or j <= m:
             # mixed entry: detA^e x_ij = q^(2e) x_ij detA^e
             for N2, c2 in base.terms.items():
-                _raw_put(out, (N2, e), c2.shift(2 * e))
+                _put(out, (N2, e), c2.shift(2 * e))
         else:
             # lower-block entry: correction term drops one detA power
             for N2, c2 in base.terms.items():
-                _raw_put(out, (N2, e), c2)
+                _put(out, (N2, e), c2)
             corr = AlgebraElement(shape, {N: c}) * t_correction(shape, i, j)
             factor = QSQ_DIFF * _det_push_series(e)
             for N2, c2 in corr.scale(factor).terms.items():
-                _raw_put(out, (N2, e - 1), c2)
-    return out
-
-
-def raw_times_raw(shape: Shape, r1, r2):
-    N = shape.size
-    out: dict = {}
-    for (M, e), c in r2.items():
-        cur = raw_scale(r1, c)
-        for letter in matrix_to_word(M, N):
-            cur = raw_times_gen(shape, cur, *letter)
-        out = raw_add(out, raw_shift_det(cur, e))
-    return out
+                _put(out, (N2, e - 1), c2)
+    return RawElement(shape, out)
 
 
 @lru_cache(maxsize=None)
-def y_entry_frozen(shape: Shape, mu: int, nu: int):
+def y_entry(shape: Shape, mu: int, nu: int) -> RawElement:
     """Raw form of the Schur complement entry y_uv = x_uv - q^-2 T_uv detA^-1.
 
     This is the unique normalization for which y_uv commutes with detA
@@ -162,51 +150,33 @@ def y_entry_frozen(shape: Shape, mu: int, nu: int):
     """
     if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
         raise IndexError(f"y index ({mu},{nu}) outside the lower block")
-    raw = raw_one(shape)
-    raw = raw_times_gen(shape, raw, mu, nu)
     corr = t_correction(shape, mu, nu).scale(LaurentPoly.q_power(-2, -1))
-    for N2, c2 in corr.terms.items():
-        _raw_put(raw, (N2, -1), c2)
-    return raw_freeze(raw)
-
-
-def y_entry(shape: Shape, mu: int, nu: int):
-    return raw_thaw(y_entry_frozen(shape, mu, nu))
-
-
-def raw_times_y(shape: Shape, raw, mu: int, nu: int):
-    return raw_times_raw(shape, raw, y_entry(shape, mu, nu))
+    return raw_times_gen(shape, RawElement.one(shape), mu, nu) + (
+        RawElement.from_alg(corr).shift_det(-1)
+    )
 
 
 @lru_cache(maxsize=None)
-def detDprime_raw_frozen(shape: Shape):
+def detDprime_raw(shape: Shape) -> RawElement:
     """Raw form of the q^-1-determinant of the y-matrix."""
     m, n = shape.m, shape.n
-    out: dict = {}
+    out = RawElement.zero(shape)
     for tau in permutations(range(n)):
         inv = _inversions(tau)
-        cur = raw_scale(raw_one(shape), LaurentPoly.q_power(-2 * inv, (-1) ** inv))
+        cur = RawElement.one(shape).scale(LaurentPoly.q_power(-2 * inv, (-1) ** inv))
         for t in range(n):
-            cur = raw_times_y(shape, cur, m + 1 + t, m + 1 + tau[t])
-        out = raw_add(out, cur)
-    return raw_freeze(out)
+            cur = cur * y_entry(shape, m + 1 + t, m + 1 + tau[t])
+        out = out + cur
+    return out
 
 
 @lru_cache(maxsize=None)
-def detDprime_power_frozen(shape: Shape, p: int):
+def detDprime_power(shape: Shape, p: int) -> RawElement:
     if p < 0:
         raise ValueError("raw form only supports nonnegative detD' powers")
     if p == 0:
-        return raw_freeze(raw_one(shape))
-    prev = raw_thaw(detDprime_power_frozen(shape, p - 1))
-    return raw_freeze(raw_times_raw(shape, prev, raw_thaw(detDprime_raw_frozen(shape))))
-
-
-def raw_times_detDprime(shape: Shape, raw, p: int):
-    """raw * detD'^p for p >= 0."""
-    if p == 0:
-        return raw
-    return raw_times_raw(shape, raw, raw_thaw(detDprime_power_frozen(shape, p)))
+        return RawElement.one(shape)
+    return detDprime_power(shape, p - 1) * detDprime_raw(shape)
 
 
 @lru_cache(maxsize=None)
@@ -216,10 +186,10 @@ def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
     return _detA_power_alg(shape, p - 1) * det_q_A(shape)
 
 
-def expand_raw(shape: Shape, raw, K: int) -> AlgebraElement:
+def expand_raw(shape: Shape, raw: RawElement, K: int) -> AlgebraElement:
     """Polynomial form of raw * detA^K; every detA power must clear."""
     out = AlgebraElement.zero(shape)
-    for (N, e), c in raw.items():
+    for (N, e), c in raw.terms.items():
         if e + K < 0:
             raise ValueError("detA power still negative; increase K")
         out = out + (AlgebraElement(shape, {N: c}) * _detA_power_alg(shape, e + K))
@@ -253,21 +223,17 @@ def is_constrained(shape: Shape, M) -> bool:
 
 
 @lru_cache(maxsize=None)
-def rho_frozen(shape: Shape, M):
+def rho(shape: Shape, M) -> RawElement:
     """Raw form of the mixed word of M: x-letters for the first three
     blocks, y-letters for the lower-right block, in lexicographic order."""
     N = shape.size
-    raw = raw_one(shape)
+    raw = RawElement.one(shape)
     for (i, j) in matrix_to_word(M, N):
         if i > shape.m and j > shape.m:
-            raw = raw_times_y(shape, raw, i, j)
+            raw = raw * y_entry(shape, i, j)
         else:
             raw = raw_times_gen(shape, raw, i, j)
-    return raw_freeze(raw)
-
-
-def rho(shape: Shape, M):
-    return raw_thaw(rho_frozen(shape, M))
+    return raw
 
 
 def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
@@ -289,7 +255,7 @@ def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     return out
 
 
-def express_in_basis(shape: Shape, raw, rows, cols):
+def express_in_basis(shape: Shape, raw: RawElement, rows, cols):
     """Write a raw element over the constrained mixed family.
 
     Returns dict (M, a, d) -> LaurentPoly.  The target biweight
@@ -299,7 +265,7 @@ def express_in_basis(shape: Shape, raw, rows, cols):
     power, so the first window is alpha >= -(lower-block content) and
     delta >= 0; each widening round relaxes both bounds.
     """
-    if not raw:
+    if raw.is_zero():
         return {}
     rows, cols = tuple(rows), tuple(cols)
     s_lower = min(sum(rows[shape.m:]), sum(cols[shape.m:]))
@@ -308,25 +274,18 @@ def express_in_basis(shape: Shape, raw, rows, cols):
         if not cands:
             continue
         L = max(0, -min(delta for _, _, delta in cands))
-        cand_raws = []
-        for Mt, alpha, delta in cands:
-            cr = raw_times_detDprime(shape, rho(shape, Mt), delta + L)
-            cand_raws.append(raw_shift_det(cr, alpha))
-        target_raw = raw_times_detDprime(shape, raw, L)
-        emin = min(e for (_, e) in target_raw)
-        for cr in cand_raws:
-            emin = min(emin, min(e for (_, e) in cr))
-        K = max(0, -emin)
+        cand_raws = [
+            rho(shape, Mt).times_detDprime(delta + L).shift_det(alpha)
+            for Mt, alpha, delta in cands
+        ]
+        target_raw = raw.times_detDprime(L)
+        K = max(0, -min(e for r in (target_raw, *cand_raws) for (_, e) in r.terms))
         target = expand_raw(shape, target_raw, K)
         columns = [expand_raw(shape, cr, K).terms for cr in cand_raws]
         sol = solve_in_span(columns, target.terms)
         if sol is None:
             continue
-        out = {}
-        for key, coeff in zip(cands, sol):
-            if not coeff.is_zero():
-                out[key] = coeff
-        return out
+        return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
     raise LinearSolveFailure(
         f"no expansion over the constrained family (biweight {rows}|{cols})"
     )
@@ -336,7 +295,7 @@ def express_in_basis(shape: Shape, raw, rows, cols):
 def _reduce_pair(shape: Shape, M1, M2):
     """Constrained expansion of the word product W(M1) * W(M2)."""
     N = shape.size
-    raw = raw_times_raw(shape, rho(shape, M1), rho(shape, M2))
+    raw = rho(shape, M1) * rho(shape, M2)
     rows = tuple(a + b for a, b in zip(row_sums(M1, N), row_sums(M2, N)))
     cols = tuple(a + b for a, b in zip(col_sums(M1, N), col_sums(M2, N)))
     return tuple(express_in_basis(shape, raw, rows, cols).items())
@@ -438,25 +397,35 @@ class LocalElement(LinearElement):
 
     @classmethod
     def from_json(cls, obj: dict) -> "LocalElement":
+        return cls.from_terms(*cls.parse_json(obj))
+
+    @staticmethod
+    def parse_json(obj: dict):
+        """(shape, [(M, a, d, coeff)]) with every term validated and none
+        reduced yet."""
         shape = Shape(obj["m"], obj["n"])
-        out = cls.zero(shape)
+        terms = []
         for t in obj["terms"]:
             M = mat_from_rows(t["matrix"])
             validate_matrix(shape, M)
-            out = out + cls.monomial(
-                shape, M, t["a"], t["d"], LaurentPoly.from_json(t["coeff"])
-            )
-        return out
+            if type(t["a"]) is not int or type(t["d"]) is not int:
+                raise TypeError("det powers must be integers")
+            terms.append((M, t["a"], t["d"], LaurentPoly.from_json(t["coeff"])))
+        return shape, terms
+
+    @classmethod
+    def from_terms(cls, shape: Shape, terms) -> "LocalElement":
+        """Reduced sum of the monomials coeff * W(M) detA^a detD'^d."""
+        return sum((cls.monomial(shape, *t) for t in terms), cls.zero(shape))
 
 
 def to_mixed(f: AlgebraElement) -> LocalElement:
     """Rewrite a polynomial element over the mixed constrained family."""
     shape = f.shape
     out = LocalElement.zero(shape)
-    zero = zero_matrix(shape.size)
     for M, c in f.terms.items():
         # every x-word is already a raw element; reduce it blockwise
-        raw = {(M, 0): c}
+        raw = RawElement(shape, {(M, 0): c})
         rows, cols = row_sums(M, shape.size), col_sums(M, shape.size)
         red = express_in_basis(shape, raw, rows, cols)
         out = out + LocalElement(shape, red)
@@ -472,9 +441,9 @@ def _local_raw(f: LocalElement):
     L = max(0, -min((d for (_, _, d) in f.terms), default=0))
     out: dict = {}
     for (M, a, d), c in f.terms.items():
-        raw = raw_times_detDprime(shape, rho(shape, M), d + L)
-        out = raw_add(out, raw_scale(raw_shift_det(raw, a), c))
-    return out, L
+        for (N, e), c1 in rho(shape, M).times_detDprime(d + L).terms.items():
+            _put(out, (N, e + a), c1 * c)
+    return RawElement(shape, out), L
 
 
 def _divide_detA(shape: Shape, g: AlgebraElement, K: int) -> AlgebraElement:
@@ -484,10 +453,8 @@ def _divide_detA(shape: Shape, g: AlgebraElement, K: int) -> AlgebraElement:
     blocks: dict = {}
     N = shape.size
     for M, c in g.terms.items():
-        key = (row_sums(M, N), col_sums(M, N))
-        blocks.setdefault(key, AlgebraElement.zero(shape))
-        blocks[key] = blocks[key] + AlgebraElement(shape, {M: c})
-    out = AlgebraElement.zero(shape)
+        blocks.setdefault((row_sums(M, N), col_sums(M, N)), {})[M] = c
+    out: dict = {}
     dK = _detA_power_alg(shape, K)
     for (rows, cols), part in blocks.items():
         ro = tuple(r - K if i < shape.m else r for i, r in enumerate(rows))
@@ -496,13 +463,12 @@ def _divide_detA(shape: Shape, g: AlgebraElement, K: int) -> AlgebraElement:
             raise LinearSolveFailure("element is not divisible by detA")
         cands = enumerate_block(shape, ro, co)
         columns = [(AlgebraElement.monomial(shape, M) * dK).terms for M in cands]
-        sol = solve_in_span(columns, part.terms)
+        sol = solve_in_span(columns, part)
         if sol is None:
             raise LinearSolveFailure("element is not divisible by detA")
-        for M, coeff in zip(cands, sol):
-            if not coeff.is_zero():
-                out = out + AlgebraElement.monomial(shape, M, coeff)
-    return out
+        # blocks of different biweights share no matrix
+        out.update(zip(cands, sol))
+    return AlgebraElement(shape, out)
 
 
 def from_mixed(f: LocalElement) -> AlgebraElement:
@@ -513,7 +479,7 @@ def from_mixed(f: LocalElement) -> AlgebraElement:
     if any(d < 0 for (_, _, d) in f.terms):
         raise ValueError("negative detD' power has no polynomial form")
     raw, _ = _local_raw(f)
-    K = max(0, -min((e for (_, e) in raw), default=0))
+    K = max(0, -min((e for (_, e) in raw.terms), default=0))
     return _divide_detA(shape, expand_raw(shape, raw, K), K)
 
 
@@ -527,7 +493,7 @@ def bar_local(f: LocalElement) -> LocalElement:
     if f.is_zero():
         return f
     raw, L = _local_raw(f)
-    K = max(0, -min((e for (_, e) in raw), default=0))
+    K = max(0, -min((e for (_, e) in raw.terms), default=0))
     g = expand_raw(shape, raw, K).bar()
     return LocalElement.monomial(shape, zero_matrix(shape.size), -K, -L) * to_mixed(g)
 
@@ -565,7 +531,7 @@ def sl_project(f: LocalElement) -> LocalElement:
     """Normal form modulo Ber = 1: fold the detD' power into detA."""
     out: dict = {}
     for (M, a, d), c in f.terms.items():
-        _raw_put(out, (M, a + d, 0), c)
+        _put(out, (M, a + d, 0), c)
     return LocalElement(f.shape, out)
 
 

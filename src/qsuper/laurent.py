@@ -157,10 +157,6 @@ class LaurentPoly:
     def negative_part(self) -> "LaurentPoly":
         return LaurentPoly({e: c for e, c in self.terms.items() if e < 0})
 
-    def at_q1(self) -> int:
-        """Value at q = 1."""
-        return sum(self.terms.values())
-
     # -- exact division ------------------------------------------------
 
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from qsuper.laurent import LaurentPoly
-from qsuper.algebra import AlgebraElement, Shape
+from qsuper.algebra import AlgebraElement, Shape, _put
 
 
 # -- superspace monomials ------------------------------------------------
@@ -119,11 +119,7 @@ def _coact_cached(shape: Shape, a, star: bool):
                 term = (F * AlgebraElement.generator(shape, i, j)).scale(
                     factor.scale(sgn)
                 )
-                acc = nxt.get(nb, AlgebraElement.zero(shape)) + term
-                if acc.is_zero():
-                    nxt.pop(nb, None)
-                else:
-                    nxt[nb] = acc
+                _put(nxt, nb, term)
         comps = nxt
     return tuple(sorted(comps.items()))
 
@@ -243,12 +239,7 @@ def laplace_expand(shape: Shape, a, a2, star: bool) -> dict:
                 continue
             sgn = (-1) ** (pc * ((pa2 + vector_parity(shape, c2, star)) % 2))
             factor = (reorder_factor(shape, c, c2, star) * inv_global).scale(sgn)
-            term = (F * G).scale(factor)
-            acc = out.get(b, AlgebraElement.zero(shape)) + term
-            if acc.is_zero():
-                out.pop(b, None)
-            else:
-                out[b] = acc
+            _put(out, b, (F * G).scale(factor))
     return out
 
 

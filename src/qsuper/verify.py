@@ -79,6 +79,26 @@ def suite_relations(shape: Shape):
         ok = ok and good
         lines.append(f"degree {k}: {got} monomials (expected {want})"
                      f" {'ok' if good else 'FAIL'}")
+    # finite certificates: every overlap x_a x_b x_c resolves to one normal
+    # form, and bar(x_a x_b) = (-1)^(p_a p_b) x_b x_a on every pair
+    gens = shape.generators()
+    x = {g: AlgebraElement.generator(shape, *g) for g in gens}
+    good = all(
+        (x[a] * x[b]) * x[c] == x[a] * (x[b] * x[c])
+        == AlgebraElement.from_word(shape, (a, b, c))
+        for a, b, c in itertools.product(gens, repeat=3)
+    )
+    ok = ok and good
+    lines.append(f"overlaps: {len(gens) ** 3} generator triples resolve"
+                 f" {'ok' if good else 'FAIL'}")
+    good = all(
+        (x[a] * x[b]).bar()
+        == (x[b] * x[a]).scale((-1) ** (shape.gen_parity(*a) * shape.gen_parity(*b)))
+        for a, b in itertools.product(gens, repeat=2)
+    )
+    ok = ok and good
+    lines.append(f"bar: {len(gens) ** 2} generator pairs respect the relations"
+                 f" {'ok' if good else 'FAIL'}")
     return ok, lines
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -91,9 +92,16 @@ class TestMultiply:
             gen(S11, 1, 1) * gen(S21, 1, 1)
 
     def test_relation_closure_three_letters(self):
-        # (x22 x21) x12 and x22 (x21 x12) agree
-        a, b, c = gen(S11, 2, 2), gen(S11, 2, 1), gen(S11, 1, 2)
-        assert (a * b) * c == a * (b * c)
+        # every overlap resolves: (x_a x_b) x_c = x_a (x_b x_c) = the normal
+        # form of the word abc, repeated odd letters included; at (1|1) this
+        # covers (x22 x21) x12 = x22 (x21 x12)
+        for shape in (S11, S21, Shape(1, 2), S22):
+            gens = shape.generators()
+            x = {g: gen(shape, *g) for g in gens}
+            for a, b, c in itertools.product(gens, repeat=3):
+                word = AlgebraElement.from_word(shape, (a, b, c))
+                assert (x[a] * x[b]) * x[c] == x[a] * (x[b] * x[c]) == word, (
+                    shape, a, b, c)
 
 
 words = st.lists(

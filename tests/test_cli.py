@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qsuper import basis, verify
+from qsuper import basis, glq, verify
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.glq import LocalElement, berezinian, to_mixed
 from qsuper.cli import main
@@ -256,6 +256,26 @@ class TestExitCodes:
         assert main(["bar", "--element", str(tmp_path / "missing.json")]) == 2
         assert main(["act", "--gen", "E3", "--side", "left",
                      "--element", str(a)]) == 2
+
+    def test_fault_while_reducing_an_input_exits_3(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # x11*y22 at (1|1) is unconstrained, so loading it runs the reduction
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "coords": "mixed", "terms": [
+            {"matrix": [[1, 0], [0, 1]], "a": 0, "d": 0, "coeff": {"0": 1}}]}))
+
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(glq, "_reduce_pair", boom)
+        assert main(["reduce", "--element", str(path)]) == 3
+        assert capsys.readouterr().err == "error: ValueError: boom\n"
+        for bad in ({"matrix": [[1, 0], [0, 1]], "a": "0", "d": 0, "coeff": {"0": 1}},
+                    {"matrix": [[1, 0], [0, 1]], "a": 0, "d": 0}):
+            path.write_text(json.dumps({"m": 1, "n": 1, "coords": "mixed",
+                                        "terms": [bad]}))
+            assert main(["reduce", "--element", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: bad element")
 
     def test_suite_that_checks_nothing_fails(self, capsys, monkeypatch):
         monkeypatch.setenv("QSUPER_MAX_DEGREE", "0")

@@ -1,7 +1,14 @@
 import pytest
 
+from qsuper import actions, glq
 from qsuper.laurent import LaurentPoly, ONE
-from qsuper.algebra import AlgebraElement, Shape, zero_matrix
+from qsuper.algebra import (
+    AlgebraElement,
+    Shape,
+    unit_matrix,
+    word_to_matrix,
+    zero_matrix,
+)
 from qsuper.superspace import det_q_A
 from qsuper.glq import (
     LocalElement,
@@ -9,16 +16,14 @@ from qsuper.glq import (
     berezinian,
     det_a_local,
     det_dprime_local,
-    detDprime_raw_frozen,
+    RawElement,
+    detDprime_power,
+    detDprime_raw,
     expand_raw,
     format_local,
     from_mixed,
     is_central,
     mixed_generators,
-    raw_from_alg,
-    raw_scale,
-    raw_thaw,
-    raw_times_raw,
     sl_project,
     t_correction,
     to_mixed,
@@ -42,7 +47,7 @@ def gen(shape, i, j):
 
 def raw_eq(shape, r1, r2):
     """Equality of raw elements via a common polynomial embedding."""
-    exps = [e for (_, e) in r1] + [e for (_, e) in r2]
+    exps = [e for (_, e) in r1.terms] + [e for (_, e) in r2.terms]
     K = max(0, -min(exps, default=0))
     return expand_raw(shape, r1, K) == expand_raw(shape, r2, K)
 
@@ -83,7 +88,7 @@ class TestDetPush:
 class TestYEntries:
     def test_rank_one_oracle(self):
         raw = y_entry(S11, 2, 2)
-        assert raw == {
+        assert raw.terms == {
             ((0, 0, 0, 1), 0): ONE,
             ((0, 1, 1, 0), -1): lp({-2: 1}),
         }
@@ -103,8 +108,8 @@ class TestYEntries:
         # same-row entries of the Schur complement q^-2-commute
         y33 = y_entry(S22, 3, 3)
         y34 = y_entry(S22, 3, 4)
-        lhs = raw_times_raw(S22, y33, y34)
-        rhs = raw_scale(raw_times_raw(S22, y34, y33), lp({-2: 1}))
+        lhs = y33 * y34
+        rhs = (y34 * y33).scale(lp({-2: 1}))
         assert raw_eq(S22, lhs, rhs)
 
     def test_qinv_matrix_diagonal_relation(self):
@@ -112,18 +117,9 @@ class TestYEntries:
         y34 = y_entry(S22, 3, 4)
         y43 = y_entry(S22, 4, 3)
         y44 = y_entry(S22, 4, 4)
-        lhs = raw_times_raw(S22, y33, y44)
-        rhs = raw_add_list(
-            raw_times_raw(S22, y44, y33),
-            raw_scale(raw_times_raw(S22, y34, y43), lp({-2: 1, 2: -1})),
-        )
+        lhs = y33 * y44
+        rhs = y44 * y33 + (y34 * y43).scale(lp({-2: 1, 2: -1}))
         assert raw_eq(S22, lhs, rhs)
-
-
-def raw_add_list(r1, r2):
-    from qsuper.glq import raw_add
-
-    return raw_add(r1, r2)
 
 
 class TestCommutationProposition:
@@ -139,49 +135,46 @@ class TestCommutationProposition:
 
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_detA_commutes_with_y(self, shape):
-        dA = raw_from_alg(det_q_A(shape))
+        dA = RawElement.from_alg(det_q_A(shape))
         for mu, nu in lower_pairs(shape):
             y = y_entry(shape, mu, nu)
-            assert raw_eq(shape, raw_times_raw(shape, dA, y),
-                          raw_times_raw(shape, y, dA))
+            assert raw_eq(shape, dA * y, y * dA)
 
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_detDprime_commutes_with_upper_block(self, shape):
-        dD = raw_thaw(detDprime_raw_frozen(shape))
+        dD = detDprime_raw(shape)
         for i in range(1, shape.m + 1):
             for j in range(1, shape.m + 1):
-                x = raw_from_alg(gen(shape, i, j))
-                assert raw_eq(shape, raw_times_raw(shape, dD, x),
-                              raw_times_raw(shape, x, dD))
+                x = RawElement.from_alg(gen(shape, i, j))
+                assert raw_eq(shape, dD * x, x * dD)
 
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_detDprime_q_commutes_with_mixed(self, shape):
-        dD = raw_thaw(detDprime_raw_frozen(shape))
+        dD = detDprime_raw(shape)
         for i in range(1, shape.m + 1):
             for nu in range(shape.m + 1, shape.size + 1):
                 for g in ((i, nu), (nu, i)):
-                    x = raw_from_alg(gen(shape, *g))
-                    lhs = raw_times_raw(shape, dD, x)
-                    rhs = raw_scale(raw_times_raw(shape, x, dD), lp({2: 1}))
+                    x = RawElement.from_alg(gen(shape, *g))
+                    lhs = dD * x
+                    rhs = (x * dD).scale(lp({2: 1}))
                     assert raw_eq(shape, lhs, rhs), g
 
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_detDprime_commutes_with_y(self, shape):
-        dD = raw_thaw(detDprime_raw_frozen(shape))
+        dD = detDprime_raw(shape)
         for mu, nu in lower_pairs(shape):
             y = y_entry(shape, mu, nu)
-            assert raw_eq(shape, raw_times_raw(shape, dD, y),
-                          raw_times_raw(shape, y, dD))
+            assert raw_eq(shape, dD * y, y * dD)
 
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_berezinian_central_raw(self, shape):
         # Ber g = g Ber <=> detA g detD' = detD' g detA
-        dA = raw_from_alg(det_q_A(shape))
-        dD = raw_thaw(detDprime_raw_frozen(shape))
-        gens = [raw_from_alg(gen(shape, i, j)) for i, j in shape.generators()]
+        dA = RawElement.from_alg(det_q_A(shape))
+        dD = detDprime_raw(shape)
+        gens = [RawElement.from_alg(gen(shape, i, j)) for i, j in shape.generators()]
         for g in gens:
-            lhs = raw_times_raw(shape, raw_times_raw(shape, dA, g), dD)
-            rhs = raw_times_raw(shape, raw_times_raw(shape, dD, g), dA)
+            lhs = dA * g * dD
+            rhs = dD * g * dA
             assert raw_eq(shape, lhs, rhs)
 
     @pytest.mark.parametrize("shape", [S11, S21])
@@ -311,3 +304,47 @@ class TestGenerators:
     def test_count(self):
         assert len(mixed_generators(S11)) == 4
         assert len(mixed_generators(S22)) == 16
+
+
+def _cached_values(shape):
+    """Cached elements that every caller shares, keyed by a label."""
+    m, N = shape.m, shape.size
+    mats = (unit_matrix(N, 1, N), unit_matrix(N, N, N),
+            word_to_matrix(((1, N), (N, 1), (N, N)), N))
+    out = {"y": y_entry(shape, N, N), "detD'": detDprime_power(shape, 1)}
+    for M in mats:
+        out[("rho", M)] = glq.rho(shape, M)
+    out["y act"] = actions._y_letter_act(shape, "F", m, "L", N, N)
+    out["detA act"] = actions._det_letter_act(shape, "F", m, "L", "dA")
+    return out
+
+
+CACHES = (glq.y_entry, glq.rho, glq.detDprime_raw, glq.detDprime_power,
+          glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
+          actions._det_inverse_act)
+
+
+@pytest.mark.parametrize("shape", [S21, S22])
+def test_cached_elements_are_never_mutated(shape):
+    # cached elements are returned as they are, not copied, so no caller
+    # may write to their terms
+    before = _cached_values(shape)
+    snapshot = {k: dict(v.terms) for k, v in before.items()}
+    assert all(snapshot.values())
+    N = shape.size
+    f = to_mixed(gen(shape, N, N) * gen(shape, 1, N)) * berezinian(shape)
+    bar_local(f)
+    f * LocalElement.y_gen(shape, N, N)
+    # F_m on x_mN y_NN detA reaches the cached y-letter and detA-letter
+    # actions, behind an odd letter that gives them a sign and a q-power
+    h = (LocalElement.x_gen(shape, shape.m, N) * LocalElement.y_gen(shape, N, N)
+         * det_a_local(shape))
+    actions.act_left(actions.GenSymbol("F", shape.m), h)
+    after = _cached_values(shape)
+    for k, v in after.items():
+        assert v is before[k] and v.terms == snapshot[k], k
+    for cache in CACHES:
+        cache.cache_clear()
+    fresh = _cached_values(shape)
+    for k, v in fresh.items():
+        assert v is not before[k] and v.terms == snapshot[k], k
