@@ -25,22 +25,16 @@ from qsuper.algebra import (
     x_norm,
     zero_matrix,
 )
-# solves call exactlinalg.solve_in_span through the module, so a span
-# wrapped around that binding (qbench/tracing.py) sees them
-from qsuper import exactlinalg
-from qsuper.exactlinalg import LinearSolveFailure
 from qsuper.glq import (
     LocalElement,
+    TriangularityViolation,
+    # unused here; qbench/tracing.py hooks this binding
     _candidates as _global_candidates,
     bar_local,
     is_constrained,
     mixed_degree,
     to_mixed,
 )
-
-
-class TriangularityViolation(Exception):
-    """The bar expansion left the expected lower-order cone."""
 
 
 class NotConstrained(ValueError):
@@ -113,7 +107,32 @@ def _pick_maximal(shape: Shape, indices):
     return indices[-1]
 
 
-# -- the generic triangular solver ------------------------------------------
+# -- the generic triangular solvers ------------------------------------------
+
+
+def peel(f, column, pick_max, strictly_lower) -> dict:
+    """Coordinates of f over a family that is unitriangular at its indices.
+
+    column(S) is the member indexed by S: a unit at S plus terms strictly
+    lower than S.  The residual is cancelled at a maximal index until it
+    is zero, so the coordinates are exact; a member that is not of that
+    form raises TriangularityViolation.
+    """
+    rest = dict(f.terms)
+    coords = {}
+    while rest:
+        S = pick_max(rest.keys())
+        col = column(S).terms
+        u = col.get(S)
+        if u is None or not u.is_unit():
+            raise TriangularityViolation(f"the member at {S} is not a unit there")
+        c = rest[S] * u.bar()
+        for T, b in col.items():
+            if T != S and not strictly_lower(T, S):
+                raise TriangularityViolation(f"the member at {S} has a term at {T} not below it")
+            _put(rest, T, -(c * b))
+        coords[S] = c
+    return coords
 
 
 def lusztig_solve_one(T, expand_bar, variant: Variant, pick_max, strictly_lower):
@@ -152,16 +171,15 @@ def solve_block(shape: Shape, indices, monomials, bar_fn, variant: Variant):
     index_set = set(indices)
     columns = {M: monomials(M) for M in indices}
 
-    @lru_cache(maxsize=None)
-    def expand_bar(S):
-        f = bar_fn(columns[S])
-        return _express_over(shape, f, indices, columns)
-
     def pick(support):
         return _pick_maximal(shape, support)
 
     def lower(S, T):
         return S != T and S in _downset(shape, T) and S in index_set
+
+    @lru_cache(maxsize=None)
+    def expand_bar(S):
+        return peel(bar_fn(columns[S]), columns.__getitem__, pick, lower)
 
     out = {}
     for M in indices:
@@ -172,15 +190,6 @@ def solve_block(shape: Shape, indices, monomials, bar_fn, variant: Variant):
             elem = term if elem is None else elem + term
         out[M] = elem
     return out
-
-
-def _express_over(shape: Shape, f, indices, columns):
-    """Coordinates of f over the given monomial family (exact, unique)."""
-    cols = [columns[M].terms for M in indices]
-    sol = exactlinalg.solve_in_span(cols, f.terms)
-    if sol is None:
-        raise LinearSolveFailure("target vector is outside the span")
-    return {M: c for M, c in zip(indices, sol) if not c.is_zero()}
 
 
 # -- staged sub-block bases ---------------------------------------------------
@@ -365,27 +374,14 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
 
 
 def express_in_n(shape: Shape, f: LocalElement) -> dict:
-    """Coordinates of f over the N family of its biweight block."""
-    if f.is_zero():
-        return {}
-    rows, cols = f.biweight()
-    a_keys = [a for (_, a, _) in f.terms]
-    d_keys = [d for (_, _, d) in f.terms]
-    for widen in (0, 1, 2):
-        cands = _global_candidates(
-            shape, rows, cols, min(a_keys) - widen, min(d_keys) - widen
-        )
-        if not cands:
-            continue
-        try:
-            columns = [n_ad(shape, T, alpha, delta).terms for T, alpha, delta in cands]
-            sol = exactlinalg.solve_in_span(columns, f.terms)
-        except LinearSolveFailure:
-            continue
-        if sol is None:
-            continue
-        return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
-    raise LinearSolveFailure("element is not expressible over the N family")
+    """Coordinates of f over the N family: each n_ad(T, a, d) is a unit at
+    (T, a, d) plus strictly p-lower terms."""
+    return peel(
+        f,
+        lambda k: n_ad(shape, *k),
+        lambda keys: _pick_maximal_global(shape, keys),
+        lambda S, T: p_strictly_lower(shape, S, T),
+    )
 
 
 def p_strictly_lower(shape: Shape, key, ref) -> bool:
@@ -418,11 +414,11 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
     @lru_cache(maxsize=None)
     def expand_bar(k):
         T, alpha, delta = k
-        return _freeze(express_in_n(shape, bar_local(n_ad(shape, T, alpha, delta))))
+        return express_in_n(shape, bar_local(n_ad(shape, T, alpha, delta)))
 
     coords = lusztig_solve_one(
         key,
-        lambda k: dict(expand_bar(k)),
+        expand_bar,
         variant,
         lambda sup: _pick_maximal_global(shape, sup),
         lambda S, T: p_strictly_lower(shape, S, T),
@@ -431,10 +427,6 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
     for (T, alpha, delta), c in sorted(coords.items()):
         elem = elem + n_ad(shape, T, alpha, delta).scale(c)
     return CBElement(key, variant, elem, "GLOBAL")
-
-
-def _freeze(d):
-    return tuple(sorted(d.items()))
 
 
 # -- covariant minor shifts ---------------------------------------------------

@@ -1,13 +1,14 @@
 """Exact linear algebra over Z[q, q^-1], fraction-free.
 
-Used to express products over constrained spanning families and to cut
-out invariant subspaces.  A system is held sparsely: one row per vector
-key, each a dict column -> LaurentPoly, with a column -> rows index so no
-step scans every row.  Gauss-Jordan elimination takes the columns left to
-right and prefers a unit pivot +-q^k, which eliminates with ring
-arithmetic; a non-unit pivot cross-multiplies the rows it clears, which
-are then divided by their integer content and lowest power of q
-(fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).
+Used to cut out invariant subspaces, to check that a family spans a
+space, and to divide by a power of detA.  A system is held sparsely: one
+row per vector key, each a dict column -> LaurentPoly, with a column ->
+rows index so no step scans every row.  Gauss-Jordan elimination takes
+the columns left to right and prefers a unit pivot +-q^k, which
+eliminates with ring arithmetic; a non-unit pivot cross-multiplies the
+rows it clears, which are then divided by their integer content and
+lowest power of q (fraction-free elimination, cf. Bareiss, Math. Comp.
+22, 1968).
 
 Coordinates are Laurent polynomials: each is one exact division, a
 right-hand side by its pivot, and a coordinate outside Z[q, q^-1] raises
@@ -25,14 +26,6 @@ from qsuper.laurent import LaurentPoly, ONE, ZERO
 
 class LinearSolveFailure(Exception):
     """A vector expected to lie in a span (or in the base ring) does not."""
-
-
-def _is_unit(p: LaurentPoly) -> bool:
-    """p = +-q^k, the units of Z[q, q^-1]."""
-    if len(p.terms) != 1:
-        return False
-    (c,) = p.terms.values()
-    return c == 1 or c == -1
 
 
 def _strip_content(row: dict) -> dict:
@@ -84,12 +77,12 @@ def _eliminate(columns, target=None):
         cands = [r for r in index[c] if not used[r]]
         if not cands:
             continue
-        p = min(cands, key=lambda r: (not _is_unit(rows[r][c]), len(rows[r]), r))
+        p = min(cands, key=lambda r: (not rows[r][c].is_unit(), len(rows[r]), r))
         used[p] = True
         pivots[c] = p
         prow = rows[p]
         a = prow[c]
-        if _is_unit(a):
+        if a.is_unit():
             if not a.is_one():
                 ((k, s),) = a.terms.items()
                 for cc, v in prow.items():

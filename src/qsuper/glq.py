@@ -7,7 +7,9 @@ elements live in the mixed normal form: monomials in the generators
 x_ij (i <= m or j <= m) and the Schur-complement entries y_uv, times
 detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
 each keep at least one zero diagonal entry.  Products are computed raw
-and re-expressed over the constrained family by exact linear solving.
+and re-expressed over the constrained family by peeling leading terms:
+each family member is a unit times one leading monomial plus lex-lower
+monomials, so no linear system is solved.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ from qsuper.algebra import (
 )
 from qsuper.superspace import _inversions, det_q_A, sub_minor_A
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
+
+
+class TriangularityViolation(Exception):
+    """A family member is not a unit at its leading term plus strictly
+    lower terms, so peeling leading terms cannot expand over it."""
 
 
 # -- raw form: sums of c * x^M * detA^e -------------------------------------
@@ -238,7 +245,8 @@ def rho(shape: Shape, M) -> RawElement:
 
 def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     """Constrained triples (M, alpha, delta) of biweight rows/cols with
-    alpha >= a_lo and delta >= d_lo, largest powers first."""
+    alpha >= a_lo and delta >= d_lo, largest powers first (used by the
+    test oracles of the peeling; qbench/tracing.py hooks it)."""
     m = shape.m
     a_hi = min(min(rows[:m]), min(cols[:m]))
     d_hi = min(min(rows[m:]), min(cols[m:]))
@@ -255,50 +263,51 @@ def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     return out
 
 
-def express_in_basis(shape: Shape, raw: RawElement, rows, cols):
+def express_in_basis(shape: Shape, raw: RawElement) -> dict:
     """Write a raw element over the constrained mixed family.
 
-    Returns dict (M, a, d) -> LaurentPoly.  The target biweight
-    (rows, cols), with no negative entry, selects the finite candidate
-    window.  Negative detA powers only come from lower-block letters (one
-    per letter), and a polynomial target never needs a negative detD'
-    power, so the first window is alpha >= -(lower-block content) and
-    delta >= 0; each widening round relaxes both bounds.
+    Returns dict (M, a, d) -> LaurentPoly, found by peeling leading terms
+    off rest = raw * detA^K, with K clearing every detA power.  The
+    lex-largest monomial S of rest names one member: alpha + K and delta
+    are the least diagonal entries of the A and D blocks of S, and Mt is
+    S minus both diagonal shifts (so Mt is constrained).  W(Mt) detA^alpha
+    detD'^delta detA^K is a unit at S plus lex-lower monomials, so it
+    cancels S.  The loop ends only at zero, so the coordinates are exact.
     """
-    if raw.is_zero():
-        return {}
-    rows, cols = tuple(rows), tuple(cols)
-    s_lower = min(sum(rows[shape.m:]), sum(cols[shape.m:]))
-    for widen in (0, 1, 2):
-        cands = _candidates(shape, rows, cols, -s_lower - 2 * widen, -widen)
-        if not cands:
+    m, N = shape.m, shape.size
+    K = max(0, -min((e for (_, e) in raw.terms), default=0))
+    rest = dict(expand_raw(shape, raw, K).terms)
+    out: dict = {}
+    while rest:
+        S = max(rest)
+        diag = S[:: N + 1]
+        lo_a, delta = min(diag[:m]), min(diag[m:])
+        Mt = list(S)
+        for i in range(N):
+            Mt[i * (N + 1)] -= lo_a if i < m else delta
+        Mt = tuple(Mt)
+        column = rho(shape, Mt).times_detDprime(delta).shift_det(lo_a)
+        need = max(0, -min(e for (_, e) in column.terms))
+        if need:
+            # the member needs a higher clearing power: raise K for all of rest
+            rest = dict((AlgebraElement(shape, rest) * _detA_power_alg(shape, need)).terms)
+            K += need
             continue
-        L = max(0, -min(delta for _, _, delta in cands))
-        cand_raws = [
-            rho(shape, Mt).times_detDprime(delta + L).shift_det(alpha)
-            for Mt, alpha, delta in cands
-        ]
-        target_raw = raw.times_detDprime(L)
-        K = max(0, -min(e for r in (target_raw, *cand_raws) for (_, e) in r.terms))
-        target = expand_raw(shape, target_raw, K)
-        columns = [expand_raw(shape, cr, K).terms for cr in cand_raws]
-        sol = solve_in_span(columns, target.terms)
-        if sol is None:
-            continue
-        return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
-    raise LinearSolveFailure(
-        f"no expansion over the constrained family (biweight {rows}|{cols})"
-    )
+        col = expand_raw(shape, column, 0).terms
+        u = col.get(S)
+        if u is None or not u.is_unit() or max(col) != S:
+            raise TriangularityViolation(f"member {Mt} is not unitriangular at {S}")
+        c = rest[S] * u.bar()
+        for T, b in col.items():
+            _put(rest, T, -(c * b))
+        out[(Mt, lo_a - K, delta)] = c
+    return out
 
 
 @lru_cache(maxsize=None)
 def _reduce_pair(shape: Shape, M1, M2):
     """Constrained expansion of the word product W(M1) * W(M2)."""
-    N = shape.size
-    raw = rho(shape, M1) * rho(shape, M2)
-    rows = tuple(a + b for a, b in zip(row_sums(M1, N), row_sums(M2, N)))
-    cols = tuple(a + b for a, b in zip(col_sums(M1, N), col_sums(M2, N)))
-    return tuple(express_in_basis(shape, raw, rows, cols).items())
+    return tuple(express_in_basis(shape, rho(shape, M1) * rho(shape, M2)).items())
 
 
 # -- public elements ---------------------------------------------------------
@@ -425,9 +434,7 @@ def to_mixed(f: AlgebraElement) -> LocalElement:
     out = LocalElement.zero(shape)
     for M, c in f.terms.items():
         # every x-word is already a raw element; reduce it blockwise
-        raw = RawElement(shape, {(M, 0): c})
-        rows, cols = row_sums(M, shape.size), col_sums(M, shape.size)
-        red = express_in_basis(shape, raw, rows, cols)
+        red = express_in_basis(shape, RawElement(shape, {(M, 0): c}))
         out = out + LocalElement(shape, red)
     return out
 

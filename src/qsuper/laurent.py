@@ -148,6 +148,13 @@ class LaurentPoly:
     def max_exp(self) -> int:
         return max(self.terms)
 
+    def is_unit(self) -> bool:
+        """self = +-q^k, the units of Z[q, q^-1]; the inverse is bar(self)."""
+        if len(self.terms) != 1:
+            return False
+        (c,) = self.terms.values()
+        return c == 1 or c == -1
+
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 

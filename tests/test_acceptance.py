@@ -9,8 +9,6 @@ import itertools
 import math
 import random
 
-import pytest
-
 from qsuper.laurent import LaurentPoly, ONE, Variant
 from qsuper.algebra import (
     AlgebraElement,
@@ -39,19 +37,15 @@ from qsuper.basis import (
     omega_ABC,
     omega_H,
     omega_global,
-    express_in_n,
     solve_block,
     _dprime_x_expansion,
 )
 from qsuper.actions import (
-    AdaptedElement,
     GenSymbol,
     act_left,
     act_right,
     adapted_basis_tworow,
     canonical_span_check,
-    decompose_tworow,
-    epsilon,
     invariants_window,
     kashiwara_e1,
     kashiwara_f1,

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qsuper.laurent import LaurentPoly, ONE, Variant
+from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
@@ -22,8 +22,6 @@ from qsuper.actions import (
     AdaptedElement,
     GenSymbol,
     NotAdapted,
-    SpanMismatch,
-    UniquenessFailure,
     act_left,
     act_right,
     adapted_basis_tworow,

@@ -1,18 +1,18 @@
 import pytest
 
+from qsuper import exactlinalg, glq
 from qsuper.laurent import LaurentPoly, ONE, Variant
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
+    degree_matrices,
     enumerate_block,
     x_norm,
     zero_matrix,
 )
 from qsuper.superspace import det_q_A, det_qinv_D, minor_star
-from qsuper.glq import LocalElement, bar_local, berezinian, to_mixed
+from qsuper.glq import LocalElement, bar_local, berezinian, is_constrained
 from qsuper.basis import (
-    CBElement,
-    NoMatch,
     NotConstrained,
     TriangularityViolation,
     covariant_shift_check,
@@ -25,10 +25,10 @@ from qsuper.basis import (
     omega_Dprime,
     omega_H,
     omega_global,
+    peel,
     psi_power,
     solve_block,
     submatrix_moves,
-    y_substitute,
     _dprime_x_expansion,
 )
 
@@ -391,3 +391,84 @@ class TestExpressInN:
             ((0, 1, 1, 0), 0, 0): ONE,
             ((0, 0, 0, 0), 1, 1): lp({3: 2}),
         }
+
+
+# -- the candidate-window solver, as the reference for the peeling ------------
+
+
+def window_express_in_n(shape, f):
+    """The solver that express_in_n replaced, kept as its reference.
+
+    It enumerates the constrained triples of f's biweight in a window of
+    det powers, solves over their N family members, and widens the window
+    up to three times, also when a solve raises.
+    """
+    if f.is_zero():
+        return {}
+    rows, cols = f.biweight()
+    a_keys = [a for (_, a, _) in f.terms]
+    d_keys = [d for (_, _, d) in f.terms]
+    for widen in (0, 1, 2):
+        cands = glq._candidates(
+            shape, rows, cols, min(a_keys) - widen, min(d_keys) - widen
+        )
+        if not cands:
+            continue
+        try:
+            columns = [n_ad(shape, T, alpha, delta).terms for T, alpha, delta in cands]
+            sol = exactlinalg.solve_in_span(columns, f.terms)
+        except exactlinalg.LinearSolveFailure:
+            continue
+        if sol is None:
+            continue
+        return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
+    raise exactlinalg.LinearSolveFailure("element is not expressible over the N family")
+
+
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2)])
+def test_express_in_n_matches_window_solver(shape):
+    for deg in range(3):
+        for M in degree_matrices(shape, deg):
+            if not is_constrained(shape, M):
+                continue
+            for a, d in [(0, 0), (-1, 1), (1, -1)]:
+                f = bar_local(n_ad(shape, M, a, d))
+                assert express_in_n(shape, f) == window_express_in_n(shape, f), (M, a, d)
+
+
+class TestPeel:
+    """A family that is not unitriangular raises instead of looping."""
+
+    def test_member_not_below_raises(self):
+        # each member holds the other's leading monomial, so cancelling one
+        # brings the other back
+        both = x_norm(S11, DIAG) + x_norm(S11, ANTI)
+        with pytest.raises(TriangularityViolation):
+            peel(x_norm(S11, DIAG), lambda S: both, max, lambda T, S: T < S)
+
+    def test_non_unit_leading_coefficient_raises(self):
+        with pytest.raises(TriangularityViolation):
+            peel(x_norm(S11, DIAG), lambda S: x_norm(S11, S).scale(lp({0: 2})),
+                 max, lambda T, S: T < S)
+
+    def test_unitriangular_family(self):
+        lead = x_norm(S11, DIAG) + x_norm(S11, ANTI).scale(lp({1: 3}))
+        column = {DIAG: lead.scale(lp({-2: -1})), ANTI: x_norm(S11, ANTI)}
+        f = lead + x_norm(S11, ANTI)
+        coords = peel(f, column.__getitem__, max, lambda T, S: T < S)
+        assert coords == {DIAG: lp({2: -1}), ANTI: ONE}
+
+
+@pytest.mark.parametrize("shape,size", [(S22, 21), (Shape(3, 1), 18)])
+def test_frontier_block_1111(shape, size):
+    # every element of the block ro = co = (1, 1, 1, 1) is bar-invariant
+    # with leading coefficient 1 over the N family
+    count = 0
+    for M in enumerate_block(shape, (1, 1, 1, 1), (1, 1, 1, 1)):
+        if not is_constrained(shape, M):
+            continue
+        f = omega_global(shape, M, 0, 0, Variant.PLUS_Q).expansion
+        assert bar_local(f) == f, M
+        assert express_in_n(shape, f).get((M, 0, 0)) == ONE, M
+        count += 1
+    assert count == size

@@ -1,10 +1,13 @@
 import pytest
 
-from qsuper import actions, glq
+from qsuper import actions, exactlinalg, glq
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
+    col_sums,
+    degree_matrices,
+    row_sums,
     unit_matrix,
     word_to_matrix,
     zero_matrix,
@@ -17,6 +20,7 @@ from qsuper.glq import (
     det_a_local,
     det_dprime_local,
     RawElement,
+    TriangularityViolation,
     detDprime_power,
     detDprime_raw,
     expand_raw,
@@ -206,6 +210,10 @@ class TestMixedForm:
         f = gen(S22, 3, 3) * gen(S22, 4, 4)
         assert from_mixed(to_mixed(f)) == f
 
+    def test_roundtrip_rank_three_lower(self):
+        f = gen(S22, 3, 3) * gen(S22, 3, 4) * gen(S22, 4, 4)
+        assert from_mixed(to_mixed(f)) == f
+
     def test_x_gen_lower_block_rejected(self):
         with pytest.raises(ValueError):
             LocalElement.x_gen(S11, 2, 2)
@@ -348,3 +356,81 @@ def test_cached_elements_are_never_mutated(shape):
     fresh = _cached_values(shape)
     for k, v in fresh.items():
         assert v is not before[k] and v.terms == snapshot[k], k
+
+
+# -- the candidate-window solver, as the reference for the peeling ------------
+
+
+def window_express_in_basis(shape, raw, rows, cols):
+    """The solver that express_in_basis replaced, kept as its reference.
+
+    It enumerates the constrained triples of the target biweight (rows,
+    cols) in a window of detA and detD' powers, expands every candidate
+    with both determinants cleared, solves one linear system, and widens
+    the window up to three times.
+    """
+    if raw.is_zero():
+        return {}
+    rows, cols = tuple(rows), tuple(cols)
+    s_lower = min(sum(rows[shape.m:]), sum(cols[shape.m:]))
+    for widen in (0, 1, 2):
+        cands = glq._candidates(shape, rows, cols, -s_lower - 2 * widen, -widen)
+        if not cands:
+            continue
+        L = max(0, -min(delta for _, _, delta in cands))
+        cand_raws = [
+            glq.rho(shape, Mt).times_detDprime(delta + L).shift_det(alpha)
+            for Mt, alpha, delta in cands
+        ]
+        target_raw = raw.times_detDprime(L)
+        K = max(0, -min(e for r in (target_raw, *cand_raws) for (_, e) in r.terms))
+        target = expand_raw(shape, target_raw, K)
+        columns = [expand_raw(shape, cr, K).terms for cr in cand_raws]
+        sol = exactlinalg.solve_in_span(columns, target.terms)
+        if sol is None:
+            continue
+        return {key: c for key, c in zip(cands, sol) if not c.is_zero()}
+    raise exactlinalg.LinearSolveFailure(f"no expansion (biweight {rows}|{cols})")
+
+
+@pytest.mark.parametrize("shape,degree", [
+    (S11, 2), (S22, 2), (S21, 3), (Shape(1, 2), 3),
+])
+def test_to_mixed_matches_window_solver(shape, degree):
+    N = shape.size
+    for deg in range(degree + 1):
+        for M in degree_matrices(shape, deg):
+            raw = RawElement(shape, {(M, 0): ONE})
+            expect = window_express_in_basis(shape, raw, row_sums(M, N), col_sums(M, N))
+            assert to_mixed(AlgebraElement.monomial(shape, M)).terms == expect, M
+
+
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2), S22, Shape(3, 1)])
+def test_reduce_pair_matches_window_solver(shape):
+    N = shape.size
+    letters = [unit_matrix(N, i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
+    if shape == Shape(3, 1):
+        # the window solver spends 90 s on y_44 * y_44 and 4 s on the
+        # other pairs with a y letter; the frontier tests cover those
+        letters = [M for M in letters if not M[-1]]
+    for M1 in letters:
+        for M2 in letters:
+            rows = tuple(a + b for a, b in zip(row_sums(M1, N), row_sums(M2, N)))
+            cols = tuple(a + b for a, b in zip(col_sums(M1, N), col_sums(M2, N)))
+            raw = glq.rho(shape, M1) * glq.rho(shape, M2)
+            expect = window_express_in_basis(shape, raw, rows, cols)
+            assert dict(glq._reduce_pair(shape, M1, M2)) == expect, (M1, M2)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda r: r.scale(LaurentPoly({0: 1, 2: 1})),
+    lambda r: r.scale(LaurentPoly({0: 2})),
+    lambda r: r + RawElement(r.shape, {(unit_matrix(2, 1, 1), 0): ONE}),
+], ids=["lead_1_plus_q2", "lead_2", "term_above_lead"])
+def test_non_triangular_member_raises(monkeypatch, corrupt):
+    # a member that is not a unit at its leading monomial, or that has a
+    # monomial above it, cannot be peeled; the loop must raise, never spin
+    rho = glq.rho
+    monkeypatch.setattr(glq, "rho", lambda shape, M: corrupt(rho(shape, M)))
+    with pytest.raises(TriangularityViolation):
+        glq.express_in_basis(S11, RawElement(S11, {(unit_matrix(2, 2, 2), 0): ONE}))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qsuper.laurent import LaurentPoly, ONE
+from qsuper.laurent import LaurentPoly
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.superspace import (
     b_block_minor_star,
@@ -13,7 +13,6 @@ from qsuper.superspace import (
     covariant_minor_star,
     det_q_A,
     det_qinv_D,
-    evec,
     interval,
     laplace_verify,
     minor,
