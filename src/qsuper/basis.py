@@ -33,6 +33,7 @@ from qsuper.glq import (
     bar_local,
     is_constrained,
     mixed_degree,
+    peel,
     to_mixed,
 )
 
@@ -108,31 +109,6 @@ def _pick_maximal(shape: Shape, indices):
 
 
 # -- the generic triangular solvers ------------------------------------------
-
-
-def peel(f, column, pick_max, strictly_lower) -> dict:
-    """Coordinates of f over a family that is unitriangular at its indices.
-
-    column(S) is the member indexed by S: a unit at S plus terms strictly
-    lower than S.  The residual is cancelled at a maximal index until it
-    is zero, so the coordinates are exact; a member that is not of that
-    form raises TriangularityViolation.
-    """
-    rest = dict(f.terms)
-    coords = {}
-    while rest:
-        S = pick_max(rest.keys())
-        col = column(S).terms
-        u = col.get(S)
-        if u is None or not u.is_unit():
-            raise TriangularityViolation(f"the member at {S} is not a unit there")
-        c = rest[S] * u.bar()
-        for T, b in col.items():
-            if T != S and not strictly_lower(T, S):
-                raise TriangularityViolation(f"the member at {S} has a term at {T} not below it")
-            _put(rest, T, -(c * b))
-        coords[S] = c
-    return coords
 
 
 def lusztig_solve_one(T, expand_bar, variant: Variant, pick_max, strictly_lower):
@@ -350,10 +326,20 @@ def _region_sums(shape: Shape, M):
 
 
 def psi_power(shape: Shape, M, a: int, d: int) -> int:
+    """Psi with bar(q^Psi P) = q^Psi P modulo p-lower terms, for
+    P = detA^a X Y detD'^d with X = Omega_ABC and Y = Omega_D' bar-invariant.
+
+    bar(q^Psi P) = q^-Psi detD'^d Y X detA^a, and reordering that to P
+    gives q^(2 Psi): detA and detD' pass each of the k odd letters with q^2,
+    2(d - a)k in all; y_uv passes x_iv (i <= m, its column) and x_uj (j <= m,
+    its row) with q^2 each, since it keeps the relations of x_uv in the odd
+    row u and odd column v (x_uv x_uj = q^2 x_uj x_uv; an even row would give
+    q^-2), 2 c2.c4 + 2 r3.r4 in all; other pairs commute modulo lower terms.
+    """
     c2, c4, r3, r4 = _region_sums(shape, M)
     return (
         sum(x * y for x, y in zip(c2, c4))
-        - sum(x * y for x, y in zip(r3, r4))
+        + sum(x * y for x, y in zip(r3, r4))
         + (d - a) * mixed_degree(shape, M)
     )
 

@@ -1,14 +1,13 @@
 """Exact linear algebra over Z[q, q^-1], fraction-free.
 
-Used to cut out invariant subspaces, to check that a family spans a
-space, and to divide by a power of detA.  A system is held sparsely: one
-row per vector key, each a dict column -> LaurentPoly, with a column ->
-rows index so no step scans every row.  Gauss-Jordan elimination takes
-the columns left to right and prefers a unit pivot +-q^k, which
-eliminates with ring arithmetic; a non-unit pivot cross-multiplies the
-rows it clears, which are then divided by their integer content and
-lowest power of q (fraction-free elimination, cf. Bareiss, Math. Comp.
-22, 1968).
+Used to cut out invariant subspaces and to check that a family spans a
+space.  A system is held sparsely: one row per vector key, each a dict
+column -> LaurentPoly, with a column -> rows index so no step scans
+every row.  Gauss-Jordan elimination takes the columns left to right and
+prefers a unit pivot +-q^k, which eliminates with ring arithmetic; a
+non-unit pivot cross-multiplies the rows it clears, which are then
+divided by their integer content and lowest power of q (fraction-free
+elimination, cf. Bareiss, Math. Comp. 22, 1968).
 
 Coordinates are Laurent polynomials: each is one exact division, a
 right-hand side by its pivot, and a coordinate outside Z[q, q^-1] raises

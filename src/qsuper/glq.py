@@ -9,7 +9,8 @@ detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
 each keep at least one zero diagonal entry.  Products are computed raw
 and re-expressed over the constrained family by peeling leading terms:
 each family member is a unit times one leading monomial plus lex-lower
-monomials, so no linear system is solved.
+monomials, so no linear system is solved; from_mixed divides by detA^K
+the same way.  Bar reverses mixed words, as on polynomials.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from qsuper.algebra import (
     zero_matrix,
 )
 from qsuper.superspace import _inversions, det_q_A, sub_minor_A
+# solve_in_span is unused here; qbench/tracing.py hooks this binding
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
 
 
@@ -439,70 +441,81 @@ def to_mixed(f: AlgebraElement) -> LocalElement:
     return out
 
 
-def _local_raw(f: LocalElement):
-    """Total raw form of f * detD'^L with L clearing negative d powers.
+def peel(f, column, pick_max, strictly_lower) -> dict:
+    """Coordinates of f over a family that is unitriangular at its indices.
 
-    Returns (raw, L).
+    column(S) is the member indexed by S: a unit at S plus terms strictly
+    lower than S.  The residual is cancelled at a maximal index until it
+    is zero, so the coordinates are exact; a member that is not of that
+    form raises TriangularityViolation.
     """
-    shape = f.shape
-    L = max(0, -min((d for (_, _, d) in f.terms), default=0))
-    out: dict = {}
-    for (M, a, d), c in f.terms.items():
-        for (N, e), c1 in rho(shape, M).times_detDprime(d + L).terms.items():
-            _put(out, (N, e + a), c1 * c)
-    return RawElement(shape, out), L
-
-
-def _divide_detA(shape: Shape, g: AlgebraElement, K: int) -> AlgebraElement:
-    """The unique f with f * detA^K = g, solved blockwise; exact."""
-    if K == 0:
-        return g
-    blocks: dict = {}
-    N = shape.size
-    for M, c in g.terms.items():
-        blocks.setdefault((row_sums(M, N), col_sums(M, N)), {})[M] = c
-    out: dict = {}
-    dK = _detA_power_alg(shape, K)
-    for (rows, cols), part in blocks.items():
-        ro = tuple(r - K if i < shape.m else r for i, r in enumerate(rows))
-        co = tuple(c - K if j < shape.m else c for j, c in enumerate(cols))
-        if any(v < 0 for v in ro + co):
-            raise LinearSolveFailure("element is not divisible by detA")
-        cands = enumerate_block(shape, ro, co)
-        columns = [(AlgebraElement.monomial(shape, M) * dK).terms for M in cands]
-        sol = solve_in_span(columns, part)
-        if sol is None:
-            raise LinearSolveFailure("element is not divisible by detA")
-        # blocks of different biweights share no matrix
-        out.update(zip(cands, sol))
-    return AlgebraElement(shape, out)
+    rest = dict(f.terms)
+    coords = {}
+    while rest:
+        S = pick_max(rest.keys())
+        col = column(S).terms
+        u = col.get(S)
+        if u is None or not u.is_unit():
+            raise TriangularityViolation(f"the member at {S} is not a unit there")
+        c = rest[S] * u.bar()
+        for T, b in col.items():
+            if T != S and not strictly_lower(T, S):
+                raise TriangularityViolation(f"the member at {S} has a term at {T} not below it")
+            _put(rest, T, -(c * b))
+        coords[S] = c
+    return coords
 
 
 def from_mixed(f: LocalElement) -> AlgebraElement:
-    """Inverse of to_mixed; fails if the element is not polynomial."""
+    """Inverse of to_mixed; LinearSolveFailure if f is not polynomial.
+
+    g = f detA^K is a polynomial, and x^M detA^K is a unit at M + K diag(A)
+    plus lex-lower monomials, so g / detA^K peels off g."""
     shape = f.shape
-    if f.is_zero():
-        return AlgebraElement.zero(shape)
     if any(d < 0 for (_, _, d) in f.terms):
         raise ValueError("negative detD' power has no polynomial form")
-    raw, _ = _local_raw(f)
-    K = max(0, -min((e for (_, e) in raw.terms), default=0))
-    return _divide_detA(shape, expand_raw(shape, raw, K), K)
+    raw: dict = {}
+    for (M, a, d), c in f.terms.items():
+        for (N, e), c1 in rho(shape, M).times_detDprime(d).terms.items():
+            _put(raw, (N, e + a), c1 * c)
+    K = max(0, -min((e for (_, e) in raw), default=0))
+    g = expand_raw(shape, RawElement(shape, raw), K)
+    if K == 0:
+        return g
+    N, dK = shape.size, _detA_power_alg(shape, K)
+
+    def quotient(S):
+        M = list(S)
+        for t in range(shape.m):
+            M[t * (N + 1)] -= K
+        if min(M) < 0:
+            raise LinearSolveFailure("element is not divisible by detA")
+        return tuple(M)
+
+    coords = peel(g, lambda S: AlgebraElement.monomial(shape, quotient(S)) * dK,
+                  max, lambda T, S: T < S)
+    return AlgebraElement(shape, {quotient(S): c for S, c in coords.items()})
 
 
 def bar_local(f: LocalElement) -> LocalElement:
-    """Bar involution: clear det powers, bar the polynomial, restore.
+    """Bar involution: the super anti-automorphism fixing every x- and
+    y-letter, detA and detD'.
 
-    Both determinants are bar-invariant and even, so for g = f detA^K
-    detD'^L we have bar(f) = detA^-K detD'^-L bar(g).
+    Both determinants are even and commute, so with k = mixed_degree(M)
+    odd letters, bar(c W(M) detA^a detD'^d) = bar(c) (-1)^(k(k-1)/2)
+    detA^a detD'^d times the letters of M in reverse order.
     """
     shape = f.shape
-    if f.is_zero():
-        return f
-    raw, L = _local_raw(f)
-    K = max(0, -min((e for (_, e) in raw.terms), default=0))
-    g = expand_raw(shape, raw, K).bar()
-    return LocalElement.monomial(shape, zero_matrix(shape.size), -K, -L) * to_mixed(g)
+    N = shape.size
+    out = LocalElement.zero(shape)
+    for (M, a, d), c in f.terms.items():
+        k = mixed_degree(shape, M)
+        sign = (-1) ** (k * (k - 1) // 2)
+        term = LocalElement(shape, {(zero_matrix(N), a, d): c.bar().scale(sign)})
+        for (i, j) in reversed(matrix_to_word(M, N)):
+            term = term * LocalElement.monomial(shape, unit_matrix(N, i, j))
+        out = out + term
+    return out
 
 
 def berezinian(shape: Shape) -> LocalElement:

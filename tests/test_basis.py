@@ -25,6 +25,7 @@ from qsuper.basis import (
     omega_Dprime,
     omega_H,
     omega_global,
+    p_strictly_lower,
     peel,
     psi_power,
     solve_block,
@@ -318,6 +319,30 @@ class TestNad:
         M = (0, 0, 1, 0, 0, 0, 0, 1, 0)
         lhs = n_ad(S21, M, 0, 0) * berezinian(S21)
         assert lhs == n_ad(S21, M, 1, -1)
+
+    def test_psi_row_term(self):
+        # x_21 y_22 at (1|2): a C-letter and a y-letter share the odd row 2,
+        # and y_22 x_21 = q^2 x_21 y_22 adds 1 to Psi
+        M = (0, 0, 0, 1, 1, 0, 0, 0, 0)
+        assert psi_power(Shape(1, 2), M, 0, 0) == 1
+
+
+@pytest.mark.parametrize("shape", [
+    S11, S21, Shape(1, 2), S22, Shape(3, 1), Shape(1, 3),
+], ids=str)
+def test_n_family_bar_certificate(shape):
+    # bar(n_ad(K)) is n_ad(K) plus strictly p-lower members of the N family,
+    # for every constrained key of degree <= 2 in three det sectors
+    for deg in range(3):
+        for M in degree_matrices(shape, deg):
+            if not is_constrained(shape, M):
+                continue
+            for a, d in [(0, 0), (-1, 1), (1, -1)]:
+                key = (M, a, d)
+                coords = express_in_n(shape, bar_local(n_ad(shape, *key)))
+                assert coords.get(key) == ONE, key
+                for T in coords:
+                    assert T == key or p_strictly_lower(shape, T, key), (key, T)
 
 
 class TestOmegaGlobal:

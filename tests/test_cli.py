@@ -215,15 +215,25 @@ class TestKernelFaultsPropagate:
 class TestExitCodes:
     """0 success, 1 verification failure, 2 usage error, 3 kernel fault."""
 
-    def test_kernel_fault_exits_3(self, capsys):
-        # the known TriangularityViolation of the (1|2) recursion (a known
-        # defect of the benchmark too); needs another fault once it is fixed
+    def test_kernel_fault_exits_3(self, capsys, monkeypatch):
+        def residual_not_below(*args):
+            raise glq.TriangularityViolation("residual at M is not below T")
+
+        monkeypatch.setattr(basis, "lusztig_solve_one", residual_not_below)
         rc = main(["cb", "--shape", "1", "2", "--ro", "1,2,1", "--co", "1,1,2"])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.out == ""
         assert captured.err.startswith("error: TriangularityViolation: ")
         assert "Traceback" not in captured.err
+
+    def test_cb_12_block_succeeds(self, capsys):
+        # the (1|2) block whose recursion failed while the N family had
+        # the wrong Psi sign
+        rc = main(["cb", "--shape", "1", "2", "--ro", "1,2,1", "--co", "1,1,2"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out and captured.err == ""
 
     @pytest.mark.parametrize("argv", [
         ["det", "--shape", "0", "1", "--which", "A"],

@@ -3,10 +3,12 @@ import pytest
 from qsuper import actions, exactlinalg, glq
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
+    _put,
     AlgebraElement,
     Shape,
     col_sums,
     degree_matrices,
+    enumerate_block,
     row_sums,
     unit_matrix,
     word_to_matrix,
@@ -37,6 +39,8 @@ from qsuper.glq import (
 S11 = Shape(1, 1)
 S21 = Shape(2, 1)
 S22 = Shape(2, 2)
+S12 = Shape(1, 2)
+S31 = Shape(3, 1)
 
 QSQ = LaurentPoly({2: 1, -2: -1})
 
@@ -251,6 +255,16 @@ class TestLocalArithmetic:
         x = LocalElement.x_gen(shape, 1, shape.size)
         assert (ber * y) * x == ber * (y * x)
 
+    @pytest.mark.parametrize("shape", [S12, S22])
+    def test_y_q_commutes_with_its_row_and_column(self, shape):
+        # y_uv x_uj = q^2 x_uj y_uv and y_uv x_iv = q^2 x_iv y_uv for i, j <= m:
+        # the two relations behind the positive terms of basis.psi_power
+        for mu, nu in lower_pairs(shape):
+            y = LocalElement.y_gen(shape, mu, nu)
+            for k in range(1, shape.m + 1):
+                for x in (LocalElement.x_gen(shape, mu, k), LocalElement.x_gen(shape, k, nu)):
+                    assert y * x == (x * y).scale(lp({2: 1}))
+
     def test_biweight(self):
         assert det_a_local(S21).biweight() == ((1, 1, 0), (1, 1, 0))
         assert berezinian(S21).biweight() == ((1, 1, -1), (1, 1, -1))
@@ -434,3 +448,136 @@ def test_non_triangular_member_raises(monkeypatch, corrupt):
     monkeypatch.setattr(glq, "rho", lambda shape, M: corrupt(rho(shape, M)))
     with pytest.raises(TriangularityViolation):
         glq.express_in_basis(S11, RawElement(S11, {(unit_matrix(2, 2, 2), 0): ONE}))
+
+
+# -- the clearing bar and the blockwise division, as references ---------------
+
+
+def _cleared_raw(f, L):
+    """Raw form of f * detD'^L; every d + L must be nonnegative."""
+    raw: dict = {}
+    for (M, a, d), c in f.terms.items():
+        for (N, e), c1 in glq.rho(f.shape, M).times_detDprime(d + L).terms.items():
+            _put(raw, (N, e + a), c1 * c)
+    return RawElement(f.shape, raw)
+
+
+def clearing_bar_local(f):
+    """The bar_local that the word reversal replaced, kept as its reference.
+
+    Both determinants are bar-invariant and even, so for g = f detA^K
+    detD'^L it bars the polynomial g and restores detA^-K detD'^-L.
+    """
+    shape = f.shape
+    if f.is_zero():
+        return f
+    L = max(0, -min(d for (_, _, d) in f.terms))
+    raw = _cleared_raw(f, L)
+    K = max(0, -min(e for (_, e) in raw.terms))
+    g = expand_raw(shape, raw, K).bar()
+    return LocalElement.monomial(shape, zero_matrix(shape.size), -K, -L) * to_mixed(g)
+
+
+def blockwise_from_mixed(f):
+    """The from_mixed that peeling replaced, kept as its reference: it
+    solves g = h * detA^K for h over every biweight block of g."""
+    shape, N = f.shape, f.shape.size
+    raw = _cleared_raw(f, 0)
+    K = max(0, -min((e for (_, e) in raw.terms), default=0))
+    g = expand_raw(shape, raw, K)
+    if K == 0:
+        return g
+    blocks: dict = {}
+    for M, c in g.terms.items():
+        blocks.setdefault((row_sums(M, N), col_sums(M, N)), {})[M] = c
+    dK = det_q_A(shape)
+    for _ in range(K - 1):
+        dK = dK * det_q_A(shape)
+    out: dict = {}
+    for (rows, cols), part in blocks.items():
+        ro = tuple(r - K if i < shape.m else r for i, r in enumerate(rows))
+        co = tuple(c - K if j < shape.m else c for j, c in enumerate(cols))
+        if any(v < 0 for v in ro + co):
+            raise exactlinalg.LinearSolveFailure("element is not divisible by detA")
+        cands = enumerate_block(shape, ro, co)
+        columns = [(AlgebraElement.monomial(shape, M) * dK).terms for M in cands]
+        sol = exactlinalg.solve_in_span(columns, part)
+        if sol is None:
+            raise exactlinalg.LinearSolveFailure("element is not divisible by detA")
+        out.update(zip(cands, sol))
+    return AlgebraElement(shape, out)
+
+
+def constrained_monomials(shape, degree):
+    for deg in range(degree + 1):
+        for M in degree_matrices(shape, deg):
+            if glq.is_constrained(shape, M):
+                yield M
+
+
+Q = lp({1: 1})
+
+
+@pytest.mark.parametrize("shape,degree,sectors", [
+    (S11, 2, [(0, 0), (-1, 1), (1, -1), (2, -1)]),
+    (S21, 2, [(0, 0), (-1, 1), (1, -1), (2, -1)]),
+    (S12, 2, [(0, 0), (-1, 1), (1, -1), (2, -1)]),
+    (S22, 1, [(0, 0)]),
+    (S31, 1, [(0, 0)]),
+])
+def test_bar_local_matches_clearing_bar(shape, degree, sectors):
+    for M in constrained_monomials(shape, degree):
+        for a, d in sectors:
+            f = LocalElement(shape, {(M, a, d): Q})
+            assert bar_local(f) == clearing_bar_local(f), (M, a, d)
+
+
+@pytest.mark.parametrize("shape", [S11, S21, S12])
+def test_from_mixed_matches_blockwise_division(shape):
+    for M in constrained_monomials(shape, 2):
+        for a in (-1, 0, 1, 2):
+            for d in (0, 1):
+                f = LocalElement(shape, {(M, a, d): Q})
+                try:
+                    expect = blockwise_from_mixed(f)
+                except exactlinalg.LinearSolveFailure:
+                    with pytest.raises(exactlinalg.LinearSolveFailure):
+                        from_mixed(f)
+                    continue
+                assert from_mixed(f) == expect, (M, a, d)
+
+
+def _letters_with_parity(shape):
+    """Every mixed generator and detA^+-1, detD'^+-1, with its parity."""
+    parities = [shape.gen_parity(i, j) for i, j in shape.generators()]
+    out = list(zip(mixed_generators(shape), parities))
+    for a, d in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+        out.append((LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE}), 0))
+    return out
+
+
+@pytest.mark.parametrize("shape", [S21, S12, S22])
+def test_bar_local_is_super_anti_automorphism(shape):
+    letters = _letters_with_parity(shape)
+    for f, pf in letters:
+        for g, pg in letters:
+            lhs = bar_local(f * g)
+            rhs = (bar_local(g) * bar_local(f)).scale((-1) ** (pf * pg))
+            assert lhs == rhs, (f, g)
+
+
+class TestFromMixedFailures:
+    """from_mixed rejects every element that has no polynomial form."""
+
+    @pytest.mark.parametrize("f", [
+        LocalElement(S21, {(zero_matrix(3), -1, 0): ONE}),
+        LocalElement.y_gen(S21, 3, 3),
+        LocalElement(S21, {(unit_matrix(3, 1, 1), -1, 0): ONE}),
+    ], ids=["detA^-1", "y33", "x11*detA^-1"])
+    def test_not_polynomial(self, f):
+        with pytest.raises(exactlinalg.LinearSolveFailure):
+            from_mixed(f)
+
+    def test_negative_detDprime_power(self):
+        with pytest.raises(ValueError):
+            from_mixed(LocalElement(S21, {(zero_matrix(3), 0, -1): ONE}))

@@ -1,4 +1,4 @@
-"""Every module-level import of a test file is used in that file."""
+"""Every module-level import of a test or kernel file is used in that file."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,13 @@ from pathlib import Path
 import pytest
 
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
+SRC_FILES = sorted((Path(__file__).parents[1] / "src" / "qsuper").glob("*.py"))
+
+# (file, name) -> why the unused import stays bound
+ALLOWED_UNUSED = {
+    ("basis.py", "_global_candidates"): "qbench/tracing.py rebinds it",
+    ("glq.py", "solve_in_span"): "qbench/tracing.py rebinds it",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -23,9 +30,10 @@ def unused_imports(source: str) -> list:
                   if name not in read)
 
 
-@pytest.mark.parametrize("path", TEST_FILES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", TEST_FILES + SRC_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    unused = {entry.split()[0] for entry in unused_imports(path.read_text())}
+    assert unused == {name for (file, name) in ALLOWED_UNUSED if file == path.name}
 
 
 def test_checker_finds_unused_imports():
