@@ -10,7 +10,7 @@ finally the full localization with determinant powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from qsuper.laurent import LaurentPoly, ONE, Variant, solve_bar_equation
@@ -51,7 +51,6 @@ class CBElement:
     index: tuple  # (M, a, d)
     variant: Variant
     expansion: object  # AlgebraElement or LocalElement
-    stage: str
 
 
 # -- the 2x2-move partial order ---------------------------------------------
@@ -100,12 +99,13 @@ def leq(shape: Shape, M, N) -> bool:
 
 
 def _pick_maximal(shape: Shape, indices):
-    """A maximal element of the support under the move order."""
+    """A maximal element of the support under the move order; a support
+    without one means the order has a cycle, a kernel fault."""
     indices = sorted(indices)
     for S in indices:
         if not any(T != S and S in _downset(shape, T) for T in indices):
             return S
-    return indices[-1]
+    raise TriangularityViolation(f"no maximal element among {indices}")
 
 
 # -- the generic triangular solvers ------------------------------------------
@@ -188,39 +188,34 @@ def _support_ok(shape: Shape, M, region: str) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def _x_block(shape: Shape, ro, co, region: str, variant: Variant):
-    indices = [
-        M for M in enumerate_block(shape, ro, co) if _support_ok(shape, M, region)
-    ]
-    return solve_block(
-        shape, indices, lambda M: x_norm(shape, M), lambda f: f.bar(), variant
-    )
-
-
 def _block_key(shape: Shape, M):
     N = shape.size
     return row_sums(M, N), col_sums(M, N)
 
 
+def _block_element(shape: Shape, M, region: str):
+    """The sub-block basis element of the region at the index M."""
+    M = tuple(M)
+    return _block(shape, *_block_key(shape, M), region)[M]
+
+
+def _omega(shape: Shape, M, region: str, wrong_support: str) -> CBElement:
+    """The region's basis element at M; ValueError(wrong_support) when M is
+    not supported on the region."""
+    M = tuple(M)
+    if not _support_ok(shape, M, region):
+        raise ValueError(wrong_support)
+    return CBElement((M, 0, 0), _REGIONS[region][0], _block_element(shape, M, region))
+
+
 def omega_H(shape: Shape, M) -> CBElement:
     """Basis element of the subalgebra generated by rows 1..m."""
-    M = tuple(M)
-    if not _support_ok(shape, M, "H"):
-        raise ValueError("index must be supported on the first m rows")
-    ro, co = _block_key(shape, M)
-    elem = _x_block(shape, ro, co, "H", Variant.PLUS_Q)[M]
-    return CBElement((M, 0, 0), Variant.PLUS_Q, elem, "H")
+    return _omega(shape, M, "H", "index must be supported on the first m rows")
 
 
 def omega_C(shape: Shape, M) -> CBElement:
     """Basis element of the lower-left block subalgebra."""
-    M = tuple(M)
-    if not _support_ok(shape, M, "C"):
-        raise ValueError("index must be supported on the lower-left block")
-    ro, co = _block_key(shape, M)
-    elem = _x_block(shape, ro, co, "C", Variant.MINUS_Q)[M]
-    return CBElement((M, 0, 0), Variant.MINUS_Q, elem, "C")
+    return _omega(shape, M, "C", "index must be supported on the lower-left block")
 
 
 def omega_Dprime(shape: Shape, M) -> CBElement:
@@ -231,12 +226,8 @@ def omega_Dprime(shape: Shape, M) -> CBElement:
     x-representation; the expansion is returned over y-words as a
     LocalElement via the substitution x_uv -> y_uv.
     """
-    M = tuple(M)
-    if not _support_ok(shape, M, "D"):
-        raise ValueError("index must be supported on the lower-right block")
-    ro, co = _block_key(shape, M)
-    elem = _x_block(shape, ro, co, "D", Variant.MINUS_Q)[M]
-    return CBElement((M, 0, 0), Variant.MINUS_Q, y_substitute(elem), "Dprime")
+    cb = _omega(shape, M, "D", "index must be supported on the lower-right block")
+    return replace(cb, expansion=y_substitute(cb.expansion))
 
 
 def y_substitute(f: AlgebraElement) -> LocalElement:
@@ -245,8 +236,7 @@ def y_substitute(f: AlgebraElement) -> LocalElement:
 
 
 def _dprime_x_expansion(shape: Shape, M) -> AlgebraElement:
-    ro, co = _block_key(shape, M)
-    return _x_block(shape, ro, co, "D", Variant.MINUS_Q)[tuple(M)]
+    return _block_element(shape, M, "D")
 
 
 def _abc_prefactor(shape: Shape, M) -> int:
@@ -274,30 +264,34 @@ def n_abc(shape: Shape, M) -> AlgebraElement:
     """The product monomial for the three-block stage."""
     # rows <= m, and the lower-left block
     top, low = _split_regions(shape, M, lambda i, j: i > shape.m)
-    f = omega_H(shape, top).expansion * _x_block(
-        shape, *_block_key(shape, low), "C", Variant.MINUS_Q
-    )[low]
+    f = omega_H(shape, top).expansion * _block_element(shape, low, "C")
     return f.scale(LaurentPoly.q_power(_abc_prefactor(shape, M)))
 
 
+# region -> (the variant of its basis, the monomial of an index)
+_REGIONS = {
+    "H": (Variant.PLUS_Q, x_norm),
+    "C": (Variant.MINUS_Q, x_norm),
+    "D": (Variant.MINUS_Q, x_norm),
+    "ABC": (Variant.PLUS_Q, n_abc),
+}
+
+
 @lru_cache(maxsize=None)
-def _abc_block(shape: Shape, ro, co):
+def _block(shape: Shape, ro, co, region: str):
+    """Every basis element of the region with row sums ro, column sums co."""
+    variant, monomial = _REGIONS[region]
     indices = [
-        M for M in enumerate_block(shape, ro, co) if _support_ok(shape, M, "ABC")
+        M for M in enumerate_block(shape, ro, co) if _support_ok(shape, M, region)
     ]
     return solve_block(
-        shape, indices, lambda M: n_abc(shape, M), lambda f: f.bar(), Variant.PLUS_Q
+        shape, indices, lambda M: monomial(shape, M), lambda f: f.bar(), variant
     )
 
 
 def omega_ABC(shape: Shape, M) -> CBElement:
     """Basis element of the subalgebra generated by the first three blocks."""
-    M = tuple(M)
-    if not _support_ok(shape, M, "ABC"):
-        raise ValueError("index must have an empty lower-right block")
-    ro, co = _block_key(shape, M)
-    elem = _abc_block(shape, ro, co)[M]
-    return CBElement((M, 0, 0), Variant.PLUS_Q, elem, "ABC")
+    return _omega(shape, M, "ABC", "index must have an empty lower-right block")
 
 
 # -- the full localized basis -------------------------------------------------
@@ -412,7 +406,7 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
     elem = LocalElement.zero(shape)
     for (T, alpha, delta), c in sorted(coords.items()):
         elem = elem + n_ad(shape, T, alpha, delta).scale(c)
-    return CBElement(key, variant, elem, "GLOBAL")
+    return CBElement(key, variant, elem)
 
 
 # -- covariant minor shifts ---------------------------------------------------

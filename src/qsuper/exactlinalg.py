@@ -1,19 +1,20 @@
 """Exact linear algebra over Z[q, q^-1], fraction-free.
 
-Used to cut out invariant subspaces and to check that a family spans a
-space.  A system is held sparsely: one row per vector key, each a dict
-column -> LaurentPoly, with a column -> rows index so no step scans
-every row.  Gauss-Jordan elimination takes the columns left to right and
-prefers a unit pivot +-q^k, which eliminates with ring arithmetic; a
-non-unit pivot cross-multiplies the rows it clears, which are then
-divided by their integer content and lowest power of q (fraction-free
-elimination, cf. Bareiss, Math. Comp. 22, 1968).
+Used to cut out invariant subspaces.  A system is held sparsely: one row
+per vector key, each a dict column -> LaurentPoly, with a column -> rows
+index so no step scans every row.  Gauss-Jordan elimination takes the
+columns left to right and prefers a unit pivot +-q^k, which eliminates
+with ring arithmetic; a non-unit pivot cross-multiplies the rows it
+clears, which are then divided by their integer content and lowest power
+of q (fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).
 
-Coordinates are Laurent polynomials: each is one exact division, a
-right-hand side by its pivot, and a coordinate outside Z[q, q^-1] raises
+Each free column gives one kernel vector, and its coordinates are Laurent
+polynomials: each is one exact division, a free-column entry by its
+row's pivot, and a coordinate outside Z[q, q^-1] raises
 LinearSolveFailure.  The pivot columns are the leftmost independent set,
 so the coordinates are those that elimination over the fraction field
-gives, whenever those lie in Z[q, q^-1].
+gives, whenever those lie in Z[q, q^-1].  A target lies in a span when it
+is a free column after the span's columns.
 """
 
 from __future__ import annotations
@@ -44,20 +45,18 @@ def _strip_content(row: dict) -> dict:
     }
 
 
-def _eliminate(columns, target=None):
+def _eliminate(columns):
     """Sparse fraction-free Gauss-Jordan elimination of the system.
 
     Rows are keyed by the vectors' keys in order of first appearance; each
-    is a dict column -> LaurentPoly, the target being column
-    ``len(columns)``.  Returns ``(rows, pivots, index)``: the reduced rows,
-    a dict pivot column -> row in column order, and the column -> rows
-    index.  Rows that hold no pivot are zero in every column of the
-    system, so only a target entry can remain in them.
+    is a dict column -> LaurentPoly.  Returns ``(rows, pivot_of, index)``:
+    the reduced rows, a dict pivot row -> its column, and the column ->
+    rows index.  Rows that hold no pivot are zero, so a free column has
+    entries in pivot rows only.
     """
     pos = {}
     rows = []
-    vectors = list(columns) if target is None else [*columns, target]
-    for c, vec in enumerate(vectors):
+    for c, vec in enumerate(columns):
         for k, v in vec.items():
             if v.terms:
                 r = pos.get(k)
@@ -65,20 +64,18 @@ def _eliminate(columns, target=None):
                     r = pos[k] = len(rows)
                     rows.append({})
                 rows[r][c] = v
-    index = [set() for _ in vectors]
+    index = [set() for _ in columns]
     for r, row in enumerate(rows):
         for c in row:
             index[c].add(r)
 
-    pivots = {}
-    used = [False] * len(rows)
+    pivot_of = {}
     for c in range(len(columns)):
-        cands = [r for r in index[c] if not used[r]]
+        cands = [r for r in index[c] if r not in pivot_of]
         if not cands:
             continue
         p = min(cands, key=lambda r: (not rows[r][c].is_unit(), len(rows[r]), r))
-        used[p] = True
-        pivots[c] = p
+        pivot_of[p] = c
         prow = rows[p]
         a = prow[c]
         if a.is_unit():
@@ -103,7 +100,7 @@ def _eliminate(columns, target=None):
                     del row[cc]
                     index[cc].discard(r)
             rows[r] = row if a is None else _strip_content(row)
-    return rows, pivots, index
+    return rows, pivot_of, index
 
 
 def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -118,6 +115,18 @@ def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         )
 
 
+def _kernel_vector(system, c):
+    """The kernel vector of the free column c: 1 at c, 0 at the other free
+    columns; LinearSolveFailure when a pivot coordinate is not Laurent."""
+    rows, pivot_of, index = system
+    vec = [ZERO] * len(index)
+    vec[c] = ONE
+    for r in index[c]:
+        pc = pivot_of[r]
+        vec[pc] = _quotient(-rows[r][c], rows[r][pc])
+    return vec
+
+
 def solve_in_span(columns, target):
     """Coefficients c with sum(c_i * columns_i) = target, or None.
 
@@ -126,19 +135,11 @@ def solve_in_span(columns, target):
     coefficients are Laurent polynomials; LinearSolveFailure is raised
     when the target lies in the span only over the fraction field.
     """
-    if not columns:
-        return [] if all(v.is_zero() for v in target.values()) else None
     n = len(columns)
-    rows, pivots, _ = _eliminate(columns, target)
-    pivot_rows = set(pivots.values())
-    if any(row for r, row in enumerate(rows) if r not in pivot_rows):
+    system = _eliminate([*columns, target])
+    if n in system[1].values():  # the target is a pivot: outside the span
         return None
-    out = [ZERO] * n
-    for c, r in pivots.items():
-        rhs = rows[r].get(n)
-        if rhs is not None:
-            out[c] = _quotient(rhs, rows[r][c])
-    return out
+    return [-v for v in _kernel_vector(system, n)[:n]]
 
 
 def nullspace(columns):
@@ -147,18 +148,8 @@ def nullspace(columns):
     Vectors are lists of Laurent polynomials with the free coordinate 1;
     LinearSolveFailure is raised when a pivot coordinate is not Laurent.
     """
-    if not columns:
-        return []
-    rows, pivots, index = _eliminate(columns)
-    pivot_of = {r: c for c, r in pivots.items()}
-    basis = []
-    for c in range(len(columns)):
-        if c in pivots:
-            continue
-        vec = [ZERO] * len(columns)
-        vec[c] = ONE
-        for r in index[c]:
-            pc = pivot_of[r]
-            vec[pc] = _quotient(-rows[r][c], rows[r][pc])
-        basis.append(vec)
-    return basis
+    system = _eliminate(columns)
+    pivot_cols = set(system[1].values())
+    return [
+        _kernel_vector(system, c) for c in range(len(columns)) if c not in pivot_cols
+    ]

@@ -16,7 +16,6 @@ the same way.  Bar reverses mixed words, as on polynomials.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
@@ -37,7 +36,7 @@ from qsuper.algebra import (
     validate_matrix,
     zero_matrix,
 )
-from qsuper.superspace import _inversions, det_q_A, sub_minor_A
+from qsuper.superspace import det_q_A, perm_coefficients, sub_minor_A
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
 
@@ -102,15 +101,15 @@ def _det_push_series(e: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _cofactor_sum(shape: Shape, mu: int, nu: int, esign: int) -> AlgebraElement:
-    """sum_{k,l} (-q^2)^(esign*(k-l)) x_uk A_lk x_lv over the q-block,
-    with A_lk the sub-determinant deleting row l and column k."""
+def t_correction(shape: Shape, mu: int, nu: int) -> AlgebraElement:
+    """T_uv with detA * x_uv = x_uv * detA + (q^2 - q^-2) T_uv:
+    sum_{k,l} (-q^2)^(k-l) x_uk A_lk x_lv over the q-block, with A_lk the
+    sub-determinant deleting row l and column k."""
     m = shape.m
     out = AlgebraElement.zero(shape)
     for k in range(1, m + 1):
         for l in range(1, m + 1):
-            e = esign * (k - l)
-            coeff = LaurentPoly.q_power(2 * e, (-1) ** e)
+            coeff = LaurentPoly.q_power(2 * (k - l), (-1) ** (k - l))
             term = (
                 AlgebraElement.generator(shape, mu, k)
                 * sub_minor_A(shape, l, k)
@@ -118,11 +117,6 @@ def _cofactor_sum(shape: Shape, mu: int, nu: int, esign: int) -> AlgebraElement:
             ).scale(coeff)
             out = out + term
     return out
-
-
-def t_correction(shape: Shape, mu: int, nu: int) -> AlgebraElement:
-    """T_uv with detA * x_uv = x_uv * detA + (q^2 - q^-2) T_uv."""
-    return _cofactor_sum(shape, mu, nu, 1)
 
 
 def raw_times_gen(shape: Shape, raw: RawElement, i: int, j: int) -> RawElement:
@@ -170,9 +164,8 @@ def detDprime_raw(shape: Shape) -> RawElement:
     """Raw form of the q^-1-determinant of the y-matrix."""
     m, n = shape.m, shape.n
     out = RawElement.zero(shape)
-    for tau in permutations(range(n)):
-        inv = _inversions(tau)
-        cur = RawElement.one(shape).scale(LaurentPoly.q_power(-2 * inv, (-1) ** inv))
+    for tau, c in perm_coefficients(n, -2):
+        cur = RawElement.one(shape).scale(c)
         for t in range(n):
             cur = cur * y_entry(shape, m + 1 + t, m + 1 + tau[t])
         out = out + cur

@@ -154,6 +154,14 @@ def _inversions(sigma) -> int:
     )
 
 
+def perm_coefficients(n: int, base: int, sign: int = -1):
+    """(sigma, (sign * q^base)^inversions(sigma)) for each permutation of
+    range(n): the coefficient rule of the q-determinants."""
+    for sigma in permutations(range(n)):
+        l = _inversions(sigma)
+        yield sigma, LaurentPoly.q_power(base * l, sign**l)
+
+
 def _perm_sum(shape: Shape, rows, cols, base: int, sign: int = -1) -> AlgebraElement:
     """Sum over bijections of (sign * q^base)^inversions, rows in order.
 
@@ -161,9 +169,7 @@ def _perm_sum(shape: Shape, rows, cols, base: int, sign: int = -1) -> AlgebraEle
     swap cancels the -1 and each inversion contributes +q^base.
     """
     total = AlgebraElement.zero(shape)
-    for sigma in permutations(range(len(cols))):
-        l = _inversions(sigma)
-        coeff = LaurentPoly.q_power(base * l, sign**l)
+    for sigma, coeff in perm_coefficients(len(cols), base, sign):
         word = [(rows[t], cols[sigma[t]]) for t in range(len(rows))]
         total = total + AlgebraElement.from_word(shape, word, coeff)
     return total

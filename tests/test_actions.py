@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
-from qsuper.laurent import LaurentPoly, ONE
+from qsuper import actions, basis, exactlinalg
+from qsuper.laurent import LaurentPoly, ONE, Variant
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
@@ -14,6 +16,7 @@ from qsuper.superspace import det_q_A, minor_star
 from qsuper.glq import (
     LocalElement,
     berezinian,
+    det_a_local,
     det_dprime_local,
     to_mixed,
 )
@@ -22,6 +25,8 @@ from qsuper.actions import (
     AdaptedElement,
     GenSymbol,
     NotAdapted,
+    SpanMismatch,
+    SpanReport,
     act_left,
     act_right,
     adapted_basis_tworow,
@@ -429,7 +434,49 @@ class TestInvariantsWindow:
             assert solve_in_span(span, dict(g.terms)) is not None
 
 
+def solve_span_check(shape, left_gens, max_degree, a_range=(0, 0)):
+    """The solve-based check that canonical_span_check replaced, kept as its
+    reference: every invariant must solve over the selected elements.
+    Returns the report, or None where the span differs."""
+    inv = invariants_window(shape, left_gens, (), max_degree, a_range)
+    selected, cols = [], []
+    for key in window_indices(shape, max_degree, a_range):
+        f = basis.omega_global(shape, *key, Variant.PLUS_Q).expansion
+        if all((act_left(g, f) - f.scale(epsilon(g))).is_zero() for g in left_gens):
+            selected.append(key)
+            cols.append(f.terms)
+    if len(selected) != len(inv):
+        return None
+    if any(solve_in_span(cols, f.terms) is None for f in inv):
+        return None
+    return SpanReport(tuple(selected), len(inv), True)
+
+
+def span_verdict(shape, left_gens, max_degree, a_range=(0, 0)):
+    try:
+        return canonical_span_check(shape, left_gens, max_degree, a_range)
+    except SpanMismatch:
+        return None
+
+
+def all_E(shape):
+    return tuple(E(i) for i in range(1, shape.size))
+
+
+@pytest.fixture
+def no_solver(monkeypatch):
+    def refuse(columns, target):
+        raise AssertionError("the span check solved a system")
+
+    monkeypatch.setattr(exactlinalg, "solve_in_span", refuse)
+    monkeypatch.setattr(actions, "solve_in_span", refuse)
+
+
+@pytest.mark.usefixtures("no_solver")
 class TestSpanCheck:
+    """No span check solves a system, so each one here runs with the
+    solvers patched to raise."""
+
     def test_rank_one_shape(self):
         rep = canonical_span_check(S11, (E(1),), max_degree=2)
         assert rep.passed and rep.invariant_dim == 2
@@ -450,6 +497,53 @@ class TestSpanCheck:
     def test_requires_one_odd_row(self):
         with pytest.raises(ValueError):
             canonical_span_check(S22, (E(1),), max_degree=1)
+
+    # the paper's n = 1 theorem on the windows it is affordable on
+    @pytest.mark.parametrize("shape,max_degree,a_range", [
+        (Shape(3, 1), 2, (0, 0)),
+        (Shape(3, 1), 1, (-1, 1)),
+        (Shape(3, 1), 2, (-1, 1)),
+        (S21, 2, (-1, 1)),
+    ], ids=["(3|1)-deg2-a0", "(3|1)-deg1-a-1..1", "(3|1)-deg2-a-1..1", "(2|1)-deg2-a-1..1"])
+    def test_agrees_with_solving(self, shape, max_degree, a_range):
+        gens = all_E(shape)
+        rep = span_verdict(shape, gens, max_degree, a_range)
+        assert rep is not None and rep.passed
+        assert rep == solve_span_check(shape, gens, max_degree, a_range)
+
+    @pytest.mark.parametrize("shape", [S11, S21], ids=["(1|1)", "(2|1)"])
+    def test_every_generator_set(self, shape):
+        N = shape.size
+        allowed = [E(i) for i in range(1, N)]
+        allowed += [F(i) for i in range(1, N) if i != shape.m]
+        allowed += [K(i) for i in range(1, N + 1)]
+        for r in range(len(allowed) + 1):
+            for gens in itertools.combinations(allowed, r):
+                assert canonical_span_check(shape, gens, max_degree=2).passed, gens
+
+    def test_count_mismatch(self, monkeypatch):
+        # one invariant too few: the count alone decides
+        window = actions.invariants_window
+        monkeypatch.setattr(
+            actions, "invariants_window", lambda *args: window(*args)[1:]
+        )
+        with pytest.raises(SpanMismatch, match="11 invariants vs 12"):
+            canonical_span_check(S21, (E(1), E(2)), max_degree=2)
+
+    def test_element_outside_the_window(self, monkeypatch):
+        # adding the E-invariant detA^2 keeps every element's invariance and
+        # the count, but puts a term outside the window
+        omega = basis.omega_global
+        dA2 = det_a_local(S21) * det_a_local(S21)
+
+        def shifted(shape, M, a, d, variant):
+            cb = omega(shape, M, a, d, variant)
+            return basis.CBElement(cb.index, cb.variant, cb.expansion + dA2)
+
+        monkeypatch.setattr(basis, "omega_global", shifted)
+        with pytest.raises(SpanMismatch, match="outside the window"):
+            canonical_span_check(S21, (E(1), E(2)), max_degree=1)
+        assert solve_span_check(S21, (E(1), E(2)), 1) is None
 
 
 class TestMinorPowerExpansion:

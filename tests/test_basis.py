@@ -1,6 +1,6 @@
 import pytest
 
-from qsuper import exactlinalg, glq
+from qsuper import basis, exactlinalg, glq
 from qsuper.laurent import LaurentPoly, ONE, Variant
 from qsuper.algebra import (
     AlgebraElement,
@@ -138,6 +138,18 @@ class TestSolveBlock:
             lambda f: f.bar(), Variant.PLUS_Q,
         )
         assert fwd == rev
+
+    def test_order_cycle_raises(self, monkeypatch):
+        # a move order in which DIAG and ANTI lie below each other has no
+        # maximal element, a kernel fault rather than a choice
+        monkeypatch.setattr(basis, "_downset", lambda shape, M: frozenset({DIAG, ANTI}))
+        block = enumerate_block(S11, (1, 1), (1, 1))
+        with pytest.raises(TriangularityViolation, match="no maximal element"):
+            basis._pick_maximal(S11, block)
+        with pytest.raises(TriangularityViolation):
+            solve_block(
+                S11, block, lambda M: x_norm(S11, M), lambda f: f.bar(), Variant.PLUS_Q
+            )
 
     def test_minus_variant(self):
         block = enumerate_block(S11, (1, 1), (1, 1))
