@@ -16,20 +16,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, ONE, q_binom
+from .laurent import LaurentPoly, ONE, Variant, q_binom
 from .algebra import (
     AlgebraElement,
     Shape,
     col_sums,
     degree_matrices,
+    enumerate_block,
     mat_entry,
     matrix_to_word,
     row_sums,
     x_norm,
     zero_matrix,
 )
-from .superspace import det_q_A, perm_coefficients
+from .superspace import det_q_A
 from .glq import LocalElement, to_mixed, is_constrained
+from .basis import omega_global
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from .exactlinalg import nullspace, solve_in_span
 
@@ -279,18 +281,15 @@ def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
 
 @lru_cache(maxsize=None)
 def _det_letter_act(shape: Shape, kind: str, i: int, side: str, which: str):
-    """Action on detA or detD', computed on the expanded determinant."""
+    """Action on detA, computed on the expanded determinant, or on detD'.
+
+    detD' = detA Ber^-1, and E_i, F_i kill Ber^-1, whose signed weight
+    pairs are 0, so the action on detD' is (the action on detA) Ber^-1.
+    """
     if which == "dA":
         return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
-    # detD' is the q^{-1}-determinant of the y-matrix
-    m, n = shape.m, shape.n
-    out = LocalElement.zero(shape)
-    for tau, c in perm_coefficients(n, -2):
-        letters = tuple(
-            ("y", m + 1 + r, m + 1 + tau[r]) for r in range(n)
-        )
-        out = out + _act_letters_local(shape, kind, i, side, letters).scale(c)
-    return out
+    ber_inv = LocalElement(shape, {(zero_matrix(shape.size), -1, 1): ONE})
+    return _det_letter_act(shape, kind, i, side, "dA") * ber_inv
 
 
 @lru_cache(maxsize=None)
@@ -512,9 +511,6 @@ def canonical_span_check(
     either: each selected element is a unit at its own index plus p-lower
     terms, so its coordinates need only unit divisions.
     """
-    from .laurent import Variant
-    from .basis import omega_global
-
     if shape.n != 1:
         raise ValueError("span check is stated for one odd row")
     variant = variant or Variant.PLUS_Q
@@ -643,8 +639,6 @@ def adapted_basis_tworow(shape: Shape, ro, co):
             "adapted basis needs one odd row and two even rows to move "
             "boxes between"
         )
-    from .algebra import enumerate_block
-
     block = enumerate_block(shape, ro, co)
     if not block:
         return [], {}

@@ -266,6 +266,22 @@ class LinearElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def key_biweight(self, key):
+        """(row sums, column sums) of the basis element at key."""
+        raise NotImplementedError
+
+    def biweight(self):
+        """(row sums, column sums), shared by every term."""
+        bw = None
+        for key in self.terms:
+            cur = self.key_biweight(key)
+            if bw is None:
+                bw = cur
+            elif bw != cur:
+                raise NonHomogeneous(f"mixed biweights {bw} and {cur}")
+        N = self.shape.size
+        return bw if bw is not None else ((0,) * N, (0,) * N)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, type(self))
@@ -344,19 +360,9 @@ class AlgebraElement(LinearElement):
     def __repr__(self):
         return f"AlgebraElement({format_element(self)})"
 
-    def biweight(self):
-        """(row sums, column sums), shared by every term."""
+    def key_biweight(self, M):
         N = self.shape.size
-        if not self.terms:
-            return ((0,) * N, (0,) * N)
-        bw = None
-        for M in self.terms:
-            cur = (row_sums(M, N), col_sums(M, N))
-            if bw is None:
-                bw = cur
-            elif bw != cur:
-                raise NonHomogeneous(f"mixed biweights {bw} and {cur}")
-        return bw
+        return row_sums(M, N), col_sums(M, N)
 
     def degree(self) -> int:
         if not self.terms:

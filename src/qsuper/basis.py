@@ -25,6 +25,7 @@ from qsuper.algebra import (
     x_norm,
     zero_matrix,
 )
+from qsuper.superspace import covariant_minor, covariant_minor_star
 from qsuper.glq import (
     LocalElement,
     TriangularityViolation,
@@ -419,8 +420,6 @@ def covariant_shift_check(shape: Shape, omega: CBElement, r: int = None, s: int 
     Returns (index, power).  Requires the anti-diagonal zero condition
     on the index matrix.
     """
-    from qsuper.superspace import covariant_minor, covariant_minor_star
-
     if (r is None) == (s is None):
         raise ValueError("give exactly one of r (upper-right) or s (lower-left)")
     M, a, d = omega.index

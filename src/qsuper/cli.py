@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .laurent import Variant
@@ -343,6 +344,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        cap = os.environ.get("QSUPER_MAX_DEGREE")
+        if cap is not None:
+            try:
+                int(cap)
+            except ValueError:
+                raise UsageError(f"QSUPER_MAX_DEGREE must be an integer, not {cap!r}") from None
         needs_element = args.fn in (cmd_mul, cmd_bar, cmd_reduce, cmd_act)
         if needs_element and not getattr(args, "element", None):
             raise UsageError(f"{args.verb} requires --element")

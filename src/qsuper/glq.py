@@ -1,16 +1,16 @@
 """The determinant localization of the supermatrix algebra, in mixed coordinates.
 
-Internally every element is manipulated in a *raw* form, ``RawElement``:
-sums of ordered x-monomials with a power of the even-block determinant
-detA at the far right (the only inverted element the raw form needs).  Public
-elements live in the mixed normal form: monomials in the generators
-x_ij (i <= m or j <= m) and the Schur-complement entries y_uv, times
+Elements live in the mixed normal form: monomials in the generators x_ij
+(i <= m or j <= m) and the Schur-complement entries y_uv, times
 detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
-each keep at least one zero diagonal entry.  Products are computed raw
-and re-expressed over the constrained family by peeling leading terms:
-each family member is a unit times one leading monomial plus lex-lower
-monomials, so no linear system is solved; from_mixed divides by detA^K
-the same way.  Bar reverses mixed words, as on polynomials.
+each keep at least one zero diagonal entry.  The kernel computes on
+polynomials over a power of detA: y_uv = x_uv - q^-2 T_uv detA^-1 commutes
+with detA, so y_uv detA is a polynomial, and so is a mixed word with r
+y-letters times detA^r.  Products and to_mixed write g detA^-K over the
+constrained family by peeling leading terms: each member, times a power of
+detA, is a unit at one leading monomial plus lex-lower monomials, so no
+linear system is solved; from_mixed divides by detA^K the same way.  Bar
+reverses mixed words, as on polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from functools import lru_cache
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
-    QSQ_DIFF,
     _put,
     AlgebraElement,
     LinearElement,
@@ -34,6 +33,7 @@ from qsuper.algebra import (
     row_sums,
     unit_matrix,
     validate_matrix,
+    word_to_matrix,
     zero_matrix,
 )
 from qsuper.superspace import det_q_A, perm_coefficients, sub_minor_A
@@ -46,58 +46,7 @@ class TriangularityViolation(Exception):
     lower terms, so peeling leading terms cannot expand over it."""
 
 
-# -- raw form: sums of c * x^M * detA^e -------------------------------------
-
-
-class RawElement(LinearElement):
-    """Finite sum of c * x^M detA^e with x^M an ordered x-monomial; keys (M, e).
-
-    A raw form is not a normal form: one element has many raw forms (a
-    factor detA may sit inside x^M or in the exponent e), so == compares
-    formal sums only.  Compare elements through expand_raw.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def one(cls, shape: Shape) -> "RawElement":
-        return cls(shape, {(zero_matrix(shape.size), 0): ONE})
-
-    @classmethod
-    def from_alg(cls, f: AlgebraElement) -> "RawElement":
-        return cls(f.shape, {(N, 0): c for N, c in f.terms.items()})
-
-    def shift_det(self, k: int) -> "RawElement":
-        """self * detA^k."""
-        if k == 0:
-            return self
-        return RawElement(self.shape, {(N, e + k): c for (N, e), c in self.terms.items()})
-
-    def times_detDprime(self, p: int) -> "RawElement":
-        """self * detD'^p for p >= 0."""
-        if p == 0:
-            return self
-        return self * detDprime_power(self.shape, p)
-
-    def __mul__(self, other: "RawElement") -> "RawElement":
-        self._check(other)
-        shape = self.shape
-        out: dict = {}
-        for (M, e), c in other.terms.items():
-            cur = self.scale(c)
-            for letter in matrix_to_word(M, shape.size):
-                cur = raw_times_gen(shape, cur, *letter)
-            for (N, e1), c1 in cur.terms.items():
-                _put(out, (N, e1 + e), c1)
-        return RawElement(shape, out)
-
-
-def _det_push_series(e: int) -> LaurentPoly:
-    """(q^(4e) - 1)/(q^4 - 1): the geometric factor when detA^e passes a
-    lower-block generator."""
-    if e >= 0:
-        return LaurentPoly({4 * t: 1 for t in range(e)})
-    return LaurentPoly({-4 * t: -1 for t in range(1, -e + 1)})
+# -- polynomials over a power of detA ----------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -119,68 +68,6 @@ def t_correction(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     return out
 
 
-def raw_times_gen(shape: Shape, raw: RawElement, i: int, j: int) -> RawElement:
-    """Right-multiply a raw element by the generator x_ij."""
-    m = shape.m
-    gen = AlgebraElement.generator(shape, i, j)
-    out: dict = {}
-    for (N, e), c in raw.terms.items():
-        base = AlgebraElement(shape, {N: c}) * gen
-        if e == 0 or (i <= m and j <= m):
-            for N2, c2 in base.terms.items():
-                _put(out, (N2, e), c2)
-        elif i <= m or j <= m:
-            # mixed entry: detA^e x_ij = q^(2e) x_ij detA^e
-            for N2, c2 in base.terms.items():
-                _put(out, (N2, e), c2.shift(2 * e))
-        else:
-            # lower-block entry: correction term drops one detA power
-            for N2, c2 in base.terms.items():
-                _put(out, (N2, e), c2)
-            corr = AlgebraElement(shape, {N: c}) * t_correction(shape, i, j)
-            factor = QSQ_DIFF * _det_push_series(e)
-            for N2, c2 in corr.scale(factor).terms.items():
-                _put(out, (N2, e - 1), c2)
-    return RawElement(shape, out)
-
-
-@lru_cache(maxsize=None)
-def y_entry(shape: Shape, mu: int, nu: int) -> RawElement:
-    """Raw form of the Schur complement entry y_uv = x_uv - q^-2 T_uv detA^-1.
-
-    This is the unique normalization for which y_uv commutes with detA
-    and is fixed by the bar involution.
-    """
-    if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
-        raise IndexError(f"y index ({mu},{nu}) outside the lower block")
-    corr = t_correction(shape, mu, nu).scale(LaurentPoly.q_power(-2, -1))
-    return raw_times_gen(shape, RawElement.one(shape), mu, nu) + (
-        RawElement.from_alg(corr).shift_det(-1)
-    )
-
-
-@lru_cache(maxsize=None)
-def detDprime_raw(shape: Shape) -> RawElement:
-    """Raw form of the q^-1-determinant of the y-matrix."""
-    m, n = shape.m, shape.n
-    out = RawElement.zero(shape)
-    for tau, c in perm_coefficients(n, -2):
-        cur = RawElement.one(shape).scale(c)
-        for t in range(n):
-            cur = cur * y_entry(shape, m + 1 + t, m + 1 + tau[t])
-        out = out + cur
-    return out
-
-
-@lru_cache(maxsize=None)
-def detDprime_power(shape: Shape, p: int) -> RawElement:
-    if p < 0:
-        raise ValueError("raw form only supports nonnegative detD' powers")
-    if p == 0:
-        return RawElement.one(shape)
-    return detDprime_power(shape, p - 1) * detDprime_raw(shape)
-
-
 @lru_cache(maxsize=None)
 def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
     if p == 0:
@@ -188,13 +75,59 @@ def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
     return _detA_power_alg(shape, p - 1) * det_q_A(shape)
 
 
-def expand_raw(shape: Shape, raw: RawElement, K: int) -> AlgebraElement:
-    """Polynomial form of raw * detA^K; every detA power must clear."""
+@lru_cache(maxsize=None)
+def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
+    """y_uv detA = x_uv detA - q^-2 T_uv, for the Schur complement entry
+    y_uv = x_uv - q^-2 T_uv detA^-1.
+
+    This is the unique normalization for which y_uv commutes with detA
+    and is fixed by the bar involution.
+    """
+    if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
+        raise IndexError(f"y index ({mu},{nu}) outside the lower block")
+    x = AlgebraElement.generator(shape, mu, nu)
+    return x * _detA_power_alg(shape, 1) - t_correction(shape, mu, nu).scale(
+        LaurentPoly.q_power(-2)
+    )
+
+
+@lru_cache(maxsize=None)
+def word_poly(shape: Shape, M) -> AlgebraElement:
+    """W(M) detA^r, with W(M) the mixed word of M and r = y_degree(M).
+
+    W(M) has x-letters for the first three blocks and y-letters for the
+    lower-right block, in lexicographic order.  Each y-letter takes one
+    detA (y commutes with detA); a mixed x-letter after s y-letters picks
+    up q^(-2s), because x detA = q^-2 detA x.  A run of x-letters between
+    y-letters is already an ordered monomial.
+    """
+    m, N = shape.m, shape.size
+    out, run, r, power = AlgebraElement.one(shape), [], 0, 0
+    for (i, j) in matrix_to_word(M, N):
+        if i > m and j > m:
+            out = out * AlgebraElement(shape, {word_to_matrix(run, N): ONE})
+            out = out * y_times_detA(shape, i, j)
+            run, r = [], r + 1
+        else:
+            run.append((i, j))
+            power -= 2 * r * shape.gen_parity(i, j)
+    out = out * AlgebraElement(shape, {word_to_matrix(run, N): ONE})
+    return out.scale(LaurentPoly.q_power(power))
+
+
+@lru_cache(maxsize=None)
+def detDprime_poly(shape: Shape, p: int) -> AlgebraElement:
+    """(detD' detA^n)^p for p >= 0: detD' is the q^-1-determinant of the
+    y-matrix, and each of its n y-letters takes one detA."""
+    if p != 1:
+        return detDprime_poly(shape, 1) ** p
+    m, n = shape.m, shape.n
     out = AlgebraElement.zero(shape)
-    for (N, e), c in raw.terms.items():
-        if e + K < 0:
-            raise ValueError("detA power still negative; increase K")
-        out = out + (AlgebraElement(shape, {N: c}) * _detA_power_alg(shape, e + K))
+    for tau, c in perm_coefficients(n, -2):
+        cur = AlgebraElement.one(shape).scale(c)
+        for t in range(n):
+            cur = cur * y_times_detA(shape, m + 1 + t, m + 1 + tau[t])
+        out = out + cur
     return out
 
 
@@ -213,6 +146,12 @@ def mixed_degree(shape: Shape, M) -> int:
     )
 
 
+def y_degree(shape: Shape, M) -> int:
+    """Number of y-letters of the mixed word of M (its lower-block degree)."""
+    m, N = shape.m, shape.size
+    return sum(M[i * N + j] for i in range(m, N) for j in range(m, N))
+
+
 def is_constrained(shape: Shape, M) -> bool:
     """At least one zero diagonal entry in each even diagonal block."""
     N = shape.size
@@ -222,20 +161,6 @@ def is_constrained(shape: Shape, M) -> bool:
     if all(mat_entry(M, N, u, u) > 0 for u in range(m + 1, N + 1)):
         return False
     return True
-
-
-@lru_cache(maxsize=None)
-def rho(shape: Shape, M) -> RawElement:
-    """Raw form of the mixed word of M: x-letters for the first three
-    blocks, y-letters for the lower-right block, in lexicographic order."""
-    N = shape.size
-    raw = RawElement.one(shape)
-    for (i, j) in matrix_to_word(M, N):
-        if i > shape.m and j > shape.m:
-            raw = raw * y_entry(shape, i, j)
-        else:
-            raw = raw_times_gen(shape, raw, i, j)
-    return raw
 
 
 def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
@@ -258,20 +183,20 @@ def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     return out
 
 
-def express_in_basis(shape: Shape, raw: RawElement) -> dict:
-    """Write a raw element over the constrained mixed family.
+def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
+    """Coordinates of g detA^-K over the constrained mixed family.
 
     Returns dict (M, a, d) -> LaurentPoly, found by peeling leading terms
-    off rest = raw * detA^K, with K clearing every detA power.  The
-    lex-largest monomial S of rest names one member: alpha + K and delta
-    are the least diagonal entries of the A and D blocks of S, and Mt is
-    S minus both diagonal shifts (so Mt is constrained).  W(Mt) detA^alpha
-    detD'^delta detA^K is a unit at S plus lex-lower monomials, so it
-    cancels S.  The loop ends only at zero, so the coordinates are exact.
+    off rest = g.  The lex-largest monomial S of rest names one member:
+    lo_a and delta are the least diagonal entries of the A and D blocks of
+    S, and Mt is S minus both diagonal shifts (so Mt is constrained).  The
+    member W(Mt) detD'^delta detA^lo_a = word_poly(Mt) detDprime_poly(delta)
+    detA^e, e = lo_a - y_degree(Mt) - n delta, is a unit at S plus lex-lower
+    monomials, so it cancels S; when e < 0, rest is multiplied by detA^-e
+    and K grows.  The loop ends only at zero, so the coordinates are exact.
     """
-    m, N = shape.m, shape.size
-    K = max(0, -min((e for (_, e) in raw.terms), default=0))
-    rest = dict(expand_raw(shape, raw, K).terms)
+    m, n, N = shape.m, shape.n, shape.size
+    rest = dict(g.terms)
     out: dict = {}
     while rest:
         S = max(rest)
@@ -281,14 +206,14 @@ def express_in_basis(shape: Shape, raw: RawElement) -> dict:
         for i in range(N):
             Mt[i * (N + 1)] -= lo_a if i < m else delta
         Mt = tuple(Mt)
-        column = rho(shape, Mt).times_detDprime(delta).shift_det(lo_a)
-        need = max(0, -min(e for (_, e) in column.terms))
-        if need:
+        e = lo_a - y_degree(shape, Mt) - n * delta
+        if e < 0:
             # the member needs a higher clearing power: raise K for all of rest
-            rest = dict((AlgebraElement(shape, rest) * _detA_power_alg(shape, need)).terms)
-            K += need
+            rest = dict((AlgebraElement(shape, rest) * _detA_power_alg(shape, -e)).terms)
+            K -= e
             continue
-        col = expand_raw(shape, column, 0).terms
+        col = (word_poly(shape, Mt) * detDprime_poly(shape, delta)
+               * _detA_power_alg(shape, e)).terms
         u = col.get(S)
         if u is None or not u.is_unit() or max(col) != S:
             raise TriangularityViolation(f"member {Mt} is not unitriangular at {S}")
@@ -301,8 +226,17 @@ def express_in_basis(shape: Shape, raw: RawElement) -> dict:
 
 @lru_cache(maxsize=None)
 def _reduce_pair(shape: Shape, M1, M2):
-    """Constrained expansion of the word product W(M1) * W(M2)."""
-    return tuple(express_in_basis(shape, rho(shape, M1) * rho(shape, M2)).items())
+    """Constrained expansion of the word product W(M1) * W(M2).
+
+    detA^r1 W(M2) = q^(2 r1 k2) W(M2) detA^r1 with r1 = y_degree(M1) and
+    k2 = mixed_degree(M2), so W(M1) W(M2) detA^(r1 + r2) is
+    q^(-2 r1 k2) word_poly(M1) word_poly(M2).
+    """
+    r1, r2 = y_degree(shape, M1), y_degree(shape, M2)
+    g = (word_poly(shape, M1) * word_poly(shape, M2)).scale(
+        LaurentPoly.q_power(-2 * r1 * mixed_degree(shape, M2))
+    )
+    return tuple(express_in_basis(shape, g, r1 + r2).items())
 
 
 # -- public elements ---------------------------------------------------------
@@ -365,22 +299,14 @@ class LocalElement(LinearElement):
     def __repr__(self):
         return f"LocalElement({format_local(self)})"
 
-    def biweight(self):
-        N = self.shape.size
-        m, n = self.shape.m, self.shape.n
-        bw = None
-        for (M, a, d) in self.terms:
-            ro = tuple(
-                r + (a if i < m else d) for i, r in enumerate(row_sums(M, N))
-            )
-            co = tuple(
-                c + (a if j < m else d) for j, c in enumerate(col_sums(M, N))
-            )
-            if bw is None:
-                bw = (ro, co)
-            elif bw != (ro, co):
-                raise ValueError(f"mixed biweights {bw} vs {(ro, co)}")
-        return bw if bw is not None else ((0,) * N, (0,) * N)
+    def key_biweight(self, key):
+        """detA^a adds a to the first m row and column sums, detD'^d adds d
+        to the others."""
+        M, a, d = key
+        m, N = self.shape.m, self.shape.size
+        shift = (a,) * m + (d,) * (N - m)
+        return (tuple(r + s for r, s in zip(row_sums(M, N), shift)),
+                tuple(c + s for c, s in zip(col_sums(M, N), shift)))
 
     def to_json(self) -> dict:
         N = self.shape.size
@@ -425,13 +351,7 @@ class LocalElement(LinearElement):
 
 def to_mixed(f: AlgebraElement) -> LocalElement:
     """Rewrite a polynomial element over the mixed constrained family."""
-    shape = f.shape
-    out = LocalElement.zero(shape)
-    for M, c in f.terms.items():
-        # every x-word is already a raw element; reduce it blockwise
-        red = express_in_basis(shape, RawElement(shape, {(M, 0): c}))
-        out = out + LocalElement(shape, red)
-    return out
+    return LocalElement(f.shape, express_in_basis(f.shape, f, 0))
 
 
 def peel(f, column, pick_max, strictly_lower) -> dict:
@@ -462,32 +382,35 @@ def peel(f, column, pick_max, strictly_lower) -> dict:
 def from_mixed(f: LocalElement) -> AlgebraElement:
     """Inverse of to_mixed; LinearSolveFailure if f is not polynomial.
 
-    g = f detA^K is a polynomial, and x^M detA^K is a unit at M + K diag(A)
-    plus lex-lower monomials, so g / detA^K peels off g."""
-    shape = f.shape
+    g = f detA^K is a polynomial, and x^M detA is a unit at M + diag(A)
+    plus lex-lower monomials, so g / detA peels off g, K times over (one
+    detA at a time keeps each member short)."""
+    shape, n = f.shape, f.shape.n
     if any(d < 0 for (_, _, d) in f.terms):
         raise ValueError("negative detD' power has no polynomial form")
-    raw: dict = {}
+    # W(M) detA^a detD'^d = word_poly(M) detDprime_poly(d) detA^(a - r - n d)
+    lows = {key: key[1] - y_degree(shape, key[0]) - n * key[2] for key in f.terms}
+    K = max(0, -min(lows.values(), default=0))
+    g = AlgebraElement.zero(shape)
     for (M, a, d), c in f.terms.items():
-        for (N, e), c1 in rho(shape, M).times_detDprime(d).terms.items():
-            _put(raw, (N, e + a), c1 * c)
-    K = max(0, -min((e for (_, e) in raw), default=0))
-    g = expand_raw(shape, RawElement(shape, raw), K)
-    if K == 0:
-        return g
-    N, dK = shape.size, _detA_power_alg(shape, K)
+        member = (word_poly(shape, M) * detDprime_poly(shape, d)
+                  * _detA_power_alg(shape, lows[(M, a, d)] + K))
+        g = g + member.scale(c)
+    N, dA = shape.size, _detA_power_alg(shape, 1)
 
     def quotient(S):
         M = list(S)
         for t in range(shape.m):
-            M[t * (N + 1)] -= K
+            M[t * (N + 1)] -= 1
         if min(M) < 0:
             raise LinearSolveFailure("element is not divisible by detA")
         return tuple(M)
 
-    coords = peel(g, lambda S: AlgebraElement.monomial(shape, quotient(S)) * dK,
-                  max, lambda T, S: T < S)
-    return AlgebraElement(shape, {quotient(S): c for S, c in coords.items()})
+    for _ in range(K):
+        coords = peel(g, lambda S: AlgebraElement.monomial(shape, quotient(S)) * dA,
+                      max, lambda T, S: T < S)
+        g = AlgebraElement(shape, {quotient(S): c for S, c in coords.items()})
+    return g
 
 
 def bar_local(f: LocalElement) -> LocalElement:

@@ -12,7 +12,7 @@ from qsuper.algebra import (
     mat_entry,
     x_norm,
 )
-from qsuper.superspace import det_q_A, minor_star
+from qsuper.superspace import det_q_A, minor_star, perm_coefficients
 from qsuper.glq import (
     LocalElement,
     berezinian,
@@ -314,6 +314,27 @@ class TestKillIdentities:
                     assert act_right(F(i), g).is_zero()
 
 
+def permutation_detDprime_act(shape, kind, i, side):
+    """The detD' letter action that the Berezinian rule replaced, kept as
+    its reference: the action on each product of n y-letters of the
+    q^-1-determinant of the y-matrix."""
+    m, n = shape.m, shape.n
+    out = LocalElement.zero(shape)
+    for tau, c in perm_coefficients(n, -2):
+        letters = tuple(("y", m + 1 + r, m + 1 + tau[r]) for r in range(n))
+        out = out + actions._act_letters_local(shape, kind, i, side, letters).scale(c)
+    return out
+
+
+@pytest.mark.parametrize("shape", [S11, S21, S12, S22, Shape(3, 1), Shape(1, 3)])
+def test_detDprime_action_matches_permutation_sum(shape):
+    for kind in ("E", "F"):
+        for i in range(1, shape.size):
+            for side in ("L", "R"):
+                got = actions._det_letter_act(shape, kind, i, side, "dD")
+                assert got == permutation_detDprime_act(shape, kind, i, side), (kind, i, side)
+
+
 class TestLeftRightCommute:
     def test_on_random_polynomials(self):
         rng = random.Random(23)
@@ -540,7 +561,9 @@ class TestSpanCheck:
             cb = omega(shape, M, a, d, variant)
             return basis.CBElement(cb.index, cb.variant, cb.expansion + dA2)
 
+        # the check binds omega_global in actions, the reference reads basis
         monkeypatch.setattr(basis, "omega_global", shifted)
+        monkeypatch.setattr(actions, "omega_global", shifted)
         with pytest.raises(SpanMismatch, match="outside the window"):
             canonical_span_check(S21, (E(1), E(2)), max_degree=1)
         assert solve_span_check(S21, (E(1), E(2)), 1) is None

@@ -249,6 +249,17 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1"],
+        ["verify", "--suite", "relations", "--shape", "2", "1"],
+    ], ids=["inv", "verify"])
+    def test_malformed_max_degree_env_exits_2(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("QSUPER_MAX_DEGREE", "abc")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: QSUPER_MAX_DEGREE must be an integer, not 'abc'\n"
+
     def test_bad_element_inputs_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -1,31 +1,34 @@
+from functools import lru_cache
+
 import pytest
 
 from qsuper import actions, exactlinalg, glq
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
+    QSQ_DIFF,
     _put,
     AlgebraElement,
+    LinearElement,
+    NonHomogeneous,
     Shape,
     col_sums,
     degree_matrices,
     enumerate_block,
+    matrix_to_word,
     row_sums,
     unit_matrix,
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A
+from qsuper.superspace import det_q_A, perm_coefficients
 from qsuper.glq import (
     LocalElement,
     bar_local,
     berezinian,
     det_a_local,
     det_dprime_local,
-    RawElement,
     TriangularityViolation,
-    detDprime_power,
-    detDprime_raw,
-    expand_raw,
+    detDprime_poly,
     format_local,
     from_mixed,
     is_central,
@@ -33,8 +36,150 @@ from qsuper.glq import (
     sl_project,
     t_correction,
     to_mixed,
-    y_entry,
+    word_poly,
+    y_times_detA,
 )
+
+
+# -- the raw form, as the reference for the polynomial builders ---------------
+#
+# The kernel once computed in a second element algebra: sums of ordered
+# x-monomials with a power of detA at the far right, multiplied letter by
+# letter.  It is kept here as the reference that word_poly, detDprime_poly
+# and y_times_detA are pinned against, and that the oracles below run on.
+
+
+class RawElement(LinearElement):
+    """Finite sum of c * x^M detA^e with x^M an ordered x-monomial; keys (M, e).
+
+    A raw form is not a normal form: one element has many raw forms (a
+    factor detA may sit inside x^M or in the exponent e), so == compares
+    formal sums only.  Compare elements through expand_raw.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def one(cls, shape):
+        return cls(shape, {(zero_matrix(shape.size), 0): ONE})
+
+    @classmethod
+    def from_alg(cls, f):
+        return cls(f.shape, {(N, 0): c for N, c in f.terms.items()})
+
+    def shift_det(self, k):
+        """self * detA^k."""
+        if k == 0:
+            return self
+        return RawElement(self.shape, {(N, e + k): c for (N, e), c in self.terms.items()})
+
+    def times_detDprime(self, p):
+        """self * detD'^p for p >= 0."""
+        if p == 0:
+            return self
+        return self * detDprime_power(self.shape, p)
+
+    def __mul__(self, other):
+        self._check(other)
+        shape = self.shape
+        out = {}
+        for (M, e), c in other.terms.items():
+            cur = self.scale(c)
+            for letter in matrix_to_word(M, shape.size):
+                cur = raw_times_gen(shape, cur, *letter)
+            for (N, e1), c1 in cur.terms.items():
+                _put(out, (N, e1 + e), c1)
+        return RawElement(shape, out)
+
+
+def _det_push_series(e):
+    """(q^(4e) - 1)/(q^4 - 1): the geometric factor when detA^e passes a
+    lower-block generator."""
+    if e >= 0:
+        return LaurentPoly({4 * t: 1 for t in range(e)})
+    return LaurentPoly({-4 * t: -1 for t in range(1, -e + 1)})
+
+
+def raw_times_gen(shape, raw, i, j):
+    """Right-multiply a raw element by the generator x_ij."""
+    m = shape.m
+    gen = AlgebraElement.generator(shape, i, j)
+    out = {}
+    for (N, e), c in raw.terms.items():
+        base = AlgebraElement(shape, {N: c}) * gen
+        if e == 0 or (i <= m and j <= m):
+            for N2, c2 in base.terms.items():
+                _put(out, (N2, e), c2)
+        elif i <= m or j <= m:
+            # mixed entry: detA^e x_ij = q^(2e) x_ij detA^e
+            for N2, c2 in base.terms.items():
+                _put(out, (N2, e), c2.shift(2 * e))
+        else:
+            # lower-block entry: correction term drops one detA power
+            for N2, c2 in base.terms.items():
+                _put(out, (N2, e), c2)
+            corr = AlgebraElement(shape, {N: c}) * t_correction(shape, i, j)
+            factor = QSQ_DIFF * _det_push_series(e)
+            for N2, c2 in corr.scale(factor).terms.items():
+                _put(out, (N2, e - 1), c2)
+    return RawElement(shape, out)
+
+
+@lru_cache(maxsize=None)
+def y_entry(shape, mu, nu):
+    """Raw form of the Schur complement entry y_uv = x_uv - q^-2 T_uv detA^-1."""
+    if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
+        raise IndexError(f"y index ({mu},{nu}) outside the lower block")
+    corr = t_correction(shape, mu, nu).scale(LaurentPoly.q_power(-2, -1))
+    return raw_times_gen(shape, RawElement.one(shape), mu, nu) + (
+        RawElement.from_alg(corr).shift_det(-1)
+    )
+
+
+@lru_cache(maxsize=None)
+def detDprime_raw(shape):
+    """Raw form of the q^-1-determinant of the y-matrix."""
+    m, n = shape.m, shape.n
+    out = RawElement.zero(shape)
+    for tau, c in perm_coefficients(n, -2):
+        cur = RawElement.one(shape).scale(c)
+        for t in range(n):
+            cur = cur * y_entry(shape, m + 1 + t, m + 1 + tau[t])
+        out = out + cur
+    return out
+
+
+@lru_cache(maxsize=None)
+def detDprime_power(shape, p):
+    if p < 0:
+        raise ValueError("raw form only supports nonnegative detD' powers")
+    if p == 0:
+        return RawElement.one(shape)
+    return detDprime_power(shape, p - 1) * detDprime_raw(shape)
+
+
+def expand_raw(shape, raw, K):
+    """Polynomial form of raw * detA^K; every detA power must clear."""
+    out = AlgebraElement.zero(shape)
+    for (N, e), c in raw.terms.items():
+        if e + K < 0:
+            raise ValueError("detA power still negative; increase K")
+        out = out + AlgebraElement(shape, {N: c}) * glq._detA_power_alg(shape, e + K)
+    return out
+
+
+@lru_cache(maxsize=None)
+def rho(shape, M):
+    """Raw form of the mixed word of M: x-letters for the first three
+    blocks, y-letters for the lower-right block, in lexicographic order."""
+    raw = RawElement.one(shape)
+    for (i, j) in matrix_to_word(M, shape.size):
+        if i > shape.m and j > shape.m:
+            raw = raw * y_entry(shape, i, j)
+        else:
+            raw = raw_times_gen(shape, raw, i, j)
+    return raw
+
 
 S11 = Shape(1, 1)
 S21 = Shape(2, 1)
@@ -190,6 +335,43 @@ class TestCommutationProposition:
         assert is_central(berezinian(shape))
 
 
+class TestPolynomialBuilders:
+    """The kernel's polynomials over a power of detA against the raw form."""
+
+    @pytest.mark.parametrize("shape,degree", [
+        (S11, 3), (S21, 3), (S12, 3), (S22, 2), (S31, 2),
+    ])
+    def test_word_poly_matches_raw(self, shape, degree):
+        for deg in range(degree + 1):
+            for M in degree_matrices(shape, deg):
+                r = glq.y_degree(shape, M)
+                assert word_poly(shape, M) == expand_raw(shape, rho(shape, M), r), M
+
+    @pytest.mark.parametrize("shape", [S11, S21, S12, S22, S31])
+    def test_y_times_detA_matches_raw(self, shape):
+        for mu, nu in lower_pairs(shape):
+            assert y_times_detA(shape, mu, nu) == expand_raw(shape, y_entry(shape, mu, nu), 1)
+
+    @pytest.mark.parametrize("shape,top", [
+        (S11, 2), (S21, 2), (S12, 2), (S22, 1), (S31, 2),
+    ])
+    def test_detDprime_poly_matches_raw(self, shape, top):
+        # the raw detD'^2 at (2|2) takes 11 s to expand
+        n = shape.n
+        for p in range(top + 1):
+            raw = detDprime_power(shape, p)
+            assert detDprime_poly(shape, p) == expand_raw(shape, raw, n * p), p
+
+    def test_out_of_block(self):
+        for mu, nu in ((1, 3), (3, 1), (1, 1)):
+            with pytest.raises(IndexError):
+                y_times_detA(S21, mu, nu)
+
+    def test_negative_detDprime_power(self):
+        with pytest.raises(ValueError):
+            detDprime_poly(S21, -1)
+
+
 class TestMixedForm:
     def test_x22_rank_one(self):
         f = to_mixed(gen(S11, 2, 2))
@@ -270,6 +452,13 @@ class TestLocalArithmetic:
         assert berezinian(S21).biweight() == ((1, 1, -1), (1, 1, -1))
         y = LocalElement.y_gen(S21, 3, 3)
         assert y.biweight() == ((0, 0, 1), (0, 0, 1))
+        assert LocalElement.zero(S21).biweight() == ((0, 0, 0), (0, 0, 0))
+
+    def test_two_det_sectors_are_not_homogeneous(self):
+        # detA and detD' add to different row and column sums
+        f = det_a_local(S21) + det_dprime_local(S21)
+        with pytest.raises(NonHomogeneous):
+            f.biweight()
 
 
 class TestBarLocal:
@@ -333,16 +522,15 @@ def _cached_values(shape):
     m, N = shape.m, shape.size
     mats = (unit_matrix(N, 1, N), unit_matrix(N, N, N),
             word_to_matrix(((1, N), (N, 1), (N, N)), N))
-    out = {"y": y_entry(shape, N, N), "detD'": detDprime_power(shape, 1)}
+    out = {"y": y_times_detA(shape, N, N), "detD'": detDprime_poly(shape, 1)}
     for M in mats:
-        out[("rho", M)] = glq.rho(shape, M)
+        out[("word", M)] = word_poly(shape, M)
     out["y act"] = actions._y_letter_act(shape, "F", m, "L", N, N)
     out["detA act"] = actions._det_letter_act(shape, "F", m, "L", "dA")
     return out
 
 
-CACHES = (glq.y_entry, glq.rho, glq.detDprime_raw, glq.detDprime_power,
-          glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
+CACHES = (glq.y_times_detA, glq.word_poly, glq.detDprime_poly, glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
           actions._det_inverse_act)
 
 
@@ -393,7 +581,7 @@ def window_express_in_basis(shape, raw, rows, cols):
             continue
         L = max(0, -min(delta for _, _, delta in cands))
         cand_raws = [
-            glq.rho(shape, Mt).times_detDprime(delta + L).shift_det(alpha)
+            rho(shape, Mt).times_detDprime(delta + L).shift_det(alpha)
             for Mt, alpha, delta in cands
         ]
         target_raw = raw.times_detDprime(L)
@@ -431,7 +619,7 @@ def test_reduce_pair_matches_window_solver(shape):
         for M2 in letters:
             rows = tuple(a + b for a, b in zip(row_sums(M1, N), row_sums(M2, N)))
             cols = tuple(a + b for a, b in zip(col_sums(M1, N), col_sums(M2, N)))
-            raw = glq.rho(shape, M1) * glq.rho(shape, M2)
+            raw = rho(shape, M1) * rho(shape, M2)
             expect = window_express_in_basis(shape, raw, rows, cols)
             assert dict(glq._reduce_pair(shape, M1, M2)) == expect, (M1, M2)
 
@@ -439,15 +627,15 @@ def test_reduce_pair_matches_window_solver(shape):
 @pytest.mark.parametrize("corrupt", [
     lambda r: r.scale(LaurentPoly({0: 1, 2: 1})),
     lambda r: r.scale(LaurentPoly({0: 2})),
-    lambda r: r + RawElement(r.shape, {(unit_matrix(2, 1, 1), 0): ONE}),
+    lambda r: r + AlgebraElement.monomial(r.shape, unit_matrix(2, 1, 1)),
 ], ids=["lead_1_plus_q2", "lead_2", "term_above_lead"])
 def test_non_triangular_member_raises(monkeypatch, corrupt):
     # a member that is not a unit at its leading monomial, or that has a
     # monomial above it, cannot be peeled; the loop must raise, never spin
-    rho = glq.rho
-    monkeypatch.setattr(glq, "rho", lambda shape, M: corrupt(rho(shape, M)))
+    word_poly = glq.word_poly
+    monkeypatch.setattr(glq, "word_poly", lambda shape, M: corrupt(word_poly(shape, M)))
     with pytest.raises(TriangularityViolation):
-        glq.express_in_basis(S11, RawElement(S11, {(unit_matrix(2, 2, 2), 0): ONE}))
+        glq.express_in_basis(S11, AlgebraElement.monomial(S11, unit_matrix(2, 2, 2)), 0)
 
 
 # -- the clearing bar and the blockwise division, as references ---------------
@@ -457,7 +645,7 @@ def _cleared_raw(f, L):
     """Raw form of f * detD'^L; every d + L must be nonnegative."""
     raw: dict = {}
     for (M, a, d), c in f.terms.items():
-        for (N, e), c1 in glq.rho(f.shape, M).times_detDprime(d + L).terms.items():
+        for (N, e), c1 in rho(f.shape, M).times_detDprime(d + L).terms.items():
             _put(raw, (N, e + a), c1 * c)
     return RawElement(f.shape, raw)
 
