@@ -3,9 +3,11 @@
 The algebra of functions carries two commuting translation actions.  On
 generators they are given by finite tables; on products they extend by the
 coproduct rule, with the K-type factor acting diagonally by weight q-powers.
-Actions on localized elements (negative determinant powers, Schur-complement
-entries) are derived from the generator tables and the derivation rule for
-inverses, not postulated.
+One word loop applies the rule to polynomial and localized words; the two
+differ only in how a word with one letter replaced by its image multiplies
+out.  Actions on localized letters (negative determinant powers,
+Schur-complement entries) are derived from the generator tables and the
+derivation rule for inverses, not postulated.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -104,30 +106,24 @@ def epsilon(gen: GenSymbol) -> LaurentPoly:
 #     E_i F_i -+ F_i E_i = (K' - K'^{-1})/(q_i^2 - q_i^{-2}) fails;
 #   * the remaining binary choice per side is a global unit on each weight
 #     component (it never changes kernels or vanishing identities); we fix
-#     E = K-factor on the tail, F = K-factor on the head.
+#     E = K-factor on the tail, F = K-factor on the head, on both sides.
 # ---------------------------------------------------------------------------
 
-# (c_tail, c_head, signed): the letter X hits acquires K-weight factors
-# q^{2 c_tail w(suffix) + 2 c_head w(prefix)} with w the i-pair weight,
-# parity-signed when `signed` is set.
-CONVENTIONS = {
-    ("L", "E"): (-1, 0, True),
-    ("L", "F"): (0, 1, True),
-    ("R", "E"): (-1, 0, True),
-    ("R", "F"): (0, 1, True),
-}
+# kind -> (c_tail, c_head): the letter X hits acquires the K-weight factor
+# q^{2 c_tail w(suffix) + 2 c_head w(prefix)} with w the parity-signed
+# i-pair weight, on either side.
+CONVENTIONS = {"E": (-1, 0), "F": (0, 1)}
 
 
 def conventions() -> dict:
     """Human-readable record of the calibrated extension rules."""
     out = {}
-    for (side, kind), (c_tail, c_head, signed) in CONVENTIONS.items():
-        w = "row" if side == "L" else "column"
-        sgn = "parity-signed " if signed else ""
-        out[f"{side}.{kind}"] = (
-            f"q^{{2({c_tail} w(tail) + {c_head} w(head))}} with the "
-            f"{sgn}{w}-weight pair w = w_i - w_{{i+1}}"
-        )
+    for side, w in (("L", "row"), ("R", "column")):
+        for kind, (c_tail, c_head) in CONVENTIONS.items():
+            out[f"{side}.{kind}"] = (
+                f"q^{{2({c_tail} w(tail) + {c_head} w(head))}} with the "
+                f"parity-signed {w}-weight pair w = w_i - w_{{i+1}}"
+            )
     out["K"] = "K_i acts by q^{2 w_i} (row weight on the left, column on the right)"
     out["sign"] = (
         "an odd E_m/F_m picks up (-1)^{parity of the prefix} under the left "
@@ -143,72 +139,32 @@ def conventions() -> dict:
 # ---------------------------------------------------------------------------
 # letters
 #
-# A mixed monomial is a word in letters:
+# A word is a tuple of letters:
 #   ("x", i, j)   generator, any block for polynomials, upper blocks mixed
 #   ("y", mu, nu) Schur-complement entry
 #   ("dA", s), ("dD", s) with s = +-1   determinant powers
 # ---------------------------------------------------------------------------
 
 
-def _letter_parity(shape: Shape, L) -> int:
-    if L[0] == "x":
-        return shape.gen_parity(L[1], L[2])
-    return 0
-
-
-def _letter_weight(shape: Shape, L, side: str):
-    """Sparse weight vector of a letter: dict index -> multiplicity."""
+def _pair_weight(shape: Shape, L, i: int, side: str) -> int:
+    """Parity-signed w_i - w_{i+1} of one letter, w its row weight (left)
+    or column weight (right) with w_k signed by (-1)^{[k]}; detA^s and
+    detD'^s weigh s on a whole block, so their pair is s at i = m, else 0."""
     m = shape.m
     if L[0] == "x" or L[0] == "y":
         idx = L[1] if side == "L" else L[2]
-        return {idx: 1}
-    lo, hi = (1, m) if L[0] == "dA" else (m + 1, shape.size)
-    return {i: L[1] for i in range(lo, hi + 1)}
-
-
-def _weight_pair(shape: Shape, letters, i: int, side: str, signed: bool) -> int:
-    """w_i - w_{i+1} summed over a run of letters, parity-signed on demand."""
-    si = (-1) ** shape.parity(i) if signed else 1
-    sj = (-1) ** shape.parity(i + 1) if signed else 1
-    total = 0
-    for L in letters:
-        w = _letter_weight(shape, L, side)
-        total += si * w.get(i, 0) - sj * w.get(i + 1, 0)
-    return total
-
-
-def _parity_run(shape: Shape, letters) -> int:
-    return sum(_letter_parity(shape, L) for L in letters) % 2
-
-
-def _pass_sign(shape: Shape, side: str, i: int, prefix, suffix) -> int:
-    """Koszul sign for an odd E_m/F_m passing the factors it skips.
-
-    The left action threads through the word from the left, the right action
-    from the right; the sign counts the odd letters passed accordingly.
-    """
-    if i != shape.m:
-        return 1
-    run = prefix if side == "L" else suffix
-    return (-1) ** _parity_run(shape, run)
-
-
-def _poly_letters(shape: Shape, M):
-    return tuple(("x", i, j) for i, j in matrix_to_word(M, shape.size))
+        if idx == i:
+            return -1 if i > m else 1
+        return (1 if i >= m else -1) if idx == i + 1 else 0
+    return L[1] if i == m else 0
 
 
 def _mixed_letters(shape: Shape, M, a: int, d: int):
-    m, N = shape.m, shape.size
-    letters = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            e = mat_entry(M, N, i, j)
-            kind = "y" if (i > m and j > m) else "x"
-            letters.extend([(kind, i, j)] * e)
-    sa = 1 if a >= 0 else -1
-    letters.extend([("dA", sa)] * abs(a))
-    sd = 1 if d >= 0 else -1
-    letters.extend([("dD", sd)] * abs(d))
+    m = shape.m
+    letters = [("y" if i > m and j > m else "x", i, j)
+               for i, j in matrix_to_word(M, shape.size)]
+    letters += [("dA", 1 if a >= 0 else -1)] * abs(a)
+    letters += [("dD", 1 if d >= 0 else -1)] * abs(d)
     return tuple(letters)
 
 
@@ -218,10 +174,6 @@ def _x_local(shape: Shape, i: int, j: int) -> LocalElement:
     return LocalElement.x_gen(shape, i, j)
 
 
-def _letters_poly(shape: Shape, letters) -> AlgebraElement:
-    return AlgebraElement.from_word(shape, [(L[1], L[2]) for L in letters])
-
-
 def _letters_local(shape: Shape, letters) -> LocalElement:
     out = LocalElement.one(shape)
     for L in letters:
@@ -229,10 +181,9 @@ def _letters_local(shape: Shape, letters) -> LocalElement:
             out = out * _x_local(shape, L[1], L[2])
         elif L[0] == "y":
             out = out * LocalElement.y_gen(shape, L[1], L[2])
-        elif L[0] == "dA":
-            out = out * LocalElement(shape, {(zero_matrix(shape.size), L[1], 0): ONE})
         else:
-            out = out * LocalElement(shape, {(zero_matrix(shape.size), 0, L[1]): ONE})
+            a, d = (L[1], 0) if L[0] == "dA" else (0, L[1])
+            out = out * LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
     return out
 
 
@@ -270,12 +221,12 @@ def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
     corr = f - LocalElement.y_gen(shape, mu, nu)
     # y = x - corr, so the action is the table action on the letter x_{mu,nu}
     # minus the action on the correction (x letters + dA^{-1})
-    head = _act_letters_local(shape, kind, i, side, (("x", mu, nu),))
+    head = _act_word(shape, kind, i, side, (("x", mu, nu),), LocalElement)
     tail = LocalElement.zero(shape)
     for (M, a, d), c in corr.terms.items():
         letters = _mixed_letters(shape, M, a, d)
         assert all(L[0] not in ("y", "dD") for L in letters)
-        tail = tail + _act_letters_local(shape, kind, i, side, letters).scale(c)
+        tail = tail + _act_word(shape, kind, i, side, letters, LocalElement).scale(c)
     return head - tail
 
 
@@ -302,9 +253,8 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str, which: str):
     hit = _det_letter_act(shape, kind, i, side, which)
     if hit.is_zero():
         return hit
-    c_tail, c_head, signed = CONVENTIONS[(side, kind)]
-    u_letter = (which, 1)
-    w = _weight_pair(shape, (u_letter,), i, side, signed)
+    c_tail, c_head = CONVENTIONS[kind]
+    w = _pair_weight(shape, (which, 1), i, side)
     a, d = (-1, 0) if which == "dA" else (0, -1)
     inv = LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
     return (inv * hit * inv).scale(
@@ -317,90 +267,72 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str, which: str):
 # ---------------------------------------------------------------------------
 
 
-def _conv_power(shape, side, kind, i, prefix, suffix) -> int:
-    c_tail, c_head, signed = CONVENTIONS[(side, kind)]
-    power = 0
-    if c_tail:
-        power += 2 * c_tail * _weight_pair(shape, suffix, i, side, signed)
-    if c_head:
-        power += 2 * c_head * _weight_pair(shape, prefix, i, side, signed)
-    return power
+def _act_word(shape, kind, i, side, letters, cls):
+    """E_i/F_i on one word by the coproduct rule, as a cls element.
 
-
-def _act_letters_poly(shape, kind, i, side, letters) -> AlgebraElement:
-    out = AlgebraElement.zero(shape)
+    Each letter's pair weight and parity are read once.  The term of
+    position p is the word with letter p replaced by its image, times
+    q^(2 c_tail w(suffix) + 2 c_head w(prefix)); an odd E_m/F_m also
+    gives (-1)^(parity of the prefix) on the left, of the suffix on the
+    right.  A polynomial term is one straightening; a localized one is
+    the product prefix * image * suffix of LocalElements.
+    """
+    c_tail, c_head = CONVENTIONS[kind]
+    local, m = cls is LocalElement, shape.m
+    weights = [_pair_weight(shape, L, i, side) for L in letters]
+    parities = [L[0] == "x" and (L[1] > m) != (L[2] > m) for L in letters]
+    head_w, tail_w, head_par, tail_par = 0, sum(weights), 0, sum(parities)
+    out = cls.zero(shape)
     for p, L in enumerate(letters):
-        hit = _x_letter_act(shape, kind, i, side, L[1], L[2])
-        if hit is None:
-            continue
-        prefix, suffix = letters[:p], letters[p + 1 :]
-        power = _conv_power(shape, side, kind, i, prefix, suffix)
-        sign = _pass_sign(shape, side, i, prefix, suffix)
-        term = _letters_poly(shape, prefix + (hit,) + suffix)
-        out = out + term.scale(LaurentPoly.q_power(power, sign))
-    return out
-
-
-def _act_letters_local(shape, kind, i, side, letters) -> LocalElement:
-    out = LocalElement.zero(shape)
-    for p, L in enumerate(letters):
+        tail_w -= weights[p]
+        tail_par -= parities[p]
         if L[0] == "x":
-            hit = _x_letter_act(shape, kind, i, side, L[1], L[2])
-            hit_elem = None if hit is None else _x_local(shape, hit[1], hit[2])
+            image = _x_letter_act(shape, kind, i, side, L[1], L[2])
+            if local and image is not None:
+                image = _x_local(shape, image[1], image[2])
         elif L[0] == "y":
-            hit_elem = _y_letter_act(shape, kind, i, side, L[1], L[2])
+            image = _y_letter_act(shape, kind, i, side, L[1], L[2])
         elif L[1] == 1:
-            hit_elem = _det_letter_act(shape, kind, i, side, L[0])
+            image = _det_letter_act(shape, kind, i, side, L[0])
         else:
-            hit_elem = _det_inverse_act(shape, kind, i, side, L[0])
-        if hit_elem is None or hit_elem.is_zero():
-            continue
-        prefix, suffix = letters[:p], letters[p + 1 :]
-        power = _conv_power(shape, side, kind, i, prefix, suffix)
-        sign = _pass_sign(shape, side, i, prefix, suffix)
-        term = _letters_local(shape, prefix) * hit_elem * _letters_local(
-            shape, suffix
-        )
-        out = out + term.scale(LaurentPoly.q_power(power, sign))
+            image = _det_inverse_act(shape, kind, i, side, L[0])
+        if image is not None and not (local and image.is_zero()):
+            run = head_par if side == "L" else tail_par
+            c = LaurentPoly.q_power(2 * (c_tail * tail_w + c_head * head_w),
+                                    (-1) ** run if i == m else 1)
+            if local:
+                term = (_letters_local(shape, letters[:p]) * image
+                        * _letters_local(shape, letters[p + 1:])).scale(c)
+            else:
+                word = [T[1:] for T in letters[:p] + (image,) + letters[p + 1:]]
+                term = AlgebraElement.from_word(shape, word, c)
+            out = out + term
+        head_w += weights[p]
+        head_par += parities[p]
     return out
 
 
 def _act_terms(shape, kind, i, side, f):
     """E_i/F_i on a polynomial or localized element, word by word."""
-    out = type(f).zero(shape)
+    cls = type(f)
+    out = cls.zero(shape)
     for key, coeff in f.terms.items():
-        if isinstance(f, AlgebraElement):
-            hit = _act_letters_poly(shape, kind, i, side, _poly_letters(shape, key))
+        if cls is LocalElement:
+            letters = _mixed_letters(shape, *key)
         else:
-            hit = _act_letters_local(shape, kind, i, side, _mixed_letters(shape, *key))
-        out = out + hit.scale(coeff)
+            letters = tuple(("x", *g) for g in matrix_to_word(key, shape.size))
+        out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
     return out
-
-
-def _weight_of(shape, key, side: str, i: int) -> int:
-    """K_i exponent of a basis monomial (row or column weight entry)."""
-    if isinstance(key, tuple) and len(key) == 3:
-        M, a, d = key
-    else:
-        M, a, d = key, 0, 0
-    N, m = shape.size, shape.m
-    if side == "L":
-        w = sum(mat_entry(M, N, i, j) for j in range(1, N + 1))
-    else:
-        w = sum(mat_entry(M, N, k, i) for k in range(1, N + 1))
-    if i <= m:
-        w += a
-    else:
-        w += d
-    return w
 
 
 def _act(gen: GenSymbol, f, side: str):
     shape = f.shape
     if gen.validate(shape).kind in ("K", "Kinv"):
+        # the K_i exponent is entry i of the row (left) or column (right) sums
         s = 1 if gen.kind == "K" else -1
+        axis = 0 if side == "L" else 1
         return type(f)(shape, {
-            key: c * LaurentPoly.q_power(2 * s * _weight_of(shape, key, side, gen.index))
+            key: c * LaurentPoly.q_power(2 * s * f.key_biweight(key)[axis][gen.index - 1])
             for key, c in f.terms.items()
         })
     return _act_terms(shape, gen.kind, gen.index, side, f)
@@ -579,19 +511,20 @@ class AdaptedElement:
             M[N + k - 1] += e
         return tuple(M)
 
-    def expansion(self) -> AlgebraElement:
+    def inert(self) -> AlgebraElement:
+        """The minors product times the tail, untouched by the two-row
+        Kashiwara operators."""
         shape = self.shape
-        N = shape.size
-        stair = list(self.staircase) + [0] * (N * (N - 2))
-        f = x_norm(shape, tuple(stair)).scale(
-            LaurentPoly.q_power(self.power)
-        )
+        f = AlgebraElement.one(shape)
         for (j, k), e in self.minors:
             for _ in range(e):
                 f = f * _minor(shape, j, k)
-        tail_m = [0] * (2 * N) + list(self.tail)
-        f = f * x_norm(shape, tuple(tail_m))
-        return f
+        return f * x_norm(shape, (0,) * (2 * shape.size) + self.tail)
+
+    def expansion(self) -> AlgebraElement:
+        return _tworow_symbol(self.shape, self.staircase).scale(
+            LaurentPoly.q_power(self.power)
+        ) * self.inert()
 
 
 def decompose_tworow(shape: Shape, M) -> AdaptedElement:
@@ -642,7 +575,7 @@ def adapted_basis_tworow(shape: Shape, ro, co):
     block = enumerate_block(shape, ro, co)
     if not block:
         return [], {}
-    elements = []
+    elements, expansions = [], []
     for M in block:
         cand = decompose_tworow(shape, M)
         assert cand.leading_matrix() == M
@@ -656,9 +589,10 @@ def adapted_basis_tworow(shape: Shape, ro, co):
         elements.append(
             AdaptedElement(shape, -exp, cand.staircase, cand.minors, cand.tail)
         )
+        # the element's expansion is the candidate's, rescaled by q^-exp
+        expansions.append(f.scale(LaurentPoly.q_power(-exp)))
     transition = {}
-    for el in elements:
-        f = el.expansion()
+    for el, f in zip(elements, expansions):
         row = {}
         for M in block:
             c = f.coeff(M).divexact(x_norm(shape, M).terms[M])
@@ -721,10 +655,4 @@ def _kashiwara(el: AdaptedElement, raise_: bool) -> AlgebraElement:
         out = out + _tworow_symbol(shape, stair).scale(
             LaurentPoly.q_power(power)
         )
-    inert = AlgebraElement.one(shape)
-    for (j, k), e in el.minors:
-        for _ in range(e):
-            inert = inert * _minor(shape, j, k)
-    tail_m = [0] * (2 * N) + list(el.tail)
-    inert = inert * x_norm(shape, tuple(tail_m))
-    return out.scale(LaurentPoly.q_power(el.power)) * inert
+    return out.scale(LaurentPoly.q_power(el.power)) * el.inert()

@@ -48,6 +48,12 @@ class Shape:
     def gen_parity(self, i: int, j: int) -> int:
         return (self.parity(i) + self.parity(j)) % 2
 
+    @classmethod
+    def from_json(cls, obj: dict) -> "Shape":
+        if type(obj["m"]) is not int or type(obj["n"]) is not int:
+            raise ValueError("m and n must be integers")
+        return cls(obj["m"], obj["n"])
+
     def generators(self):
         N = self.size
         return [(i, j) for i in range(1, N + 1) for j in range(1, N + 1)]
@@ -60,8 +66,16 @@ def mat_entry(M, N, i, j):
     return M[(i - 1) * N + (j - 1)]
 
 
-def mat_from_rows(rows):
-    return tuple(v for row in rows for v in row)
+def mat_from_json(shape: Shape, rows):
+    """The flat matrix of a JSON list of N rows of N integers, validated."""
+    N = shape.size
+    if not (isinstance(rows, list) and len(rows) == N and all(
+            isinstance(r, list) and len(r) == N and all(type(v) is int for v in r)
+            for r in rows)):
+        raise ValueError(f"matrix must be {N} rows of {N} integers")
+    M = tuple(v for row in rows for v in row)
+    validate_matrix(shape, M)
+    return M
 
 
 def mat_rows(M, N):
@@ -162,6 +176,17 @@ def _pair_rule(shape: Shape, g1, g2):
     return (((g2, g1), LaurentPoly.from_int(s1)), (((k, j), (i, l)), corr))
 
 
+def _put(terms, key, c):
+    """terms[key] += c, dropping the key when the sum is zero; c is a
+    LaurentPoly or an element."""
+    s = terms.get(key)
+    s = c if s is None else s + c
+    if s.terms:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
 def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
     """Normal form of a generator word: dict matrix -> LaurentPoly."""
     out: dict = {}
@@ -177,12 +202,7 @@ def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
                 pos = t
                 break
         if pos < 0:
-            key = word_to_matrix(w, N)
-            s = out.get(key, LaurentPoly.zero()) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _put(out, word_to_matrix(w, N), c)
             continue
         head, tail = w[:pos], w[pos + 2 :]
         for pair, pc in _pair_rule(shape, w[pos], w[pos + 1]):
@@ -193,17 +213,6 @@ def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
 @lru_cache(maxsize=200000)
 def _straighten_cached(shape: Shape, word):
     return tuple(sorted(straighten_word(shape, word).items()))
-
-
-def _put(terms, key, c):
-    """terms[key] += c, dropping the key when the sum is zero; c is a
-    LaurentPoly or an element."""
-    s = terms.get(key)
-    s = c if s is None else s + c
-    if s.terms:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
 
 
 class LinearElement:
@@ -235,11 +244,7 @@ class LinearElement:
         self._check(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key, LaurentPoly.zero()) + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            _put(terms, key, c)
         return type(self)(self.shape, terms)
 
     def __neg__(self):
@@ -328,11 +333,7 @@ class AlgebraElement(LinearElement):
             for M2, c2 in other.terms.items():
                 c = c1 * c2
                 for key, sc in _straighten_cached(self.shape, w1 + matrix_to_word(M2, N)):
-                    s = terms.get(key, LaurentPoly.zero()) + sc * c
-                    if s.is_zero():
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = s
+                    _put(terms, key, sc * c)
         return AlgebraElement(self.shape, terms)
 
     def bar(self) -> "AlgebraElement":
@@ -345,11 +346,7 @@ class AlgebraElement(LinearElement):
             sign = (-1) ** (odd * (odd - 1) // 2)
             cb = c.bar().scale(sign)
             for key, sc in _straighten_cached(self.shape, word[::-1]):
-                s = terms.get(key, LaurentPoly.zero()) + sc * cb
-                if s.is_zero():
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                _put(terms, key, sc * cb)
         return AlgebraElement(self.shape, terms)
 
     # -- views ------------------------------------------------------------
@@ -393,15 +390,11 @@ class AlgebraElement(LinearElement):
 
     @classmethod
     def from_json(cls, obj: dict) -> "AlgebraElement":
-        shape = Shape(obj["m"], obj["n"])
-        terms = {
-            mat_from_rows(t["matrix"]): LaurentPoly.from_json(t["coeff"])
+        shape = Shape.from_json(obj)
+        return cls(shape, {
+            mat_from_json(shape, t["matrix"]): LaurentPoly.from_json(t["coeff"])
             for t in obj["terms"]
-        }
-        f = cls(shape, terms)
-        for M in f.terms:
-            validate_matrix(shape, M)
-        return f
+        })
 
 
 def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:

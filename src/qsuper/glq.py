@@ -27,12 +27,11 @@ from qsuper.algebra import (
     enumerate_block,
     format_terms,
     mat_entry,
-    mat_from_rows,
+    mat_from_json,
     mat_rows,
     matrix_to_word,
     row_sums,
     unit_matrix,
-    validate_matrix,
     word_to_matrix,
     zero_matrix,
 )
@@ -288,12 +287,7 @@ class LocalElement(LinearElement):
                 qfac = LaurentPoly.q_power(2 * (a + d) * mixed_degree(shape, M2))
                 c = c1 * c2 * qfac
                 for (Mt, alpha, delta), r in _reduce_pair(shape, M1, M2):
-                    key = (Mt, alpha + a + a2, delta + d + d2)
-                    s = out.get(key, LaurentPoly.zero()) + r * c
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
         return LocalElement(self.shape, out)
 
     def __repr__(self):
@@ -333,11 +327,10 @@ class LocalElement(LinearElement):
     def parse_json(obj: dict):
         """(shape, [(M, a, d, coeff)]) with every term validated and none
         reduced yet."""
-        shape = Shape(obj["m"], obj["n"])
+        shape = Shape.from_json(obj)
         terms = []
         for t in obj["terms"]:
-            M = mat_from_rows(t["matrix"])
-            validate_matrix(shape, M)
+            M = mat_from_json(shape, t["matrix"])
             if type(t["a"]) is not int or type(t["d"]) is not int:
                 raise TypeError("det powers must be integers")
             terms.append((M, t["a"], t["d"], LaurentPoly.from_json(t["coeff"])))

@@ -236,7 +236,12 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in obj.items()})
+        """Inverse of to_json; ValueError unless every key is an exponent as
+        to_json writes it and every coefficient is an int."""
+        if not isinstance(obj, dict) or any(
+                type(c) is not int or e != str(int(e)) for e, c in obj.items()):
+            raise ValueError(f"coefficient {obj!r} must map exponents to integers")
+        return cls({int(e): c for e, c in obj.items()})
 
 
 ZERO = LaurentPoly.zero()

@@ -322,7 +322,7 @@ def permutation_detDprime_act(shape, kind, i, side):
     out = LocalElement.zero(shape)
     for tau, c in perm_coefficients(n, -2):
         letters = tuple(("y", m + 1 + r, m + 1 + tau[r]) for r in range(n))
-        out = out + actions._act_letters_local(shape, kind, i, side, letters).scale(c)
+        out = out + actions._act_word(shape, kind, i, side, letters, LocalElement).scale(c)
     return out
 
 

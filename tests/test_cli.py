@@ -278,6 +278,34 @@ class TestExitCodes:
         assert main(["act", "--gen", "E3", "--side", "left",
                      "--element", str(a)]) == 2
 
+    @pytest.mark.parametrize("coords", ["poly", "mixed"])
+    @pytest.mark.parametrize("m,matrix,coeff", [
+        (1, [[1, 0], [0, 0]], {"0": 1.5}),
+        (1, [[1, 0], [0, 0]], {"0": True}),
+        (1, [[1, 0], [0, 0]], {"1": "2"}),
+        (1, [[1.0, 0], [0, 0]], {"0": 1}),
+        (1, [[1, 0, 0], [0]], {"0": 1}),
+        (1, [[True, 0], [0, 0]], {"0": 1}),
+        (1, [[1, 0], [0, 0]], {"1_0": 1}),
+        (1, [[1, 0], [0, 0]], {" 2": 1}),
+        (True, [[1, 0], [0, 0]], {"0": 1}),
+    ], ids=["float_coeff", "bool_coeff", "string_coeff", "float_entry",
+            "ragged_matrix", "bool_entry", "underscore_exponent",
+            "spaced_exponent", "bool_shape"])
+    def test_non_integer_element_json_exits_2(self, m, matrix, coeff, coords,
+                                              tmp_path, capsys):
+        term = {"matrix": matrix, "coeff": coeff}
+        obj = {"m": m, "n": 1, "terms": [term]}
+        if coords == "mixed":
+            obj["coords"] = "mixed"
+            term.update(a=0, d=0)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["bar", "--element", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad element ")
+
     def test_fault_while_reducing_an_input_exits_3(self, tmp_path, capsys,
                                                    monkeypatch):
         # x11*y22 at (1|1) is unconstrained, so loading it runs the reduction

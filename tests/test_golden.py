@@ -66,6 +66,13 @@ CASES = {**_shape_cases(1, 1), **_shape_cases(2, 1), **_shape_cases(1, 2)}
 # at (1|2) and (2|2) a y-letter precedes a lower-left x-letter or another
 # y-letter of a later row, which (1|1) and (2|1) never show
 CASES["reduce_cube_22"] = ["reduce", "--element", "@cube22", "--format", "text"]
+# the odd E_2/F_2 at (2|2) on both sides: the prefix sign of the left action
+# and the suffix sign of the right action on a localized element
+for _gen in ("E2", "F2"):
+    for _side in ("left", "right"):
+        CASES[f"act_{_gen}_{_side}_local_22"] = [
+            "act", "--gen", _gen, "--side", _side, "--element", "@local22",
+            "--format", "text"]
 for _ro, _co in (("1,1,1", "1,1,1"), ("1,1,0", "1,0,1")):
     for _variant in ("q", "qinv"):
         _name = f"cb_{_ro.replace(',', '')}_{_co.replace(',', '')}_{_variant}"

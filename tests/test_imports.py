@@ -1,12 +1,20 @@
-"""Every module-level import of a test or kernel file is used in that file."""
+"""Every module-level import of a test or kernel file is used in that file,
+and every top-level definition of the kernel is read somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).parents[1]
 TEST_FILES = sorted(Path(__file__).parent.glob("*.py"))
-SRC_FILES = sorted((Path(__file__).parents[1] / "src" / "qsuper").glob("*.py"))
+SRC_FILES = sorted((ROOT / "src" / "qsuper").glob("*.py"))
+# the files whose reads keep a kernel definition alive
+READER_FILES = sorted(
+    p for d in ("src", "tests", "qbench") for p in (ROOT / d).rglob("*.py")
+)
+# (file, name) -> why the definition needs no reader
+ENTRY_POINTS = {("cli.py", "main"): "the pyproject.toml console script"}
 
 # (file, name) -> why the unused import stays bound
 ALLOWED_UNUSED = {
@@ -47,3 +55,57 @@ def test_checker_finds_unused_imports():
         "    return pi + qsuper.glq.ONE\n"
     )
     assert unused_imports(source) == ["os (line 2)", "osp (line 2)", "turn (line 3)"]
+
+
+def reads(source: str) -> set:
+    """Names read by an ast.Name, an ast.Attribute or an import alias,
+    except a top-level definition's reads of its own name."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name != own:
+                out.add(name)
+    return out
+
+
+def unread_definitions(source: str, read: set) -> list:
+    """Top-level functions and classes of source whose name is not in read."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [f"{node.name} (line {node.lineno})" for node in ast.parse(source).body
+            if isinstance(node, defs) and node.name not in read]
+
+
+def test_every_kernel_definition_is_read():
+    read = set().union(*(reads(p.read_text()) for p in READER_FILES))
+    unread = {
+        (path.name, entry.split()[0])
+        for path in SRC_FILES
+        for entry in unread_definitions(path.read_text(), read)
+    }
+    assert unread - set(ENTRY_POINTS) == set()
+
+
+def test_checker_finds_unread_definitions():
+    module = (
+        "import os\n"
+        "def used(): return os.sep\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Lonely:\n"
+        "    def make(self): return Lonely()\n"
+        "def attr(): return 1\n"
+        "def imported(): return 2\n"
+        "def caller(): return used()\n"
+    )
+    other = "from mod import imported\nimport mod\nmod.attr()\ncaller = 3\n"
+    read = reads(module) | reads(other)
+    assert unread_definitions(module, read) == [
+        "recursive (line 3)", "Lonely (line 4)", "caller (line 8)"]
