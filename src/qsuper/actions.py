@@ -5,9 +5,11 @@ generators they are given by finite tables; on products they extend by the
 coproduct rule, with the K-type factor acting diagonally by weight q-powers.
 One word loop applies the rule to polynomial and localized words; the two
 differ only in how a word with one letter replaced by its image multiplies
-out.  Actions on localized letters (negative determinant powers,
-Schur-complement entries) are derived from the generator tables and the
-derivation rule for inverses, not postulated.
+out.  Actions on localized letters (detA^-1, Schur-complement entries) are
+derived from the generator tables and the derivation rule for inverses,
+not postulated.  Powers of detD' act through the Berezinian: the key
+W(M) detA^a detD'^d is W(M) detA^(a+d) times Ber^-d, and Ber is central,
+even, of weight zero and killed by every E_i and F_i.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -28,6 +30,7 @@ from .algebra import (
     mat_entry,
     matrix_to_word,
     row_sums,
+    word_to_matrix,
     x_norm,
     zero_matrix,
 )
@@ -142,14 +145,14 @@ def conventions() -> dict:
 # A word is a tuple of letters:
 #   ("x", i, j)   generator, any block for polynomials, upper blocks mixed
 #   ("y", mu, nu) Schur-complement entry
-#   ("dA", s), ("dD", s) with s = +-1   determinant powers
+#   ("dA", s) with s = +-1        a power of detA
 # ---------------------------------------------------------------------------
 
 
 def _pair_weight(shape: Shape, L, i: int, side: str) -> int:
     """Parity-signed w_i - w_{i+1} of one letter, w its row weight (left)
-    or column weight (right) with w_k signed by (-1)^{[k]}; detA^s and
-    detD'^s weigh s on a whole block, so their pair is s at i = m, else 0."""
+    or column weight (right) with w_k signed by (-1)^{[k]}; detA^s weighs s
+    on the first m rows and columns, so its pair is s at i = m, else 0."""
     m = shape.m
     if L[0] == "x" or L[0] == "y":
         idx = L[1] if side == "L" else L[2]
@@ -159,13 +162,13 @@ def _pair_weight(shape: Shape, L, i: int, side: str) -> int:
     return L[1] if i == m else 0
 
 
-def _mixed_letters(shape: Shape, M, a: int, d: int):
+def _mixed_letters(shape: Shape, M, a: int):
+    """The word of W(M) detA^a: x- and y-letters in lexicographic order,
+    then the detA letters, so each run of it is W(M_run) detA^(a_run)."""
     m = shape.m
     letters = [("y" if i > m and j > m else "x", i, j)
                for i, j in matrix_to_word(M, shape.size)]
-    letters += [("dA", 1 if a >= 0 else -1)] * abs(a)
-    letters += [("dD", 1 if d >= 0 else -1)] * abs(d)
-    return tuple(letters)
+    return tuple(letters + [("dA", 1 if a >= 0 else -1)] * abs(a))
 
 
 def _x_local(shape: Shape, i: int, j: int) -> LocalElement:
@@ -175,16 +178,9 @@ def _x_local(shape: Shape, i: int, j: int) -> LocalElement:
 
 
 def _letters_local(shape: Shape, letters) -> LocalElement:
-    out = LocalElement.one(shape)
-    for L in letters:
-        if L[0] == "x":
-            out = out * _x_local(shape, L[1], L[2])
-        elif L[0] == "y":
-            out = out * LocalElement.y_gen(shape, L[1], L[2])
-        else:
-            a, d = (L[1], 0) if L[0] == "dA" else (0, L[1])
-            out = out * LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
-    return out
+    """A run of a mixed word, W(M_run) detA^(a_run), as one monomial."""
+    M = word_to_matrix([L[1:] for L in letters if L[0] != "dA"], shape.size)
+    return LocalElement.monomial(shape, M, sum(L[1] for L in letters if L[0] == "dA"))
 
 
 # ---------------------------------------------------------------------------
@@ -224,39 +220,31 @@ def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
     head = _act_word(shape, kind, i, side, (("x", mu, nu),), LocalElement)
     tail = LocalElement.zero(shape)
     for (M, a, d), c in corr.terms.items():
-        letters = _mixed_letters(shape, M, a, d)
-        assert all(L[0] not in ("y", "dD") for L in letters)
+        letters = _mixed_letters(shape, M, a)
+        assert d == 0 and all(L[0] != "y" for L in letters)
         tail = tail + _act_word(shape, kind, i, side, letters, LocalElement).scale(c)
     return head - tail
 
 
 @lru_cache(maxsize=None)
-def _det_letter_act(shape: Shape, kind: str, i: int, side: str, which: str):
-    """Action on detA, computed on the expanded determinant, or on detD'.
-
-    detD' = detA Ber^-1, and E_i, F_i kill Ber^-1, whose signed weight
-    pairs are 0, so the action on detD' is (the action on detA) Ber^-1.
-    """
-    if which == "dA":
-        return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
-    ber_inv = LocalElement(shape, {(zero_matrix(shape.size), -1, 1): ONE})
-    return _det_letter_act(shape, kind, i, side, "dA") * ber_inv
+def _det_letter_act(shape: Shape, kind: str, i: int, side: str):
+    """Action on detA, computed on the expanded determinant."""
+    return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
 
 
 @lru_cache(maxsize=None)
-def _det_inverse_act(shape: Shape, kind: str, i: int, side: str, which: str):
-    """Action on detA^{-1} or detD'^{-1} via the derivation rule.
+def _det_inverse_act(shape: Shape, kind: str, i: int, side: str):
+    """Action on detA^{-1} via the derivation rule.
 
     From X.(u u^{-1}) = 0:  X.u^{-1} = -q^{-2(c_head + c_tail) w(u)}
-    u^{-1} (X.u) u^{-1}, with w(u) the K-pair weight of u.
+    u^{-1} (X.u) u^{-1}, with u = detA and w(u) its K-pair weight.
     """
-    hit = _det_letter_act(shape, kind, i, side, which)
+    hit = _det_letter_act(shape, kind, i, side)
     if hit.is_zero():
         return hit
     c_tail, c_head = CONVENTIONS[kind]
-    w = _pair_weight(shape, (which, 1), i, side)
-    a, d = (-1, 0) if which == "dA" else (0, -1)
-    inv = LocalElement(shape, {(zero_matrix(shape.size), a, d): ONE})
+    w = _pair_weight(shape, ("dA", 1), i, side)
+    inv = LocalElement(shape, {(zero_matrix(shape.size), -1, 0): ONE})
     return (inv * hit * inv).scale(
         LaurentPoly.q_power(-2 * (c_tail + c_head) * w, -1)
     )
@@ -275,7 +263,8 @@ def _act_word(shape, kind, i, side, letters, cls):
     q^(2 c_tail w(suffix) + 2 c_head w(prefix)); an odd E_m/F_m also
     gives (-1)^(parity of the prefix) on the left, of the suffix on the
     right.  A polynomial term is one straightening; a localized one is
-    the product prefix * image * suffix of LocalElements.
+    the product prefix * image * suffix, with prefix and suffix one
+    monomial each.
     """
     c_tail, c_head = CONVENTIONS[kind]
     local, m = cls is LocalElement, shape.m
@@ -293,9 +282,9 @@ def _act_word(shape, kind, i, side, letters, cls):
         elif L[0] == "y":
             image = _y_letter_act(shape, kind, i, side, L[1], L[2])
         elif L[1] == 1:
-            image = _det_letter_act(shape, kind, i, side, L[0])
+            image = _det_letter_act(shape, kind, i, side)
         else:
-            image = _det_inverse_act(shape, kind, i, side, L[0])
+            image = _det_inverse_act(shape, kind, i, side)
         if image is not None and not (local and image.is_zero()):
             run = head_par if side == "L" else tail_par
             c = LaurentPoly.q_power(2 * (c_tail * tail_w + c_head * head_w),
@@ -313,15 +302,20 @@ def _act_word(shape, kind, i, side, letters, cls):
 
 
 def _act_terms(shape, kind, i, side, f):
-    """E_i/F_i on a polynomial or localized element, word by word."""
+    """E_i/F_i on a polynomial or localized element, word by word; a key
+    (M, a, d) is acted on as W(M) detA^(a+d), and the image is multiplied
+    by Ber^-d = detA^-d detD'^d, which shifts the det powers of its keys."""
     cls = type(f)
     out = cls.zero(shape)
     for key, coeff in f.terms.items():
-        if cls is LocalElement:
-            letters = _mixed_letters(shape, *key)
-        else:
+        if cls is AlgebraElement:
             letters = tuple(("x", *g) for g in matrix_to_word(key, shape.size))
-        out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
+            out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
+        else:
+            M, a, d = key
+            hit = _act_word(shape, kind, i, side, _mixed_letters(shape, M, a + d), cls)
+            out = out + cls(shape, {(T, alpha - d, delta + d): c * coeff
+                                    for (T, alpha, delta), c in hit.terms.items()})
     return out
 
 

@@ -138,35 +138,38 @@ def lusztig_solve_one(T, expand_bar, variant: Variant, pick_max, strictly_lower)
         coords[S] = acc
 
 
-def solve_block(shape: Shape, indices, monomials, bar_fn, variant: Variant):
+def lusztig_elements(targets, column, bar, variant: Variant, pick_max, strictly_lower):
+    """Dict T -> the bar-invariant element led by T, for T in targets.
+
+    column(S) is the family member at S; the peel of bar(column(S)) over
+    the family is computed once and shared by every target."""
+    @lru_cache(maxsize=None)
+    def expand_bar(S):
+        return peel(bar(column(S)), column, pick_max, strictly_lower)
+
+    out = {}
+    for T in targets:
+        coords = lusztig_solve_one(T, expand_bar, variant, pick_max, strictly_lower)
+        terms = [column(S).scale(c) for S, c in sorted(coords.items())]
+        out[T] = sum(terms[1:], terms[0])
+    return out
+
+
+def solve_block(shape: Shape, indices, monomials, variant: Variant):
     """All basis elements of one finite block.
 
-    indices: matrices sharing (ro, co); monomials: index -> element;
-    bar_fn: element -> element.  Returns dict index -> element.
+    indices: matrices sharing (ro, co); monomials: index -> element.
+    Returns dict index -> element.
     """
     indices = [tuple(M) for M in indices]
     index_set = set(indices)
     columns = {M: monomials(M) for M in indices}
 
-    def pick(support):
-        return _pick_maximal(shape, support)
-
     def lower(S, T):
         return S != T and S in _downset(shape, T) and S in index_set
 
-    @lru_cache(maxsize=None)
-    def expand_bar(S):
-        return peel(bar_fn(columns[S]), columns.__getitem__, pick, lower)
-
-    out = {}
-    for M in indices:
-        coords = lusztig_solve_one(M, expand_bar, variant, pick, lower)
-        elem = None
-        for S, c in sorted(coords.items()):
-            term = columns[S].scale(c)
-            elem = term if elem is None else elem + term
-        out[M] = elem
-    return out
+    return lusztig_elements(indices, columns.__getitem__, lambda f: f.bar(), variant,
+                            lambda support: _pick_maximal(shape, support), lower)
 
 
 # -- staged sub-block bases ---------------------------------------------------
@@ -285,9 +288,7 @@ def _block(shape: Shape, ro, co, region: str):
     indices = [
         M for M in enumerate_block(shape, ro, co) if _support_ok(shape, M, region)
     ]
-    return solve_block(
-        shape, indices, lambda M: monomial(shape, M), lambda f: f.bar(), variant
-    )
+    return solve_block(shape, indices, lambda M: monomial(shape, M), variant)
 
 
 def omega_ABC(shape: Shape, M) -> CBElement:
@@ -389,24 +390,10 @@ def _pick_maximal_global(shape: Shape, keys):
 @lru_cache(maxsize=None)
 def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement:
     """Dual canonical basis element of the localization."""
-    M = tuple(M)
-    key = (M, a, d)
-
-    @lru_cache(maxsize=None)
-    def expand_bar(k):
-        T, alpha, delta = k
-        return express_in_n(shape, bar_local(n_ad(shape, T, alpha, delta)))
-
-    coords = lusztig_solve_one(
-        key,
-        expand_bar,
-        variant,
-        lambda sup: _pick_maximal_global(shape, sup),
-        lambda S, T: p_strictly_lower(shape, S, T),
-    )
-    elem = LocalElement.zero(shape)
-    for (T, alpha, delta), c in sorted(coords.items()):
-        elem = elem + n_ad(shape, T, alpha, delta).scale(c)
+    key = (tuple(M), a, d)
+    elem = lusztig_elements([key], lambda k: n_ad(shape, *k), bar_local, variant,
+                            lambda sup: _pick_maximal_global(shape, sup),
+                            lambda S, T: p_strictly_lower(shape, S, T))[key]
     return CBElement(key, variant, elem)
 
 

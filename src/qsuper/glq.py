@@ -4,13 +4,14 @@ Elements live in the mixed normal form: monomials in the generators x_ij
 (i <= m or j <= m) and the Schur-complement entries y_uv, times
 detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
 each keep at least one zero diagonal entry.  The kernel computes on
-polynomials over a power of detA: y_uv = x_uv - q^-2 T_uv detA^-1 commutes
-with detA, so y_uv detA is a polynomial, and so is a mixed word with r
-y-letters times detA^r.  Products and to_mixed write g detA^-K over the
-constrained family by peeling leading terms: each member, times a power of
-detA, is a unit at one leading monomial plus lex-lower monomials, so no
-linear system is solved; from_mixed divides by detA^K the same way.  Bar
-reverses mixed words, as on polynomials.
+polynomials over a power of detA: y_uv detA is the quantum minor of the
+dual superspace on rows 1..m, u and columns 1..m, v, and y_uv commutes
+with detA, so a mixed word with r y-letters times detA^r is a polynomial.
+Products and to_mixed write g detA^-K over the constrained family by
+peeling leading terms: each member, times a power of detA, is a unit at
+one leading monomial plus lex-lower monomials, so no linear system is
+solved; from_mixed divides by detA^K the same way.  Bar reverses mixed
+words, as on polynomials.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from qsuper.algebra import (
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, perm_coefficients, sub_minor_A
+from qsuper.superspace import det_q_A, interval, minor_star, perm_coefficients
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
 
@@ -49,25 +50,6 @@ class TriangularityViolation(Exception):
 
 
 @lru_cache(maxsize=None)
-def t_correction(shape: Shape, mu: int, nu: int) -> AlgebraElement:
-    """T_uv with detA * x_uv = x_uv * detA + (q^2 - q^-2) T_uv:
-    sum_{k,l} (-q^2)^(k-l) x_uk A_lk x_lv over the q-block, with A_lk the
-    sub-determinant deleting row l and column k."""
-    m = shape.m
-    out = AlgebraElement.zero(shape)
-    for k in range(1, m + 1):
-        for l in range(1, m + 1):
-            coeff = LaurentPoly.q_power(2 * (k - l), (-1) ** (k - l))
-            term = (
-                AlgebraElement.generator(shape, mu, k)
-                * sub_minor_A(shape, l, k)
-                * AlgebraElement.generator(shape, l, nu)
-            ).scale(coeff)
-            out = out + term
-    return out
-
-
-@lru_cache(maxsize=None)
 def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
     if p == 0:
         return AlgebraElement.one(shape)
@@ -76,18 +58,16 @@ def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
-    """y_uv detA = x_uv detA - q^-2 T_uv, for the Schur complement entry
-    y_uv = x_uv - q^-2 T_uv detA^-1.
+    """y_uv detA for the Schur complement entry y_uv: the starred minor on
+    rows 1..m, u and columns 1..m, v.
 
-    This is the unique normalization for which y_uv commutes with detA
-    and is fixed by the bar involution.
+    y_uv is that minor over detA; it commutes with detA and is fixed by the
+    bar involution.
     """
     if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
         raise IndexError(f"y index ({mu},{nu}) outside the lower block")
-    x = AlgebraElement.generator(shape, mu, nu)
-    return x * _detA_power_alg(shape, 1) - t_correction(shape, mu, nu).scale(
-        LaurentPoly.q_power(-2)
-    )
+    block = interval(1, shape.m)
+    return minor_star(shape, block + [mu], block + [nu])
 
 
 @lru_cache(maxsize=None)

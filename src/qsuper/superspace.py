@@ -2,9 +2,11 @@
 
 The row space A_q (variables x_i) and column space A_q* (variables xi_i,
 with flipped parity) are comodule algebras over the supermatrix algebra;
-quantum minors are the coaction coefficients.  Determinants and
-sub-minors are also built directly from permutation sums, giving an
-independent code path used for cross-checks.
+quantum minors are the coaction coefficients; the localization takes
+y_uv detA, for its Schur-complement entries y_uv, from the dual space's.
+The determinants of the diagonal blocks are permutation sums (cheaper
+cold than a coaction); the permutation sums of sub-minors and block
+minors are an independent code path for cross-checks.
 """
 
 from __future__ import annotations
@@ -45,9 +47,12 @@ def vector_parity(shape: Shape, a, star: bool) -> int:
 
 
 def evec(shape: Shape, indices) -> tuple:
-    """Exponent vector with one unit per listed index (with multiplicity)."""
+    """Exponent vector with one unit per listed index (with multiplicity);
+    IndexError for an index outside 1..N."""
     a = [0] * shape.size
     for i in indices:
+        if not 1 <= i <= shape.size:
+            raise IndexError(f"index {i} out of range for shape {shape}")
         a[i - 1] += 1
     return tuple(a)
 

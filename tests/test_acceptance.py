@@ -258,14 +258,12 @@ def test_05_canonical_basis_blocks():
             if len(block) < 2:
                 continue
             for variant in (Variant.PLUS_Q, Variant.MINUS_Q):
-                fwd = solve_block(shape, block, lambda M: x_norm(shape, M),
-                                  lambda f: f.bar(), variant)
+                fwd = solve_block(shape, block, lambda M: x_norm(shape, M), variant)
                 if not _check_block_solution(shape, block, fwd, variant):
                     ok = False
                 # uniqueness: a reversed linear extension gives the same basis
                 rev = solve_block(shape, list(reversed(block)),
-                                  lambda M: x_norm(shape, M),
-                                  lambda f: f.bar(), variant)
+                                  lambda M: x_norm(shape, M), variant)
                 if fwd != rev:
                     ok = False
                 solved += len(block)

@@ -315,9 +315,9 @@ class TestKillIdentities:
 
 
 def permutation_detDprime_act(shape, kind, i, side):
-    """The detD' letter action that the Berezinian rule replaced, kept as
-    its reference: the action on each product of n y-letters of the
-    q^-1-determinant of the y-matrix."""
+    """The detD' action through its y-letters, the reference for the action
+    through the Berezinian: the action on each product of n y-letters of
+    the q^-1-determinant of the y-matrix."""
     m, n = shape.m, shape.n
     out = LocalElement.zero(shape)
     for tau, c in perm_coefficients(n, -2):
@@ -331,7 +331,8 @@ def test_detDprime_action_matches_permutation_sum(shape):
     for kind in ("E", "F"):
         for i in range(1, shape.size):
             for side in ("L", "R"):
-                got = actions._det_letter_act(shape, kind, i, side, "dD")
+                act = act_left if side == "L" else act_right
+                got = act(GenSymbol(kind, i), det_dprime_local(shape))
                 assert got == permutation_detDprime_act(shape, kind, i, side), (kind, i, side)
 
 

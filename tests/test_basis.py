@@ -112,9 +112,7 @@ class TestOrder:
 class TestSolveBlock:
     def test_rank_one_block(self):
         block = enumerate_block(S11, (1, 1), (1, 1))
-        out = solve_block(
-            S11, block, lambda M: x_norm(S11, M), lambda f: f.bar(), Variant.PLUS_Q
-        )
+        out = solve_block(S11, block, lambda M: x_norm(S11, M), Variant.PLUS_Q)
         expect_diag = gen(S11, 1, 1) * gen(S11, 2, 2) + (
             gen(S11, 1, 2) * gen(S11, 2, 1)
         ).scale(lp({2: 1}))
@@ -123,19 +121,14 @@ class TestSolveBlock:
 
     def test_zero_matrix(self):
         Z = zero_matrix(2)
-        out = solve_block(
-            S11, [Z], lambda M: x_norm(S11, M), lambda f: f.bar(), Variant.PLUS_Q
-        )
+        out = solve_block(S11, [Z], lambda M: x_norm(S11, M), Variant.PLUS_Q)
         assert out[Z] == AlgebraElement.one(S11)
 
     def test_order_independence(self):
         block = enumerate_block(S21, (1, 1, 0), (1, 1, 0))
-        fwd = solve_block(
-            S21, block, lambda M: x_norm(S21, M), lambda f: f.bar(), Variant.PLUS_Q
-        )
+        fwd = solve_block(S21, block, lambda M: x_norm(S21, M), Variant.PLUS_Q)
         rev = solve_block(
-            S21, list(reversed(block)), lambda M: x_norm(S21, M),
-            lambda f: f.bar(), Variant.PLUS_Q,
+            S21, list(reversed(block)), lambda M: x_norm(S21, M), Variant.PLUS_Q
         )
         assert fwd == rev
 
@@ -147,15 +140,11 @@ class TestSolveBlock:
         with pytest.raises(TriangularityViolation, match="no maximal element"):
             basis._pick_maximal(S11, block)
         with pytest.raises(TriangularityViolation):
-            solve_block(
-                S11, block, lambda M: x_norm(S11, M), lambda f: f.bar(), Variant.PLUS_Q
-            )
+            solve_block(S11, block, lambda M: x_norm(S11, M), Variant.PLUS_Q)
 
     def test_minus_variant(self):
         block = enumerate_block(S11, (1, 1), (1, 1))
-        out = solve_block(
-            S11, block, lambda M: x_norm(S11, M), lambda f: f.bar(), Variant.MINUS_Q
-        )
+        out = solve_block(S11, block, lambda M: x_norm(S11, M), Variant.MINUS_Q)
         assert out[DIAG] == gen(S11, 1, 1) * gen(S11, 2, 2) + (
             gen(S11, 1, 2) * gen(S11, 2, 1)
         ).scale(lp({-2: -1}))
@@ -390,6 +379,23 @@ class TestOmegaGlobal:
         lhs = omega_global(S11, M, 0, 0, Variant.PLUS_Q).expansion * berezinian(S11)
         rhs = omega_global(S11, M, 1, -1, Variant.PLUS_Q).expansion
         assert lhs == rhs
+
+    @pytest.mark.parametrize("shape,degree", [
+        (S11, 3), (S21, 2), (Shape(1, 2), 2), (Shape(3, 1), 2), (S22, 1),
+    ], ids=str)
+    def test_berezinian_invariance(self, shape, degree):
+        # the basis is invariant under the quantum Berezinian: Ber times the
+        # element at (M, a, d) is the element at (M, a + 1, d - 1)
+        ber = berezinian(shape)
+        for deg in range(degree + 1):
+            for M in degree_matrices(shape, deg):
+                if not is_constrained(shape, M):
+                    continue
+                for a, d in [(0, 0), (-1, 1), (0, -1), (1, -1)]:
+                    for variant in Variant:
+                        lhs = omega_global(shape, M, a, d, variant).expansion * ber
+                        rhs = omega_global(shape, M, a + 1, d - 1, variant).expansion
+                        assert lhs == rhs, (M, a, d, variant)
 
     def test_rank_two_mixed(self):
         M = (0, 0, 1, 0, 0, 0, 0, 1, 0)

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import pytest
 
-from qsuper import actions, exactlinalg, glq
+from qsuper import actions, exactlinalg, glq, superspace
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
     QSQ_DIFF,
@@ -20,7 +20,7 @@ from qsuper.algebra import (
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, perm_coefficients
+from qsuper.superspace import det_q_A, perm_coefficients, sub_minor_A
 from qsuper.glq import (
     LocalElement,
     bar_local,
@@ -34,7 +34,6 @@ from qsuper.glq import (
     is_central,
     mixed_generators,
     sl_project,
-    t_correction,
     to_mixed,
     word_poly,
     y_times_detA,
@@ -47,6 +46,27 @@ from qsuper.glq import (
 # x-monomials with a power of detA at the far right, multiplied letter by
 # letter.  It is kept here as the reference that word_poly, detDprime_poly
 # and y_times_detA are pinned against, and that the oracles below run on.
+# Its lower-block letters use the cofactor sum T_uv of the detA commutator,
+# a formula for y_uv detA independent of the kernel's quantum minor.
+
+
+@lru_cache(maxsize=None)
+def t_correction(shape, mu, nu):
+    """T_uv with detA * x_uv = x_uv * detA + (q^2 - q^-2) T_uv:
+    sum_{k,l} (-q^2)^(k-l) x_uk A_lk x_lv over the q-block, with A_lk the
+    sub-determinant deleting row l and column k."""
+    m = shape.m
+    out = AlgebraElement.zero(shape)
+    for k in range(1, m + 1):
+        for l in range(1, m + 1):
+            coeff = LaurentPoly.q_power(2 * (k - l), (-1) ** (k - l))
+            term = (
+                AlgebraElement.generator(shape, mu, k)
+                * sub_minor_A(shape, l, k)
+                * AlgebraElement.generator(shape, l, nu)
+            ).scale(coeff)
+            out = out + term
+    return out
 
 
 class RawElement(LinearElement):
@@ -526,11 +546,12 @@ def _cached_values(shape):
     for M in mats:
         out[("word", M)] = word_poly(shape, M)
     out["y act"] = actions._y_letter_act(shape, "F", m, "L", N, N)
-    out["detA act"] = actions._det_letter_act(shape, "F", m, "L", "dA")
+    out["detA act"] = actions._det_letter_act(shape, "F", m, "L")
     return out
 
 
-CACHES = (glq.y_times_detA, glq.word_poly, glq.detDprime_poly, glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
+CACHES = (superspace._coact_cached, glq.y_times_detA, glq.word_poly, glq.detDprime_poly,
+          glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
           actions._det_inverse_act)
 
 

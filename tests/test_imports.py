@@ -1,7 +1,11 @@
 """Every module-level import of a test or kernel file is used in that file,
-and every top-level definition of the kernel is read somewhere."""
+every top-level definition of the kernel is read somewhere, and every
+kernel name that the benchmark's tracer wraps still exists."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,3 +113,20 @@ def test_checker_finds_unread_definitions():
     read = reads(module) | reads(other)
     assert unread_definitions(module, read) == [
         "recursive (line 3)", "Lonely (line 4)", "caller (line 8)"]
+
+
+def test_benchmark_tracer_binds_to_the_kernel():
+    # qbench/tracing.py wraps kernel names it looks up with getattr, so a
+    # refactor that deletes or renames one breaks the benchmark's traced runs
+    code = (
+        "import tracing\n"
+        "tracing.install_spans(tracing.Tracer())\n"
+        "tracing.install_laurent_counts(tracing.Tracer())\n"
+        "tracing.cache_stats()\n"
+    )
+    path = os.pathsep.join(str(ROOT / d) for d in ("qbench", "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr

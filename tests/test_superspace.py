@@ -73,6 +73,25 @@ class TestCoact:
             assert sum(b) == 2
 
 
+class TestMinorIndices:
+    # an index outside 1..N names no row or column; it must not wrap
+    # around to the last rows or fail inside the exponent vector
+
+    def test_index_zero(self):
+        with pytest.raises(IndexError, match="index 0"):
+            minor(S21, (0,), (1,))
+
+    def test_negative_index(self):
+        with pytest.raises(IndexError, match="index -1"):
+            minor_star(S21, (1, -1), (1, 2))
+
+    def test_index_past_the_end(self):
+        with pytest.raises(IndexError, match="index 4"):
+            minor_star(S21, (1, 4), (1, 2))
+        with pytest.raises(IndexError, match="index 4"):
+            minor(S21, (1,), (4,))
+
+
 class TestDeterminants:
     def test_det_A_rank_one(self):
         assert det_q_A(S11) == gen(S11, 1, 1)
