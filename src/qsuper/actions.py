@@ -30,6 +30,7 @@ from .algebra import (
     mat_entry,
     matrix_to_word,
     row_sums,
+    straighten_word,
     word_to_matrix,
     x_norm,
     zero_matrix,
@@ -152,27 +153,27 @@ def conventions() -> dict:
 def _pair_weight(shape: Shape, L, i: int, side: str) -> int:
     """Parity-signed w_i - w_{i+1} of one letter, w its row weight (left)
     or column weight (right) with w_k signed by (-1)^{[k]}; detA^s weighs s
-    on the first m rows and columns, so its pair is s at i = m, else 0."""
-    m = shape.m
-    if L[0] == "x" or L[0] == "y":
-        idx = L[1] if side == "L" else L[2]
-        if idx == i:
-            return -1 if i > m else 1
-        return (1 if i >= m else -1) if idx == i + 1 else 0
-    return L[1] if i == m else 0
+    on the even rows and columns, so its pair is s where i is even and i+1
+    odd, else 0."""
+    if L[0] == "dA":
+        return L[1] * (shape.parity(i + 1) - shape.parity(i))
+    idx = L[1] if side == "L" else L[2]
+    if idx == i:
+        return (-1) ** shape.parity(i)
+    return -(-1) ** shape.parity(i + 1) if idx == i + 1 else 0
 
 
 def _mixed_letters(shape: Shape, M, a: int):
     """The word of W(M) detA^a: x- and y-letters in lexicographic order,
     then the detA letters, so each run of it is W(M_run) detA^(a_run)."""
-    m = shape.m
-    letters = [("y" if i > m and j > m else "x", i, j)
-               for i, j in matrix_to_word(M, shape.size)]
+    N = shape.size
+    letters = [("y" if b == "D" else "x", k // N + 1, k % N + 1)
+               for k, (v, b) in enumerate(zip(M, shape.blocks)) for _ in range(v)]
     return tuple(letters + [("dA", 1 if a >= 0 else -1)] * abs(a))
 
 
 def _x_local(shape: Shape, i: int, j: int) -> LocalElement:
-    if i > shape.m and j > shape.m:
+    if shape.block(i, j) == "D":
         return to_mixed(AlgebraElement.generator(shape, i, j))
     return LocalElement.x_gen(shape, i, j)
 
@@ -267,9 +268,9 @@ def _act_word(shape, kind, i, side, letters, cls):
     monomial each.
     """
     c_tail, c_head = CONVENTIONS[kind]
-    local, m = cls is LocalElement, shape.m
+    local, odd_gen = cls is LocalElement, shape.parity(i) != shape.parity(i + 1)
     weights = [_pair_weight(shape, L, i, side) for L in letters]
-    parities = [L[0] == "x" and (L[1] > m) != (L[2] > m) for L in letters]
+    parities = [L[0] == "x" and shape.gen_parity(L[1], L[2]) for L in letters]
     head_w, tail_w, head_par, tail_par = 0, sum(weights), 0, sum(parities)
     out = cls.zero(shape)
     for p, L in enumerate(letters):
@@ -288,13 +289,13 @@ def _act_word(shape, kind, i, side, letters, cls):
         if image is not None and not (local and image.is_zero()):
             run = head_par if side == "L" else tail_par
             c = LaurentPoly.q_power(2 * (c_tail * tail_w + c_head * head_w),
-                                    (-1) ** run if i == m else 1)
+                                    (-1) ** run if odd_gen else 1)
             if local:
                 term = (_letters_local(shape, letters[:p]) * image
                         * _letters_local(shape, letters[p + 1:])).scale(c)
             else:
                 word = [T[1:] for T in letters[:p] + (image,) + letters[p + 1:]]
-                term = AlgebraElement.from_word(shape, word, c)
+                term = AlgebraElement(shape, straighten_word(shape, word, c))
             out = out + term
         head_w += weights[p]
         head_par += parities[p]

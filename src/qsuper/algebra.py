@@ -4,12 +4,17 @@ Elements live over the basis of lexicographically ordered monomials in the
 generators x_ij.  Multiplication straightens words with the four quadratic
 relation families plus the square-zero rule for odd generators; the bar
 anti-automorphism reverses words with the super sign and re-straightens.
+
+Shape owns the 2x2 block layout of the supermatrix: which block A, B, C or
+D a cell lies in, its parity, and the cap on its exponent.  Every module
+reads the layout from Shape instead of comparing indices with m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import compress
 
 from .laurent import LaurentPoly, ONE
 
@@ -24,9 +29,27 @@ class NonHomogeneous(Exception):
     pass
 
 
+@lru_cache(maxsize=None)
+def _cell_table(m: int, n: int) -> tuple:
+    """(block letters, odd flags) of the cells of the (m|n) layout, shared
+    by every Shape(m, n)."""
+    blocks = ("A" * m + "B" * n) * m + ("C" * m + "D" * n) * n
+    return blocks, tuple(int(b in "BC") for b in blocks)
+
+
 @dataclass(frozen=True)
 class Shape:
-    """Block sizes of the supermatrix: m even rows/columns, n odd ones."""
+    """Block sizes of the supermatrix: m even rows/columns, n odd ones.
+
+    The cell table ``blocks`` names the block of every cell of a flat
+    row-major exponent matrix: A (rows and columns 1..m) and D (rows and
+    columns above m) are the even diagonal blocks, B (upper right) and C
+    (lower left) the odd ones.  A cell's parity follows from its block, and
+    so does its exponent cap: odd generators square to zero, so an odd
+    cell's exponent is at most 1.  The table is built on first use, once
+    per (m, n), so a Shape costs nothing to construct; equality and hash
+    read only m and n.
+    """
 
     m: int
     n: int
@@ -39,14 +62,48 @@ class Shape:
     def size(self) -> int:
         return self.m + self.n
 
+    @cached_property
+    def blocks(self) -> str:
+        """The block letter of each cell, flat and row-major."""
+        return _cell_table(self.m, self.n)[0]
+
+    @cached_property
+    def odd(self) -> tuple:
+        """1 at each odd cell (blocks B and C, exponent cap 1), else 0."""
+        return _cell_table(self.m, self.n)[1]
+
+    @cached_property
+    def diagonals(self) -> tuple:
+        """Slices of a flat matrix onto the diagonal cells of A and of D."""
+        step = self.size + 1
+        return slice(0, self.m * step, step), slice(self.m * step, None, step)
+
+    def cell(self, i: int, j: int) -> int:
+        """Flat position of cell (i, j); IndexError outside 1..N."""
+        N = self.size
+        if not (1 <= i <= N and 1 <= j <= N):
+            raise IndexError(f"cell ({i},{j}) out of range for shape {self}")
+        return (i - 1) * N + (j - 1)
+
+    def block(self, i: int, j: int) -> str:
+        """The block letter of cell (i, j)."""
+        return self.blocks[self.cell(i, j)]
+
     def parity(self, i: int) -> int:
-        """0 for indices <= m, 1 above."""
-        if not 1 <= i <= self.size:
-            raise IndexError(f"index {i} out of range for shape {self}")
-        return 0 if i <= self.m else 1
+        """0 for an even index, 1 for an odd one: the parity of the cell
+        (1, i), as index 1 is even."""
+        return self.odd[self.cell(1, i)]
 
     def gen_parity(self, i: int, j: int) -> int:
-        return (self.parity(i) + self.parity(j)) % 2
+        return self.odd[self.cell(i, j)]
+
+    def odd_degree(self, M) -> int:
+        """Total exponent of M over the odd cells."""
+        return sum(compress(M, self.odd))
+
+    def restrict(self, M, letters: str) -> tuple:
+        """M with every cell outside the named blocks set to 0."""
+        return tuple(v if b in letters else 0 for v, b in zip(M, self.blocks))
 
     @classmethod
     def from_json(cls, obj: dict) -> "Shape":
@@ -95,13 +152,11 @@ def validate_matrix(shape: Shape, M) -> None:
     N = shape.size
     if len(M) != N * N:
         raise ValueError("matrix size does not match shape")
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            v = mat_entry(M, N, i, j)
-            if v < 0:
-                raise ValueError("negative exponent")
-            if shape.gen_parity(i, j) == 1 and v > 1:
-                raise ValueError(f"odd generator x[{i},{j}] with exponent {v}")
+    for k, (v, odd) in enumerate(zip(M, shape.odd)):
+        if v < 0:
+            raise ValueError("negative exponent")
+        if odd and v > 1:
+            raise ValueError(f"odd generator x[{k // N + 1},{k % N + 1}] with exponent {v}")
 
 
 def row_sums(M, N):
@@ -130,16 +185,6 @@ def word_to_matrix(word, N):
     for (i, j) in word:
         M[(i - 1) * N + (j - 1)] += 1
     return tuple(M)
-
-
-def matrix_parity(shape: Shape, M) -> int:
-    N = shape.size
-    p = 0
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if shape.gen_parity(i, j):
-                p += mat_entry(M, N, i, j)
-    return p % 2
 
 
 # -- the straightening kernel -------------------------------------------
@@ -191,14 +236,15 @@ def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
     """Normal form of a generator word: dict matrix -> LaurentPoly."""
     out: dict = {}
     stack = [(tuple(word), coeff if coeff is not None else ONE)]
-    N = shape.size
+    N, odd = shape.size, shape.odd
     while stack:
         w, c = stack.pop()
         if c.is_zero():
             continue
         pos = -1
         for t in range(len(w) - 1):
-            if w[t] > w[t + 1] or (w[t] == w[t + 1] and shape.gen_parity(*w[t])):
+            g = w[t]
+            if g > w[t + 1] or (g == w[t + 1] and odd[(g[0] - 1) * N + g[1] - 1]):
                 pos = t
                 break
         if pos < 0:
@@ -311,7 +357,7 @@ class AlgebraElement(LinearElement):
 
     @classmethod
     def generator(cls, shape: Shape, i: int, j: int) -> "AlgebraElement":
-        return cls.monomial(shape, unit_matrix(shape.size, i, j))
+        return cls.from_word(shape, ((i, j),))
 
     @classmethod
     def monomial(cls, shape: Shape, M, coeff: LaurentPoly = ONE) -> "AlgebraElement":
@@ -320,6 +366,10 @@ class AlgebraElement(LinearElement):
 
     @classmethod
     def from_word(cls, shape: Shape, word, coeff: LaurentPoly = ONE) -> "AlgebraElement":
+        """Normal form of coeff times the word; IndexError for a letter
+        outside the matrix."""
+        for i, j in word:
+            shape.cell(i, j)
         return cls(shape, straighten_word(shape, word, coeff))
 
     # -- products ----------------------------------------------------------
@@ -341,11 +391,10 @@ class AlgebraElement(LinearElement):
         N = self.shape.size
         terms: dict = {}
         for M, c in self.terms.items():
-            word = matrix_to_word(M, N)
-            odd = sum(self.shape.gen_parity(i, j) for (i, j) in word)
+            odd = self.shape.odd_degree(M)
             sign = (-1) ** (odd * (odd - 1) // 2)
             cb = c.bar().scale(sign)
-            for key, sc in _straighten_cached(self.shape, word[::-1]):
+            for key, sc in _straighten_cached(self.shape, matrix_to_word(M, N)[::-1]):
                 _put(terms, key, sc * cb)
         return AlgebraElement(self.shape, terms)
 
@@ -370,7 +419,7 @@ class AlgebraElement(LinearElement):
         return degs.pop()
 
     def parity(self) -> int:
-        pars = {matrix_parity(self.shape, M) for M in self.terms}
+        pars = {self.shape.odd_degree(M) % 2 for M in self.terms}
         if len(pars) > 1:
             raise NonHomogeneous("mixed parities")
         return pars.pop() if pars else 0
@@ -391,10 +440,10 @@ class AlgebraElement(LinearElement):
     @classmethod
     def from_json(cls, obj: dict) -> "AlgebraElement":
         shape = Shape.from_json(obj)
-        return cls(shape, {
-            mat_from_json(shape, t["matrix"]): LaurentPoly.from_json(t["coeff"])
-            for t in obj["terms"]
-        })
+        terms: dict = {}
+        for t in obj["terms"]:
+            _put(terms, mat_from_json(shape, t["matrix"]), LaurentPoly.from_json(t["coeff"]))
+        return cls(shape, terms)
 
 
 def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:
@@ -443,7 +492,7 @@ def enumerate_block(shape: Shape, ro, co):
         return []
     if any(v < 0 for v in ro + co):
         return []
-    out = []
+    out, odd = [], shape.odd
 
     def fill_row(i, cols_left, acc):
         if i > N:
@@ -458,7 +507,7 @@ def enumerate_block(shape: Shape, ro, co):
                     fill_row(i + 1, cols_left, acc + row_acc)
                 return
             cap = min(left, cols_left[j - 1])
-            if shape.gen_parity(i, j):
+            if mat_entry(odd, N, i, j):
                 cap = min(cap, 1)
             # remaining cells must be able to absorb what is left
             for v in range(cap + 1):
@@ -478,14 +527,14 @@ def degree_matrices(shape: Shape, deg: int):
     Odd entries are capped at 1.  A generator, so a caller that needs only
     the first few pays only for those.
     """
-    cells = shape.generators()
+    odd = shape.odd
 
     def rec(idx, left, acc):
-        if idx == len(cells):
+        if idx == len(odd):
             if left == 0:
                 yield tuple(acc)
             return
-        cap = min(left, 1) if shape.gen_parity(*cells[idx]) else left
+        cap = min(left, 1) if odd[idx] else left
         for v in range(cap + 1):
             acc.append(v)
             yield from rec(idx + 1, left - v, acc)
@@ -502,8 +551,8 @@ def count_monomials(shape: Shape, k: int) -> int:
     """
     dp = [0] * (k + 1)
     dp[0] = 1
-    for (i, j) in shape.generators():
-        if shape.gen_parity(i, j):
+    for odd in shape.odd:
+        if odd:
             for d in range(k, 0, -1):
                 dp[d] += dp[d - 1]
         else:

@@ -33,7 +33,6 @@ from qsuper.glq import (
     _candidates as _global_candidates,
     bar_local,
     is_constrained,
-    mixed_degree,
     peel,
     to_mixed,
 )
@@ -60,23 +59,21 @@ class CBElement:
 def submatrix_moves(shape: Shape, M) -> set:
     """All results of one 2x2 move: pick i<s, j<t with mass at (i,j) and
     (s,t); move one unit to (i,t) and (s,j).  Odd entries stay <= 1."""
-    N = shape.size
+    N, odd = shape.size, shape.odd
     out = set()
-    for i in range(1, N + 1):
-        for s in range(i + 1, N + 1):
-            for j in range(1, N + 1):
-                for t in range(j + 1, N + 1):
-                    if mat_entry(M, N, i, j) < 1 or mat_entry(M, N, s, t) < 1:
+    for i in range(N):
+        for s in range(i + 1, N):
+            for j in range(N):
+                for t in range(j + 1, N):
+                    ij, st, it, sj = i * N + j, s * N + t, i * N + t, s * N + j
+                    if M[ij] < 1 or M[st] < 1 or (odd[it] and M[it] > 0) or (
+                            odd[sj] and M[sj] > 0):
                         continue
                     Mp = list(M)
-                    Mp[(i - 1) * N + (j - 1)] -= 1
-                    Mp[(s - 1) * N + (t - 1)] -= 1
-                    Mp[(i - 1) * N + (t - 1)] += 1
-                    Mp[(s - 1) * N + (j - 1)] += 1
-                    if shape.gen_parity(i, t) and mat_entry(Mp, N, i, t) > 1:
-                        continue
-                    if shape.gen_parity(s, j) and mat_entry(Mp, N, s, j) > 1:
-                        continue
+                    Mp[ij] -= 1
+                    Mp[st] -= 1
+                    Mp[it] += 1
+                    Mp[sj] += 1
                     out.add(tuple(Mp))
     return out
 
@@ -175,23 +172,6 @@ def solve_block(shape: Shape, indices, monomials, variant: Variant):
 # -- staged sub-block bases ---------------------------------------------------
 
 
-def _support_ok(shape: Shape, M, region: str) -> bool:
-    N = shape.size
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if mat_entry(M, N, i, j) == 0:
-                continue
-            if region == "H" and i > shape.m:
-                return False
-            if region == "C" and not (i > shape.m and j <= shape.m):
-                return False
-            if region == "D" and not (i > shape.m and j > shape.m):
-                return False
-            if region == "ABC" and (i > shape.m and j > shape.m):
-                return False
-    return True
-
-
 def _block_key(shape: Shape, M):
     N = shape.size
     return row_sums(M, N), col_sums(M, N)
@@ -207,14 +187,14 @@ def _omega(shape: Shape, M, region: str, wrong_support: str) -> CBElement:
     """The region's basis element at M; ValueError(wrong_support) when M is
     not supported on the region."""
     M = tuple(M)
-    if not _support_ok(shape, M, region):
+    if shape.restrict(M, region) != M:
         raise ValueError(wrong_support)
     return CBElement((M, 0, 0), _REGIONS[region][0], _block_element(shape, M, region))
 
 
 def omega_H(shape: Shape, M) -> CBElement:
     """Basis element of the subalgebra generated by rows 1..m."""
-    return _omega(shape, M, "H", "index must be supported on the first m rows")
+    return _omega(shape, M, "AB", "index must be supported on the first m rows")
 
 
 def omega_C(shape: Shape, M) -> CBElement:
@@ -239,42 +219,26 @@ def y_substitute(f: AlgebraElement) -> LocalElement:
     return LocalElement.from_terms(f.shape, [(M, 0, 0, c) for M, c in f.terms.items()])
 
 
-def _dprime_x_expansion(shape: Shape, M) -> AlgebraElement:
-    return _block_element(shape, M, "D")
-
-
-def _abc_prefactor(shape: Shape, M) -> int:
-    """-sum_i c_i(M1) c_i(M3) over the first m columns."""
+def _cross(shape: Shape, M, x: str, y: str, sums) -> int:
+    """Dot product of the row (sums=row_sums) or column (col_sums) sums of
+    M on the blocks x and on the blocks y."""
     N = shape.size
-    total = 0
-    for i in range(1, shape.m + 1):
-        c1 = sum(mat_entry(M, N, r, i) for r in range(1, shape.m + 1))
-        c3 = sum(mat_entry(M, N, r, i) for r in range(shape.m + 1, N + 1))
-        total += c1 * c3
-    return -total
-
-
-def _split_regions(shape: Shape, M, lower):
-    """(the rest, the part where lower(i, j) holds) as full-size matrices."""
-    N = shape.size
-    parts = ([0] * (N * N), [0] * (N * N))
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            parts[lower(i, j)][(i - 1) * N + (j - 1)] = mat_entry(M, N, i, j)
-    return tuple(parts[0]), tuple(parts[1])
+    return sum(p * q for p, q in zip(sums(shape.restrict(M, x), N),
+                                     sums(shape.restrict(M, y), N)))
 
 
 def n_abc(shape: Shape, M) -> AlgebraElement:
-    """The product monomial for the three-block stage."""
-    # rows <= m, and the lower-left block
-    top, low = _split_regions(shape, M, lambda i, j: i > shape.m)
+    """The product monomial for the three-block stage, with prefactor
+    q^-(c(A).c(C)) over the column sums of the A and C blocks."""
+    top, low = shape.restrict(M, "AB"), shape.restrict(M, "C")
     f = omega_H(shape, top).expansion * _block_element(shape, low, "C")
-    return f.scale(LaurentPoly.q_power(_abc_prefactor(shape, M)))
+    return f.scale(LaurentPoly.q_power(-_cross(shape, M, "A", "C", col_sums)))
 
 
-# region -> (the variant of its basis, the monomial of an index)
+# region, the blocks its indices are supported on -> (the variant of its
+# basis, the monomial of an index)
 _REGIONS = {
-    "H": (Variant.PLUS_Q, x_norm),
+    "AB": (Variant.PLUS_Q, x_norm),
     "C": (Variant.MINUS_Q, x_norm),
     "D": (Variant.MINUS_Q, x_norm),
     "ABC": (Variant.PLUS_Q, n_abc),
@@ -285,9 +249,7 @@ _REGIONS = {
 def _block(shape: Shape, ro, co, region: str):
     """Every basis element of the region with row sums ro, column sums co."""
     variant, monomial = _REGIONS[region]
-    indices = [
-        M for M in enumerate_block(shape, ro, co) if _support_ok(shape, M, region)
-    ]
+    indices = [M for M in enumerate_block(shape, ro, co) if shape.restrict(M, region) == M]
     return solve_block(shape, indices, lambda M: monomial(shape, M), variant)
 
 
@@ -299,28 +261,6 @@ def omega_ABC(shape: Shape, M) -> CBElement:
 # -- the full localized basis -------------------------------------------------
 
 
-def _region_sums(shape: Shape, M):
-    """(columns of M2, columns of M4, rows of M3, rows of M4)."""
-    N, m = shape.size, shape.m
-    c2 = [
-        sum(mat_entry(M, N, i, j) for i in range(1, m + 1))
-        for j in range(m + 1, N + 1)
-    ]
-    c4 = [
-        sum(mat_entry(M, N, i, j) for i in range(m + 1, N + 1))
-        for j in range(m + 1, N + 1)
-    ]
-    r3 = [
-        sum(mat_entry(M, N, i, j) for j in range(1, m + 1))
-        for i in range(m + 1, N + 1)
-    ]
-    r4 = [
-        sum(mat_entry(M, N, i, j) for j in range(m + 1, N + 1))
-        for i in range(m + 1, N + 1)
-    ]
-    return c2, c4, r3, r4
-
-
 def psi_power(shape: Shape, M, a: int, d: int) -> int:
     """Psi with bar(q^Psi P) = q^Psi P modulo p-lower terms, for
     P = detA^a X Y detD'^d with X = Omega_ABC and Y = Omega_D' bar-invariant.
@@ -330,14 +270,11 @@ def psi_power(shape: Shape, M, a: int, d: int) -> int:
     2(d - a)k in all; y_uv passes x_iv (i <= m, its column) and x_uj (j <= m,
     its row) with q^2 each, since it keeps the relations of x_uv in the odd
     row u and odd column v (x_uv x_uj = q^2 x_uj x_uv; an even row would give
-    q^-2), 2 c2.c4 + 2 r3.r4 in all; other pairs commute modulo lower terms.
+    q^-2), 2 c(B).c(D) + 2 r(C).r(D) in all, for the column sums c and row
+    sums r of the blocks; other pairs commute modulo lower terms.
     """
-    c2, c4, r3, r4 = _region_sums(shape, M)
-    return (
-        sum(x * y for x, y in zip(c2, c4))
-        + sum(x * y for x, y in zip(r3, r4))
-        + (d - a) * mixed_degree(shape, M)
-    )
+    return (_cross(shape, M, "B", "D", col_sums) + _cross(shape, M, "C", "D", row_sums)
+            + (d - a) * shape.odd_degree(M))
 
 
 @lru_cache(maxsize=None)
@@ -346,12 +283,10 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
     M = tuple(M)
     if not is_constrained(shape, M):
         raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
-    m = shape.m
-    abc, low = _split_regions(shape, M, lambda i, j: i > m and j > m)
     zero = zero_matrix(shape.size)
     out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
-    out = out * to_mixed(omega_ABC(shape, abc).expansion)
-    out = out * y_substitute(_dprime_x_expansion(shape, low))
+    out = out * to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
+    out = out * y_substitute(_block_element(shape, shape.restrict(M, "D"), "D"))
     return out * LocalElement(shape, {(zero, 0, d): ONE})
 
 

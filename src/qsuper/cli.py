@@ -28,9 +28,10 @@ from .glq import (
     berezinian,
     det_dprime_local,
     format_local,
+    is_constrained,
     to_mixed,
 )
-from .basis import NotConstrained, omega_global
+from .basis import omega_global
 from .actions import (
     GenSymbol,
     act_left,
@@ -203,13 +204,8 @@ def cmd_cb(args) -> int:
         raise UsageError(f"--ro and --co need {shape.size} entries each")
     a, d = _parse_sector(args.sector)
     variant = Variant.PLUS_Q if args.variant == "q" else Variant.MINUS_Q
-    out = []
-    for M in enumerate_block(shape, ro, co):
-        try:
-            el = omega_global(shape, M, a, d, variant)
-        except NotConstrained:
-            continue
-        out.append(el)
+    out = [omega_global(shape, M, a, d, variant)
+           for M in enumerate_block(shape, ro, co) if is_constrained(shape, M)]
     if args.format == "json":
         N = shape.size
         print(_dump([

@@ -27,7 +27,6 @@ from qsuper.algebra import (
     col_sums,
     enumerate_block,
     format_terms,
-    mat_entry,
     mat_from_json,
     mat_rows,
     matrix_to_word,
@@ -64,7 +63,7 @@ def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     y_uv is that minor over detA; it commutes with detA and is fixed by the
     bar involution.
     """
-    if not (shape.m < mu <= shape.size and shape.m < nu <= shape.size):
+    if shape.block(mu, nu) != "D":
         raise IndexError(f"y index ({mu},{nu}) outside the lower block")
     block = interval(1, shape.m)
     return minor_star(shape, block + [mu], block + [nu])
@@ -80,10 +79,10 @@ def word_poly(shape: Shape, M) -> AlgebraElement:
     up q^(-2s), because x detA = q^-2 detA x.  A run of x-letters between
     y-letters is already an ordered monomial.
     """
-    m, N = shape.m, shape.size
+    N = shape.size
     out, run, r, power = AlgebraElement.one(shape), [], 0, 0
     for (i, j) in matrix_to_word(M, N):
-        if i > m and j > m:
+        if shape.block(i, j) == "D":
             out = out * AlgebraElement(shape, {word_to_matrix(run, N): ONE})
             out = out * y_times_detA(shape, i, j)
             run, r = [], r + 1
@@ -113,47 +112,37 @@ def detDprime_poly(shape: Shape, p: int) -> AlgebraElement:
 # -- mixed monomials --------------------------------------------------------
 
 
-def mixed_degree(shape: Shape, M) -> int:
-    """Total exponent over the two odd blocks (the det powers q-commute
-    with exactly these letters)."""
-    N = shape.size
-    return sum(
-        mat_entry(M, N, i, j)
-        for i in range(1, N + 1)
-        for j in range(1, N + 1)
-        if (i <= shape.m) != (j <= shape.m)
-    )
-
-
 def y_degree(shape: Shape, M) -> int:
-    """Number of y-letters of the mixed word of M (its lower-block degree)."""
-    m, N = shape.m, shape.size
-    return sum(M[i * N + j] for i in range(m, N) for j in range(m, N))
+    """Number of y-letters of the mixed word of M (its D-block degree)."""
+    return sum(shape.restrict(M, "D"))
+
+
+def _shift_diagonal(shape: Shape, M, a: int, d: int):
+    """M plus a on each diagonal cell of A and d on each of D; the key
+    (M, a, d) has the biweight of this matrix."""
+    out = list(M)
+    for diag, shift in zip(shape.diagonals, (a, d)):
+        out[diag] = [v + shift for v in out[diag]]
+    return tuple(out)
 
 
 def is_constrained(shape: Shape, M) -> bool:
     """At least one zero diagonal entry in each even diagonal block."""
-    N = shape.size
-    m = shape.m
-    if all(mat_entry(M, N, i, i) > 0 for i in range(1, m + 1)):
-        return False
-    if all(mat_entry(M, N, u, u) > 0 for u in range(m + 1, N + 1)):
-        return False
-    return True
+    return all(0 in M[diag] for diag in shape.diagonals)
 
 
 def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     """Constrained triples (M, alpha, delta) of biweight rows/cols with
     alpha >= a_lo and delta >= d_lo, largest powers first (used by the
     test oracles of the peeling; qbench/tracing.py hooks it)."""
-    m = shape.m
-    a_hi = min(min(rows[:m]), min(cols[:m]))
-    d_hi = min(min(rows[m:]), min(cols[m:]))
+    par = [shape.parity(i) for i in range(1, shape.size + 1)] * 2
+    a_hi = min(v for v, p in zip(rows + cols, par) if not p)
+    d_hi = min(v for v, p in zip(rows + cols, par) if p)
     out = []
     for alpha in range(a_hi, a_lo - 1, -1):
         for delta in range(d_hi, d_lo - 1, -1):
-            ro = tuple(r - alpha for r in rows[:m]) + tuple(r - delta for r in rows[m:])
-            co = tuple(c - alpha for c in cols[:m]) + tuple(c - delta for c in cols[m:])
+            ro = tuple(r - (delta if p else alpha) for r, p in zip(rows, par))
+            co = tuple(c - (delta if p else alpha) for c, p in zip(cols, par))
             if any(v < 0 for v in ro + co):
                 continue
             for Mt in enumerate_block(shape, ro, co):
@@ -174,17 +163,13 @@ def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
     monomials, so it cancels S; when e < 0, rest is multiplied by detA^-e
     and K grows.  The loop ends only at zero, so the coordinates are exact.
     """
-    m, n, N = shape.m, shape.n, shape.size
+    n = shape.n
     rest = dict(g.terms)
     out: dict = {}
     while rest:
         S = max(rest)
-        diag = S[:: N + 1]
-        lo_a, delta = min(diag[:m]), min(diag[m:])
-        Mt = list(S)
-        for i in range(N):
-            Mt[i * (N + 1)] -= lo_a if i < m else delta
-        Mt = tuple(Mt)
+        lo_a, delta = (min(S[diag]) for diag in shape.diagonals)
+        Mt = _shift_diagonal(shape, S, -lo_a, -delta)
         e = lo_a - y_degree(shape, Mt) - n * delta
         if e < 0:
             # the member needs a higher clearing power: raise K for all of rest
@@ -208,12 +193,12 @@ def _reduce_pair(shape: Shape, M1, M2):
     """Constrained expansion of the word product W(M1) * W(M2).
 
     detA^r1 W(M2) = q^(2 r1 k2) W(M2) detA^r1 with r1 = y_degree(M1) and
-    k2 = mixed_degree(M2), so W(M1) W(M2) detA^(r1 + r2) is
+    k2 = shape.odd_degree(M2), so W(M1) W(M2) detA^(r1 + r2) is
     q^(-2 r1 k2) word_poly(M1) word_poly(M2).
     """
     r1, r2 = y_degree(shape, M1), y_degree(shape, M2)
     g = (word_poly(shape, M1) * word_poly(shape, M2)).scale(
-        LaurentPoly.q_power(-2 * r1 * mixed_degree(shape, M2))
+        LaurentPoly.q_power(-2 * r1 * shape.odd_degree(M2))
     )
     return tuple(express_in_basis(shape, g, r1 + r2).items())
 
@@ -245,14 +230,14 @@ class LocalElement(LinearElement):
 
     @classmethod
     def x_gen(cls, shape: Shape, i: int, j: int) -> "LocalElement":
-        if i > shape.m and j > shape.m:
+        if shape.block(i, j) == "D":
             raise ValueError("lower-block x is not a mixed coordinate; "
                              "use to_mixed on the polynomial element")
         return cls.monomial(shape, unit_matrix(shape.size, i, j))
 
     @classmethod
     def y_gen(cls, shape: Shape, mu: int, nu: int) -> "LocalElement":
-        if not (mu > shape.m and nu > shape.m):
+        if shape.block(mu, nu) != "D":
             raise IndexError("y indices must lie in the lower block")
         return cls.monomial(shape, unit_matrix(shape.size, mu, nu))
 
@@ -264,7 +249,7 @@ class LocalElement(LinearElement):
         out: dict = {}
         for (M1, a, d), c1 in self.terms.items():
             for (M2, a2, d2), c2 in other.terms.items():
-                qfac = LaurentPoly.q_power(2 * (a + d) * mixed_degree(shape, M2))
+                qfac = LaurentPoly.q_power(2 * (a + d) * shape.odd_degree(M2))
                 c = c1 * c2 * qfac
                 for (Mt, alpha, delta), r in _reduce_pair(shape, M1, M2):
                     _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
@@ -274,13 +259,10 @@ class LocalElement(LinearElement):
         return f"LocalElement({format_local(self)})"
 
     def key_biweight(self, key):
-        """detA^a adds a to the first m row and column sums, detD'^d adds d
-        to the others."""
-        M, a, d = key
-        m, N = self.shape.m, self.shape.size
-        shift = (a,) * m + (d,) * (N - m)
-        return (tuple(r + s for r, s in zip(row_sums(M, N), shift)),
-                tuple(c + s for c, s in zip(col_sums(M, N), shift)))
+        """detA^a adds a to the even row and column sums, detD'^d adds d
+        to the odd ones."""
+        S, N = _shift_diagonal(self.shape, *key), self.shape.size
+        return row_sums(S, N), col_sums(S, N)
 
     def to_json(self) -> dict:
         N = self.shape.size
@@ -369,15 +351,13 @@ def from_mixed(f: LocalElement) -> AlgebraElement:
         member = (word_poly(shape, M) * detDprime_poly(shape, d)
                   * _detA_power_alg(shape, lows[(M, a, d)] + K))
         g = g + member.scale(c)
-    N, dA = shape.size, _detA_power_alg(shape, 1)
+    dA = _detA_power_alg(shape, 1)
 
     def quotient(S):
-        M = list(S)
-        for t in range(shape.m):
-            M[t * (N + 1)] -= 1
+        M = _shift_diagonal(shape, S, -1, 0)
         if min(M) < 0:
             raise LinearSolveFailure("element is not divisible by detA")
-        return tuple(M)
+        return M
 
     for _ in range(K):
         coords = peel(g, lambda S: AlgebraElement.monomial(shape, quotient(S)) * dA,
@@ -390,7 +370,7 @@ def bar_local(f: LocalElement) -> LocalElement:
     """Bar involution: the super anti-automorphism fixing every x- and
     y-letter, detA and detD'.
 
-    Both determinants are even and commute, so with k = mixed_degree(M)
+    Both determinants are even and commute, so with k = odd_degree(M)
     odd letters, bar(c W(M) detA^a detD'^d) = bar(c) (-1)^(k(k-1)/2)
     detA^a detD'^d times the letters of M in reverse order.
     """
@@ -398,7 +378,7 @@ def bar_local(f: LocalElement) -> LocalElement:
     N = shape.size
     out = LocalElement.zero(shape)
     for (M, a, d), c in f.terms.items():
-        k = mixed_degree(shape, M)
+        k = shape.odd_degree(M)
         sign = (-1) ** (k * (k - 1) // 2)
         term = LocalElement(shape, {(zero_matrix(N), a, d): c.bar().scale(sign)})
         for (i, j) in reversed(matrix_to_word(M, N)):
@@ -421,15 +401,8 @@ def det_dprime_local(shape: Shape) -> LocalElement:
 
 def mixed_generators(shape: Shape):
     """All x-generators of the first three blocks plus all y-generators."""
-    gens = []
-    N = shape.size
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            if i <= shape.m or j <= shape.m:
-                gens.append(LocalElement.x_gen(shape, i, j))
-            else:
-                gens.append(LocalElement.y_gen(shape, i, j))
-    return gens
+    return [LocalElement.y_gen(shape, i, j) if shape.block(i, j) == "D"
+            else LocalElement.x_gen(shape, i, j) for i, j in shape.generators()]
 
 
 def is_central(f: LocalElement) -> bool:
@@ -445,14 +418,12 @@ def sl_project(f: LocalElement) -> LocalElement:
 
 
 def format_local(f: LocalElement) -> str:
-    m, N = f.shape.m, f.shape.size
+    shape = f.shape
     pairs = []
     for key in sorted(f.terms):
         M, a, d = key
-        factors = []
-        for (i, j) in matrix_to_word(M, N):
-            sym = "y" if (i > m and j > m) else "x"
-            factors.append(f"{sym}[{i},{j}]")
+        factors = [f"{'y' if shape.block(i, j) == 'D' else 'x'}[{i},{j}]"
+                   for (i, j) in matrix_to_word(M, shape.size)]
         if a:
             factors.append("detA" if a == 1 else f"detA^{a}")
         if d:

@@ -38,7 +38,7 @@ from qsuper.basis import (
     omega_H,
     omega_global,
     solve_block,
-    _dprime_x_expansion,
+    _block_element,
 )
 from qsuper.actions import (
     GenSymbol,
@@ -191,7 +191,7 @@ def test_03_bar_invariant_minors():
             Mdet = [0] * (N * N)
             for t in range(m, N):
                 Mdet[t * N + t] = 1
-            g = _dprime_x_expansion(shape, tuple(Mdet))
+            g = _block_element(shape, tuple(Mdet), "D")
             count += 1
             if g.bar() != g:
                 ok = False
@@ -300,11 +300,11 @@ def test_06_determinant_shifts():
     for pos in (3, 2):
         M = [0] * 16
         M[2 * 4 + pos] = 1
-        f = _dprime_x_expansion(s22, tuple(M))
+        f = _block_element(s22, tuple(M), "D")
         shifted = list(M)
         shifted[2 * 4 + 2] += 1
         shifted[3 * 4 + 3] += 1
-        if det_qinv_D(s22) * f != _dprime_x_expansion(s22, tuple(shifted)):
+        if det_qinv_D(s22) * f != _block_element(s22, tuple(shifted), "D"):
             ok = False
     # Berezinian shift on normalized elements and on basis elements
     for M, a, d in [((0, 1, 1, 0), 0, 0), ((0, 1, 1, 0), -1, 1),

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
+    _pair_rule,
     AlgebraElement,
     NonHomogeneous,
     Shape,
     count_monomials,
+    degree_matrices,
     enumerate_block,
-    matrix_parity,
     straighten_pair,
     x_norm,
 )
@@ -41,6 +42,61 @@ class TestShape:
         assert S11.gen_parity(1, 2) == 1
         assert S11.gen_parity(2, 2) == 0
         assert S11.gen_parity(1, 1) == 0
+
+
+TABLE_SHAPES = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1), Shape(3, 2)]
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+class TestCellTable:
+    def test_blocks_follow_the_index_definition(self, shape):
+        m, N = shape.m, shape.size
+        for i in range(1, N + 1):
+            assert shape.parity(i) == (0 if i <= m else 1)
+            for j in range(1, N + 1):
+                want = {(True, True): "A", (True, False): "B",
+                        (False, True): "C", (False, False): "D"}[(i <= m, j <= m)]
+                assert shape.block(i, j) == shape.blocks[shape.cell(i, j)] == want
+                assert shape.gen_parity(i, j) == (1 if (i <= m) != (j <= m) else 0)
+
+    def test_odd_degree_is_the_monomial_parity(self, shape):
+        m, N = shape.m, shape.size
+        for deg in range(3):
+            for M in degree_matrices(shape, deg):
+                odd = sum(v for k, v in enumerate(M) if (k // N < m) != (k % N < m))
+                assert shape.odd_degree(M) == odd
+                assert shape.odd_degree(M) % 2 == AlgebraElement.monomial(shape, M).parity()
+
+    def test_indices_outside_the_matrix_raise(self, shape):
+        # a flat table read at -1 would wrap to the last cell
+        for i in (0, -1, shape.size + 1):
+            with pytest.raises(IndexError):
+                shape.parity(i)
+            with pytest.raises(IndexError):
+                shape.gen_parity(i, 1)
+            with pytest.raises(IndexError):
+                shape.gen_parity(1, i)
+
+    def test_equal_shapes_share_cache_entries(self, shape):
+        built, fresh = Shape(shape.m, shape.n), Shape(shape.m, shape.n)
+        assert "blocks" not in vars(fresh)  # constructing builds no table
+        built.odd  # one of the two equal shapes has its table built
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        g1, g2 = (shape.size, 1), (1, shape.size)
+        _pair_rule(built, g1, g2)
+        before = _pair_rule.cache_info()
+        _pair_rule(fresh, g1, g2)
+        after = _pair_rule.cache_info()
+        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
+
+@pytest.mark.parametrize("cell", [(1, 4), (0, 1), (2, 0), (-1, 1), (4, 1)])
+def test_generators_outside_the_matrix_raise(cell):
+    # the flat index (i-1)*N + (j-1) would wrap these onto other cells
+    with pytest.raises(IndexError):
+        AlgebraElement.generator(S21, *cell)
+    with pytest.raises(IndexError):
+        AlgebraElement.from_word(S21, [(1, 1), cell])
 
 
 class TestStraightenPair:
@@ -269,8 +325,15 @@ class TestSerialization:
                 {"m": 1, "n": 1, "terms": [{"matrix": [[0, 2], [0, 0]], "coeff": {"0": 1}}]}
             )
 
+    def test_duplicate_terms_add_up(self):
+        def obj(*coeffs):
+            return {"m": 1, "n": 1, "terms": [
+                {"matrix": [[1, 0], [0, 0]], "coeff": {"0": c}} for c in coeffs]}
+        assert AlgebraElement.from_json(obj(1, 2)) == gen(S11, 1, 1).scale(3)
+        assert AlgebraElement.from_json(obj(1, -1)).is_zero()
+
 
 def test_matrix_parity():
-    assert matrix_parity(S11, (1, 0, 0, 1)) == 0
-    assert matrix_parity(S11, (0, 1, 0, 0)) == 1
-    assert matrix_parity(S11, (0, 1, 1, 0)) == 0
+    assert S11.odd_degree((1, 0, 0, 1)) % 2 == 0
+    assert S11.odd_degree((0, 1, 0, 0)) % 2 == 1
+    assert S11.odd_degree((0, 1, 1, 0)) % 2 == 0

@@ -30,7 +30,7 @@ from qsuper.basis import (
     psi_power,
     solve_block,
     submatrix_moves,
-    _dprime_x_expansion,
+    _block_element,
 )
 
 S11 = Shape(1, 1)
@@ -237,7 +237,7 @@ class TestOmegaDprime:
         M = [0] * 16
         M[2 * 4 + 2] = 1
         M[3 * 4 + 3] = 1
-        f = _dprime_x_expansion(S22, tuple(M))
+        f = _block_element(S22, tuple(M), "D")
         assert f.bar() == f
         lead = x_norm(S22, tuple(M))
         for c in (f - lead).terms.values():
@@ -247,18 +247,18 @@ class TestOmegaDprime:
         # detD' * Omega(M4) = Omega(M4 + I), checked in the x-picture
         M = [0] * 16
         M[2 * 4 + 3] = 1  # one off-diagonal entry
-        f = _dprime_x_expansion(S22, tuple(M))
+        f = _block_element(S22, tuple(M), "D")
         lhs = det_qinv_D(S22) * f
         shifted = list(M)
         shifted[2 * 4 + 2] += 1
         shifted[3 * 4 + 3] += 1
-        assert lhs == _dprime_x_expansion(S22, tuple(shifted))
+        assert lhs == _block_element(S22, tuple(shifted), "D")
 
     def test_dprime_det_is_basis_element(self):
         M = [0] * 16
         M[2 * 4 + 2] = 1
         M[3 * 4 + 3] = 1
-        f = _dprime_x_expansion(S22, tuple(M))
+        f = _block_element(S22, tuple(M), "D")
         assert f == det_qinv_D(S22)
 
 

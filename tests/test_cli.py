@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qsuper import basis, glq, verify
+from qsuper import basis, cli, glq, verify
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.glq import LocalElement, berezinian, to_mixed
 from qsuper.cli import main
@@ -73,6 +73,16 @@ class TestElements:
         rc, out = run(["reduce", "--element", "-"],
                       stdin=json.dumps(f.to_json()), capsys=capsys)
         assert rc == 0
+        assert LocalElement.from_json(json.loads(out)) == to_mixed(f)
+
+    def test_reduce_sums_duplicate_terms(self, tmp_path, capsys):
+        x22 = {"matrix": [[0, 0], [0, 1]]}
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({"m": 1, "n": 1, "terms": [
+            dict(x22, coeff={"0": 1}), dict(x22, coeff={"0": 2})]}))
+        rc, out = run(["reduce", "--element", str(path)], capsys=capsys)
+        assert rc == 0
+        f = AlgebraElement.generator(S11, 2, 2).scale(3)
         assert LocalElement.from_json(json.loads(out)) == to_mixed(f)
 
     def test_minor_star(self, capsys):
@@ -189,12 +199,19 @@ def _kernel_fault(*args):
     raise ValueError("non-exact Laurent division")
 
 
+def _uncached_omega_global(monkeypatch, module):
+    # omega_global caches its elements, and earlier tests may have built
+    # these, so the patched solver is reached only through the uncached one
+    monkeypatch.setattr(module, "omega_global", basis.omega_global.__wrapped__)
+
+
 class TestKernelFaultsPropagate:
-    """Only NotConstrained means "this index names no basis element"; any
-    other ValueError from the kernel is a fault and is never skipped."""
+    """Unconstrained indices are filtered out before the kernel runs; any
+    ValueError from the kernel is a fault and is never skipped."""
 
     def test_cb_reports_fault(self, capsys, monkeypatch):
         monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        _uncached_omega_global(monkeypatch, cli)
         rc = main(["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1"])
         captured = capsys.readouterr()
         assert rc == 3
@@ -203,6 +220,7 @@ class TestKernelFaultsPropagate:
 
     def test_cb_blocks_suite_raises(self, monkeypatch):
         monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        _uncached_omega_global(monkeypatch, verify)
         with pytest.raises(ValueError, match="non-exact"):
             verify.suite_cb_blocks(S21)
 

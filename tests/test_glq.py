@@ -424,6 +424,13 @@ class TestMixedForm:
         with pytest.raises(ValueError):
             LocalElement.x_gen(S11, 2, 2)
 
+    @pytest.mark.parametrize("cell", [(1, 4), (0, 1), (2, 0), (-1, 1), (4, 1)])
+    def test_generators_outside_the_matrix_raise(self, cell):
+        with pytest.raises(IndexError):
+            LocalElement.x_gen(S21, *cell)
+        with pytest.raises(IndexError):
+            LocalElement.y_gen(S21, *cell)
+
 
 class TestLocalArithmetic:
     def test_detA_q_commutes_with_mixed_gen(self):
