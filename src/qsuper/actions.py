@@ -185,7 +185,7 @@ def _letters_local(shape: Shape, letters) -> LocalElement:
 
 
 # ---------------------------------------------------------------------------
-# single-letter actions
+# single-letter actions: one cache entry per (shape, generator, side, letter)
 # ---------------------------------------------------------------------------
 
 
@@ -302,10 +302,32 @@ def _act_word(shape, kind, i, side, letters, cls):
     return out
 
 
+# Bound: a degree-3 window at (2|2) with its six E_i/F_i and four values of
+# a + d holds 19,176 images (about 4 MiB), a qbench localize session 1,200.
+@lru_cache(maxsize=1 << 15)
+def _act_key(shape, kind, i, side, M, s):
+    """E_i/F_i on the mixed word W(M) detA^s."""
+    return _act_word(shape, kind, i, side, _mixed_letters(shape, M, s), LocalElement)
+
+
+def _key_image(shape, kind, i, side, key):
+    """E_i/F_i on the basis element at key = (M, a, d), as a dict: W(M)
+    detA^(a+d) is acted on, and the image is multiplied by Ber^-d =
+    detA^-d detD'^d, which shifts the det powers of its keys."""
+    M, a, d = key
+    return {(T, alpha - d, delta + d): c for (T, alpha, delta), c
+            in _act_key(shape, kind, i, side, M, a + d).terms.items()}
+
+
+def _k_exponent(gen, side, f, key):
+    """K_i (Kinv_i) acts on f's key by q^(2 w_i) (q^(-2 w_i)), w its row
+    (left) or column (right) sums."""
+    w = f.key_biweight(key)[0 if side == "L" else 1][gen.index - 1]
+    return 2 * w if gen.kind == "K" else -2 * w
+
+
 def _act_terms(shape, kind, i, side, f):
-    """E_i/F_i on a polynomial or localized element, word by word; a key
-    (M, a, d) is acted on as W(M) detA^(a+d), and the image is multiplied
-    by Ber^-d = detA^-d detD'^d, which shifts the det powers of its keys."""
+    """E_i/F_i on a polynomial or localized element, key by key."""
     cls = type(f)
     out = cls.zero(shape)
     for key, coeff in f.terms.items():
@@ -313,21 +335,16 @@ def _act_terms(shape, kind, i, side, f):
             letters = tuple(("x", *g) for g in matrix_to_word(key, shape.size))
             out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
         else:
-            M, a, d = key
-            hit = _act_word(shape, kind, i, side, _mixed_letters(shape, M, a + d), cls)
-            out = out + cls(shape, {(T, alpha - d, delta + d): c * coeff
-                                    for (T, alpha, delta), c in hit.terms.items()})
+            out = out + cls(shape, {k: c * coeff for k, c
+                                    in _key_image(shape, kind, i, side, key).items()})
     return out
 
 
 def _act(gen: GenSymbol, f, side: str):
     shape = f.shape
     if gen.validate(shape).kind in ("K", "Kinv"):
-        # the K_i exponent is entry i of the row (left) or column (right) sums
-        s = 1 if gen.kind == "K" else -1
-        axis = 0 if side == "L" else 1
         return type(f)(shape, {
-            key: c * LaurentPoly.q_power(2 * s * f.key_biweight(key)[axis][gen.index - 1])
+            key: c * LaurentPoly.q_power(_k_exponent(gen, side, f, key))
             for key, c in f.terms.items()
         })
     return _act_terms(shape, gen.kind, gen.index, side, f)
@@ -350,18 +367,15 @@ def act_right(gen: GenSymbol, f):
 
 def window_indices(shape: Shape, max_degree: int, a_range=(0, 0), d_range=(0, 0)):
     """Constrained basis indices (M, a, d) within the window bounds."""
-    out = []
-    for a in range(a_range[0], a_range[1] + 1):
-        for d in range(d_range[0], d_range[1] + 1):
-            for M in _window_matrices(shape, max_degree):
-                out.append((M, a, d))
-    return out
+    return [(M, a, d) for a in range(a_range[0], a_range[1] + 1)
+            for d in range(d_range[0], d_range[1] + 1)
+            for M in _window_matrices(shape, max_degree)]
 
 
 @lru_cache(maxsize=None)
 def _window_matrices(shape: Shape, max_degree: int):
     """Constrained matrices by degree, then by (row sums, column sums),
-    then lexicographically."""
+    then lexicographically; one entry per (shape, degree)."""
     N = shape.size
     out = []
     for deg in range(max_degree + 1):
@@ -373,19 +387,6 @@ def _window_matrices(shape: Shape, max_degree: int):
     return tuple(out)
 
 
-def _gen_constraints(shape, gens, side, basis):
-    """Rows of the linear system (g - eps(g)) f = 0 over the given basis."""
-    images = []
-    for gen in gens:
-        cols = []
-        for key in basis:
-            f = LocalElement(shape, {key: ONE})
-            g = _act(gen, f, side) - f.scale(epsilon(gen))
-            cols.append(g)
-        images.append(cols)
-    return images
-
-
 def invariants_window(
     shape: Shape,
     left_gens,
@@ -394,22 +395,29 @@ def invariants_window(
     a_range=(0, 0),
     d_range=(0, 0),
 ):
-    """Basis of the joint invariant space on a finite window, exactly."""
+    """Basis of the joint invariant space on a finite window, exactly.
+    Column j holds (g - eps(g)) on key j at rows (g's position, image key):
+    the E_i/F_i image, or q^k - 1 at the key itself for K_i/Kinv_i."""
     basis = window_indices(shape, max_degree, a_range, d_range)
     if not basis:
         return []
-    images = _gen_constraints(shape, tuple(left_gens), "L", basis)
-    images += _gen_constraints(shape, tuple(right_gens), "R", basis)
-    # assemble one stacked coefficient matrix: rows are (constraint, key)
+    gens = [(g.validate(shape), side) for side, gs in (("L", left_gens), ("R", right_gens))
+            for g in gs]
+    probe = LocalElement.zero(shape)  # reads the keys' biweights
     columns = []
-    for j in range(len(basis)):
+    for key in basis:
         col = {}
-        for gi, cols in enumerate(images):
-            for key, c in cols[j].terms.items():
-                col[(gi, key)] = c
+        for gi, (g, side) in enumerate(gens):
+            if g.kind in ("K", "Kinv"):
+                k = _k_exponent(g, side, probe, key)
+                if k:
+                    col[(gi, key)] = LaurentPoly.q_power(k) - ONE
+            else:
+                for T, c in _key_image(shape, g.kind, g.index, side, key).items():
+                    col[(gi, T)] = c
         columns.append(col)
-    # the window's keys are distinct, and zero coefficients drop out
-    return [LocalElement(shape, dict(zip(basis, coeffs))) for coeffs in nullspace(columns)]
+    return [LocalElement(shape, {basis[j]: c for j, c in vec.items()})
+            for vec in nullspace(columns)]
 
 
 @dataclass(frozen=True)
@@ -441,23 +449,16 @@ def canonical_span_check(
     if shape.n != 1:
         raise ValueError("span check is stated for one odd row")
     variant = variant or Variant.PLUS_Q
-    inv = invariants_window(
-        shape, left_gens, (), max_degree, a_range, d_range
-    )
+    inv = invariants_window(shape, left_gens, (), max_degree, a_range, d_range)
     window = window_indices(shape, max_degree, a_range, d_range)
-    selected = []
-    omegas = []
+    selected, omegas = [], []
     for key in window:
         f = omega_global(shape, *key, variant).expansion
-        if all(
-            (_act(g, f, "L") - f.scale(epsilon(g))).is_zero() for g in left_gens
-        ):
+        if all((_act(g, f, "L") - f.scale(epsilon(g))).is_zero() for g in left_gens):
             selected.append(key)
             omegas.append(f)
     if len(selected) != len(inv):
-        raise SpanMismatch(
-            f"{len(inv)} invariants vs {len(selected)} basis elements"
-        )
+        raise SpanMismatch(f"{len(inv)} invariants vs {len(selected)} basis elements")
     window = set(window)
     if any(not window.issuperset(f.terms) for f in omegas):
         raise SpanMismatch("basis element outside the window")

@@ -173,11 +173,7 @@ def total_degree(M) -> int:
 
 def matrix_to_word(M, N):
     """Letters (i, j) of the ordered monomial, in lexicographic order."""
-    word = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            word.extend([(i, j)] * mat_entry(M, N, i, j))
-    return tuple(word)
+    return tuple((k // N + 1, k % N + 1) for k, v in enumerate(M) if v for _ in range(v))
 
 
 def word_to_matrix(word, N):

@@ -8,9 +8,9 @@ with ring arithmetic; a non-unit pivot cross-multiplies the rows it
 clears, which are then divided by their integer content and lowest power
 of q (fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).
 
-Each free column gives one kernel vector, and its coordinates are Laurent
-polynomials: each is one exact division, a free-column entry by its
-row's pivot, and a coordinate outside Z[q, q^-1] raises
+Each free column gives one sparse kernel vector, and its coordinates are
+Laurent polynomials: each is one exact division, a free-column entry by
+its row's pivot, and a coordinate outside Z[q, q^-1] raises
 LinearSolveFailure.  The pivot columns are the leftmost independent set,
 so the coordinates are those that elimination over the fraction field
 gives, whenever those lie in Z[q, q^-1].  A target lies in a span when it
@@ -116,15 +116,15 @@ def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 def _kernel_vector(system, c):
-    """The kernel vector of the free column c: 1 at c, 0 at the other free
-    columns; LinearSolveFailure when a pivot coordinate is not Laurent."""
+    """The kernel vector of the free column c, {column: coordinate} in
+    column order: 1 at c and the pivot columns of c's rows; raises
+    LinearSolveFailure when a pivot coordinate is not Laurent."""
     rows, pivot_of, index = system
-    vec = [ZERO] * len(index)
-    vec[c] = ONE
+    vec = {c: ONE}
     for r in index[c]:
         pc = pivot_of[r]
         vec[pc] = _quotient(-rows[r][c], rows[r][pc])
-    return vec
+    return dict(sorted(vec.items()))
 
 
 def solve_in_span(columns, target):
@@ -139,14 +139,16 @@ def solve_in_span(columns, target):
     system = _eliminate([*columns, target])
     if n in system[1].values():  # the target is a pivot: outside the span
         return None
-    return [-v for v in _kernel_vector(system, n)[:n]]
+    vec = _kernel_vector(system, n)
+    return [-vec.get(k, ZERO) for k in range(n)]
 
 
 def nullspace(columns):
     """Basis of {c : sum(c_i * columns_i) = 0}, one vector per free column.
 
-    Vectors are lists of Laurent polynomials with the free coordinate 1;
-    LinearSolveFailure is raised when a pivot coordinate is not Laurent.
+    Vectors are sparse, {column: coordinate}: 1 at the free column, the
+    pivot coordinates it reaches, no zeros; LinearSolveFailure is raised
+    when a pivot coordinate is not Laurent.
     """
     system = _eliminate(columns)
     pivot_cols = set(system[1].values())

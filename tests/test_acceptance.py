@@ -515,7 +515,8 @@ def test_11_kashiwara():
             for vec in nullspace(columns):
                 coords = {}
                 inv = AlgebraElement.zero(sh)
-                for M, c in zip(block, vec):
+                dense = [vec.get(j, LaurentPoly.zero()) for j in range(len(block))]
+                for M, c in zip(block, dense):
                     if not c.is_zero():
                         coords[M] = c
                         inv = inv + x_norm(sh, M).scale(c)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import qsuper
 from qsuper import actions, basis, exactlinalg
 from qsuper.laurent import LaurentPoly, ONE, Variant
 from qsuper.algebra import (
@@ -456,6 +457,72 @@ class TestInvariantsWindow:
             assert solve_in_span(span, dict(g.terms)) is not None
 
 
+def reference_window(shape, left_gens, right_gens, max_degree, a_range, d_range):
+    """The window's assembly before the per-key memo, kept as its reference:
+    each column is act_left/act_right on a one-term LocalElement minus
+    eps(g) times it, and every kernel vector is densified over the window."""
+    keys = window_indices(shape, max_degree, a_range, d_range)
+    if not keys:
+        return []
+    images = [[act(g, f) - f.scale(epsilon(g))
+               for f in (LocalElement(shape, {key: ONE}) for key in keys)]
+              for gens, act in ((left_gens, act_left), (right_gens, act_right))
+              for g in gens]
+    columns = [{(gi, k): c for gi, cols in enumerate(images) for k, c in cols[j].terms.items()}
+               for j in range(len(keys))]
+    return [LocalElement(shape, dict(zip(keys, [vec.get(j, LaurentPoly.zero())
+                                                for j in range(len(keys))])))
+            for vec in nullspace(columns)]
+
+
+# the benchmark's four det windows, (a_range, d_range), at degree 2
+DET_WINDOWS = [((-1, 0), (0, 0)), ((0, 0), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 1), (-1, 0))]
+
+
+class TestWindowAgainstReference:
+    @pytest.mark.parametrize("shape", [S21, S12], ids=str)
+    @pytest.mark.parametrize("a_range,d_range", DET_WINDOWS)
+    def test_det_windows(self, shape, a_range, d_range):
+        N = shape.size
+        lefts = all_E(shape)
+        for right in [()] + [(F(i),) for i in range(1, N)] + [tuple(F(i) for i in range(1, N))]:
+            got = invariants_window(shape, lefts, right, 2, a_range, d_range)
+            assert got == reference_window(shape, lefts, right, 2, a_range, d_range)
+
+    @pytest.mark.parametrize("shape", [S21, S12], ids=str)
+    def test_k_generators(self, shape):
+        Kinv = lambda i: GenSymbol("Kinv", i)
+        for lefts, rights in [((K(1), Kinv(2)), (K(3),)), ((E(1), K(2)), (Kinv(1), F(2)))]:
+            for a_range, d_range in DET_WINDOWS[::3]:
+                got = invariants_window(shape, lefts, rights, 2, a_range, d_range)
+                assert got == reference_window(shape, lefts, rights, 2, a_range, d_range)
+
+    def test_act_key_matches_its_uncached_form(self):
+        for M, a, d in window_indices(S22, 2, (-1, 0), (0, 1)):
+            for kind, i, side in itertools.product("EF", (1, 2, 3), "LR"):
+                assert (actions._act_key(S22, kind, i, side, M, a + d)
+                        == actions._act_key.__wrapped__(S22, kind, i, side, M, a + d))
+
+    def test_clear_caches_empties_the_bounded_memo(self):
+        args = (S21, all_E(S21), (F(1),), 2, (-1, 0), (0, 1))
+        warm = invariants_window(*args)
+        assert actions._act_key.cache_info().maxsize is not None
+        assert actions._act_key.cache_info().currsize > 0
+        qsuper.clear_caches()
+        assert actions._act_key.cache_info().currsize == 0
+        assert invariants_window(*args) == warm
+
+    def test_window_calls_nullspace_through_the_actions_binding(self, monkeypatch):
+        # the benchmark's exactlinalg.nullspace span wraps this binding
+        calls = []
+        real = actions.nullspace
+        monkeypatch.setattr(actions, "nullspace", lambda cols: calls.append(cols) or real(cols))
+        for a_range, d_range in DET_WINDOWS:
+            invariants_window(S12, all_E(S12), (F(1),), 2, a_range, d_range)
+        assert [len(cols) for cols in calls] == [
+            len(window_indices(S12, 2, a_range, d_range)) for a_range, d_range in DET_WINDOWS]
+
+
 def solve_span_check(shape, left_gens, max_degree, a_range=(0, 0)):
     """The solve-based check that canonical_span_check replaced, kept as its
     reference: every invariant must solve over the selected elements.
@@ -723,7 +790,8 @@ class TestKashiwara:
             for vec in nullspace(columns):
                 inv = AlgebraElement.zero(sh)
                 coords = {}
-                for M, c in zip(block, vec):
+                dense = [vec.get(j, LaurentPoly.zero()) for j in range(len(block))]
+                for M, c in zip(block, dense):
                     if not c.is_zero():
                         inv = inv + x_norm(sh, M).scale(c)
                         coords[M] = coords.get(M, LaurentPoly.zero()) + c

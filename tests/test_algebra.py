@@ -13,6 +13,8 @@ from qsuper.algebra import (
     count_monomials,
     degree_matrices,
     enumerate_block,
+    mat_entry,
+    matrix_to_word,
     straighten_pair,
     x_norm,
 )
@@ -42,6 +44,19 @@ class TestShape:
         assert S11.gen_parity(1, 2) == 1
         assert S11.gen_parity(2, 2) == 0
         assert S11.gen_parity(1, 1) == 0
+
+
+@pytest.mark.parametrize("shape", [S21, S22], ids=str)
+def test_matrix_to_word_matches_the_cell_loop(shape):
+    """The one-pass word equals the old N^2 loop over every cell."""
+    N = shape.size
+    for deg in range(4):
+        for M in degree_matrices(shape, deg):
+            word = []
+            for i in range(1, N + 1):
+                for j in range(1, N + 1):
+                    word.extend([(i, j)] * mat_entry(M, N, i, j))
+            assert matrix_to_word(M, N) == tuple(word)
 
 
 TABLE_SHAPES = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1), Shape(3, 2)]

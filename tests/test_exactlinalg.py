@@ -33,6 +33,11 @@ def _nonzero(vec):
     return {k: v for k, v in vec.items() if not v.is_zero()}
 
 
+def _dense(vec, n):
+    """A sparse kernel vector {column: coordinate} as a list of n."""
+    return [vec.get(c, ZERO) for c in range(n)]
+
+
 class TestSolve:
     def test_simple(self):
         cols = [{"u": ONE, "v": lp({2: 1})}, {"v": ONE}]
@@ -80,7 +85,7 @@ class TestNullspaceRank:
         cols = [{"u": ONE}, {"u": lp({2: 1})}]
         ns = nullspace(cols)
         assert len(ns) == 1
-        assert not _nonzero(_combine(cols, ns[0]))
+        assert not _nonzero(_combine(cols, _dense(ns[0], 2)))
 
     def test_zero_column(self):
         cols = [{"u": ONE}, {}]
@@ -385,9 +390,27 @@ class TestAgainstDenseReference:
             assert solve_in_span(columns, target) is None
         else:
             _agrees(lambda: [solve_in_span(columns, target)], [want])
-        got_ns = _agrees(lambda: nullspace(columns), dense_nullspace(columns))
+        got_ns = _agrees(lambda: [_dense(v, len(columns)) for v in nullspace(columns)],
+                         dense_nullspace(columns))
         if got_ns is not None:
             assert len(columns) - len(got_ns) == dense_rank(columns)
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def test_kernel_vectors_hold_free_and_pivot_columns(self, system):
+        columns = system[0]
+        pivots = {c for _, c in _dense_eliminate(_dense_assemble(columns)[0])}
+        free = [c for c in range(len(columns)) if c not in pivots]
+        try:
+            vectors = nullspace(columns)
+        except LinearSolveFailure:  # test_solve_nullspace_rank checks when
+            return
+        assert len(vectors) == len(free)
+        for c, vec in zip(free, vectors):
+            assert vec[c] == ONE
+            assert set(vec) <= pivots | {c}
+            assert list(vec) == sorted(vec)
+            assert all(not v.is_zero() for v in vec.values())
 
     def test_non_unit_pivot(self):
         # the only pivot is 2: the second row is cross-multiplied and left
@@ -407,4 +430,5 @@ class TestAgainstDenseReference:
         with pytest.raises(LinearSolveFailure):
             nullspace([col, dep])
         # through the same non-unit pivot, a Laurent kernel vector
-        assert nullspace([col, {k: Q * v for k, v in col.items()}]) == [[-Q, ONE]]
+        ns = nullspace([col, {k: Q * v for k, v in col.items()}])
+        assert [_dense(v, 2) for v in ns] == [[-Q, ONE]]
