@@ -167,10 +167,6 @@ def col_sums(M, N):
     return tuple(sum(M[r * N + c] for r in range(N)) for c in range(N))
 
 
-def total_degree(M) -> int:
-    return sum(M)
-
-
 def matrix_to_word(M, N):
     """Letters (i, j) of the ordered monomial, in lexicographic order."""
     return tuple((k // N + 1, k % N + 1) for k, v in enumerate(M) if v for _ in range(v))
@@ -188,7 +184,8 @@ def word_to_matrix(word, N):
 
 @lru_cache(maxsize=None)
 def _pair_rule(shape: Shape, g1, g2):
-    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 >= g2.
+    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 > g2
+    or an odd g1 == g2.
 
     Returns a tuple of (two-letter word, LaurentPoly) pairs; the empty
     tuple encodes zero (odd square).
@@ -196,10 +193,8 @@ def _pair_rule(shape: Shape, g1, g2):
     i, j = g1
     k, l = g2
     par = shape.parity
-    if g1 == g2:
-        if shape.gen_parity(i, j) == 1:
-            return ()
-        return (((g1, g2), ONE),)
+    if g1 == g2:  # straighten_word passes an equal pair only when it is odd
+        return ()
     if i == k:  # same row, j > l
         s = (-1) ** ((par(i) + par(l)) % 2 * ((par(i) + par(j)) % 2))
         c = LaurentPoly.q_power(-2 * (-1) ** par(i), s)
@@ -374,11 +369,12 @@ class AlgebraElement(LinearElement):
         self._check(other)
         N = self.shape.size
         terms: dict = {}
+        right = [(matrix_to_word(M2, N), c2) for M2, c2 in other.terms.items()]
         for M1, c1 in self.terms.items():
             w1 = matrix_to_word(M1, N)
-            for M2, c2 in other.terms.items():
+            for w2, c2 in right:
                 c = c1 * c2
-                for key, sc in _straighten_cached(self.shape, w1 + matrix_to_word(M2, N)):
+                for key, sc in _straighten_cached(self.shape, w1 + w2):
                     _put(terms, key, sc * c)
         return AlgebraElement(self.shape, terms)
 
@@ -405,14 +401,6 @@ class AlgebraElement(LinearElement):
     def key_biweight(self, M):
         N = self.shape.size
         return row_sums(M, N), col_sums(M, N)
-
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        degs = {total_degree(M) for M in self.terms}
-        if len(degs) > 1:
-            raise NonHomogeneous(f"mixed degrees {degs}")
-        return degs.pop()
 
     def parity(self) -> int:
         pars = {self.shape.odd_degree(M) % 2 for M in self.terms}

@@ -1,4 +1,4 @@
-"""Dual canonical bases via the Lusztig triangular recursion.
+"""Dual canonical bases via Lusztig's lemma.
 
 The basis elements are the unique bar-invariant elements equal to a
 normalized leading monomial plus strictly smaller terms whose
@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from qsuper.laurent import LaurentPoly, ONE, Variant, solve_bar_equation
 from qsuper.algebra import (
-    _put,
     AlgebraElement,
     Shape,
     col_sums,
@@ -106,50 +105,27 @@ def _pick_maximal(shape: Shape, indices):
     raise TriangularityViolation(f"no maximal element among {indices}")
 
 
-# -- the generic triangular solvers ------------------------------------------
+# -- Lusztig's lemma ----------------------------------------------------------
 
 
-def lusztig_solve_one(T, expand_bar, variant: Variant, pick_max, strictly_lower):
-    """Coordinates of the unique bar-invariant element with leading T.
+def lusztig_element(T, column, element, bar, variant: Variant, pick_max, strictly_lower):
+    """The bar-invariant element column(T) + sum of p_S element(S) (Lusztig's
+    lemma): bar(column(T)) - column(T) is peeled over the basis elements
+    element(S) below T, and each coordinate a_S gives p_S - bar(p_S) = a_S
+    with p_S in the variant's target.  An index not strictly below T raises
+    before element(S) is built, so a fault in the order never recurses."""
+    lower = {}
 
-    expand_bar(S) gives the coordinates of bar(monomial S) over the
-    family; the residual is repeatedly cancelled at its maximal index
-    with a coefficient from the variant's target.
-    """
-    coords = {T: ONE}
-    while True:
-        barc: dict = {}
-        for S, c in coords.items():
-            for U, b in expand_bar(S).items():
-                _put(barc, U, c.bar() * b)
-        residual = dict(barc)
-        for S, c in coords.items():
-            _put(residual, S, -c)
-        if not residual:
-            return coords
-        S = pick_max(residual.keys())
-        if not strictly_lower(S, T):
-            raise TriangularityViolation(f"residual at {S} is not below {T}")
-        h = solve_bar_equation(residual[S], variant)
-        acc = coords.get(S, LaurentPoly.zero()) + h
-        coords[S] = acc
+    def below(S):
+        if not strictly_lower(S, T) or strictly_lower(T, S):
+            raise TriangularityViolation(f"coordinate at {S} is not strictly below {T}")
+        lower[S] = element(S)
+        return lower[S]
 
-
-def lusztig_elements(targets, column, bar, variant: Variant, pick_max, strictly_lower):
-    """Dict T -> the bar-invariant element led by T, for T in targets.
-
-    column(S) is the family member at S; the peel of bar(column(S)) over
-    the family is computed once and shared by every target."""
-    @lru_cache(maxsize=None)
-    def expand_bar(S):
-        return peel(bar(column(S)), column, pick_max, strictly_lower)
-
-    out = {}
-    for T in targets:
-        coords = lusztig_solve_one(T, expand_bar, variant, pick_max, strictly_lower)
-        terms = [column(S).scale(c) for S, c in sorted(coords.items())]
-        out[T] = sum(terms[1:], terms[0])
-    return out
+    col = column(T)
+    coords = peel(bar(col) - col, below, pick_max, strictly_lower)
+    terms = [lower[S].scale(solve_bar_equation(a, variant)) for S, a in sorted(coords.items())]
+    return sum(terms, col)
 
 
 def solve_block(shape: Shape, indices, monomials, variant: Variant):
@@ -161,12 +137,18 @@ def solve_block(shape: Shape, indices, monomials, variant: Variant):
     indices = [tuple(M) for M in indices]
     index_set = set(indices)
     columns = {M: monomials(M) for M in indices}
+    memo = {}
 
     def lower(S, T):
         return S != T and S in _downset(shape, T) and S in index_set
 
-    return lusztig_elements(indices, columns.__getitem__, lambda f: f.bar(), variant,
-                            lambda support: _pick_maximal(shape, support), lower)
+    def element(T):
+        if T not in memo:
+            memo[T] = lusztig_element(T, columns.__getitem__, element, lambda f: f.bar(),
+                                      variant, lambda sup: _pick_maximal(shape, sup), lower)
+        return memo[T]
+
+    return {T: element(T) for T in indices}
 
 
 # -- staged sub-block bases ---------------------------------------------------
@@ -326,9 +308,10 @@ def _pick_maximal_global(shape: Shape, keys):
 def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement:
     """Dual canonical basis element of the localization."""
     key = (tuple(M), a, d)
-    elem = lusztig_elements([key], lambda k: n_ad(shape, *k), bar_local, variant,
-                            lambda sup: _pick_maximal_global(shape, sup),
-                            lambda S, T: p_strictly_lower(shape, S, T))[key]
+    elem = lusztig_element(key, lambda k: n_ad(shape, *k),
+                           lambda k: omega_global(shape, *k, variant).expansion,
+                           bar_local, variant, lambda sup: _pick_maximal_global(shape, sup),
+                           lambda S, T: p_strictly_lower(shape, S, T))
     return CBElement(key, variant, elem)
 
 

@@ -1,12 +1,17 @@
+from functools import lru_cache
+
 import pytest
 
-from qsuper import basis, exactlinalg, glq
-from qsuper.laurent import LaurentPoly, ONE, Variant
+from qsuper import basis, clear_caches, exactlinalg, glq
+from qsuper.laurent import LaurentPoly, ONE, Variant, solve_bar_equation
 from qsuper.algebra import (
+    _put,
     AlgebraElement,
     Shape,
+    col_sums,
     degree_matrices,
     enumerate_block,
+    row_sums,
     x_norm,
     zero_matrix,
 )
@@ -515,3 +520,88 @@ def test_frontier_block_1111(shape, size):
         assert express_in_n(shape, f).get((M, 0, 0)) == ONE, M
         count += 1
     assert count == size
+
+
+# -- the residual recursion that lusztig_element replaced, as a reference -----
+
+
+def reference_solve_one(T, expand_bar, variant, pick_max, strictly_lower):
+    """Coordinates over the family of the bar-invariant element led by T.
+
+    expand_bar(S) gives the coordinates of bar(member S) over the family;
+    the residual bar(sum) - sum is rebuilt from them and cancelled at its
+    maximal index until it vanishes.
+    """
+    coords = {T: ONE}
+    while True:
+        residual = {}
+        for S, c in coords.items():
+            for U, b in expand_bar(S).items():
+                _put(residual, U, c.bar() * b)
+        for S, c in coords.items():
+            _put(residual, S, -c)
+        if not residual:
+            return coords
+        S = pick_max(residual.keys())
+        if not strictly_lower(S, T):
+            raise TriangularityViolation(f"residual at {S} is not below {T}")
+        coords[S] = coords.get(S, LaurentPoly.zero()) + solve_bar_equation(residual[S], variant)
+
+
+def reference_elements(targets, column, bar, variant, pick_max, strictly_lower):
+    """Dict T -> the bar-invariant element led by T, sharing each member's
+    bar expansion between the targets."""
+    @lru_cache(maxsize=None)
+    def expand_bar(S):
+        return peel(bar(column(S)), column, pick_max, strictly_lower)
+
+    out = {}
+    for T in targets:
+        coords = reference_solve_one(T, expand_bar, variant, pick_max, strictly_lower)
+        terms = [column(S).scale(c) for S, c in sorted(coords.items())]
+        out[T] = sum(terms[1:], terms[0])
+    return out
+
+
+def all_blocks(shape, max_degree):
+    N = shape.size
+    sums = {(row_sums(M, N), col_sums(M, N)): None
+            for deg in range(max_degree + 1) for M in degree_matrices(shape, deg)}
+    return [enumerate_block(shape, ro, co) for ro, co in sums]
+
+
+@pytest.mark.parametrize("shape,degree", [
+    (S11, 3), (S21, 3), (Shape(1, 2), 3), (S22, 3), (Shape(3, 1), 3), (Shape(1, 3), 2),
+], ids=str)
+def test_solve_block_matches_the_residual_recursion(shape, degree):
+    for block in all_blocks(shape, degree):
+        columns = {M: x_norm(shape, M) for M in block}
+        index_set = set(block)
+        for variant in Variant:
+            want = reference_elements(
+                block, columns.__getitem__, lambda f: f.bar(), variant,
+                lambda sup: basis._pick_maximal(shape, sup),
+                lambda S, T: S != T and S in basis._downset(shape, T) and S in index_set)
+            got = solve_block(shape, block, lambda M: x_norm(shape, M), variant)
+            assert list(got) == list(want) and got == want, (block, variant)
+
+
+@pytest.mark.parametrize("shape,degree", [
+    (S21, 3), (Shape(1, 2), 3), (S22, 2), (Shape(3, 1), 2),
+], ids=str)
+def test_omega_global_matches_the_residual_recursion(shape, degree):
+    # from empty caches, so omega_global builds every lower element itself
+    clear_caches()
+    for deg in range(degree + 1):
+        for M in degree_matrices(shape, deg):
+            if not is_constrained(shape, M):
+                continue
+            for a, d in [(0, 0), (-1, 1), (1, -1)]:
+                key = (M, a, d)
+                for variant in Variant:
+                    want = reference_elements(
+                        [key], lambda k: n_ad(shape, *k), bar_local, variant,
+                        lambda sup: basis._pick_maximal_global(shape, sup),
+                        lambda S, T: p_strictly_lower(shape, S, T))[key]
+                    assert omega_global(shape, M, a, d, variant).expansion == want, (
+                        key, variant)

@@ -210,7 +210,7 @@ class TestKernelFaultsPropagate:
     ValueError from the kernel is a fault and is never skipped."""
 
     def test_cb_reports_fault(self, capsys, monkeypatch):
-        monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        monkeypatch.setattr(basis, "lusztig_element", _kernel_fault)
         _uncached_omega_global(monkeypatch, cli)
         rc = main(["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1"])
         captured = capsys.readouterr()
@@ -219,7 +219,7 @@ class TestKernelFaultsPropagate:
         assert captured.err == "error: ValueError: non-exact Laurent division\n"
 
     def test_cb_blocks_suite_raises(self, monkeypatch):
-        monkeypatch.setattr(basis, "lusztig_solve_one", _kernel_fault)
+        monkeypatch.setattr(basis, "lusztig_element", _kernel_fault)
         _uncached_omega_global(monkeypatch, verify)
         with pytest.raises(ValueError, match="non-exact"):
             verify.suite_cb_blocks(S21)
@@ -230,6 +230,24 @@ class TestKernelFaultsPropagate:
             verify.suite_ber_shift(S21)
 
 
+@pytest.mark.parametrize("shape,checked", [(Shape(1, 2), 20), (Shape(2, 2), 22)], ids=str)
+def test_cb_blocks_suite_checks_lower_coordinates(shape, checked, monkeypatch):
+    # at (2|1) each checked element equals its N-family member, so only
+    # shapes like these reach the suite's unitriangularity loop
+    lower = []
+    real = verify.express_in_n
+
+    def spy(shape, f):
+        coords = real(shape, f)
+        lower.append(len(coords) - 1)
+        return coords
+
+    monkeypatch.setattr(verify, "express_in_n", spy)
+    ok, lines = verify.suite_cb_blocks(shape)
+    assert ok and lines == [f"{checked} basis elements bar-invariant and unitriangular ok"]
+    assert len(lower) == checked and sum(lower) == 8
+
+
 class TestExitCodes:
     """0 success, 1 verification failure, 2 usage error, 3 kernel fault."""
 
@@ -237,7 +255,7 @@ class TestExitCodes:
         def residual_not_below(*args):
             raise glq.TriangularityViolation("residual at M is not below T")
 
-        monkeypatch.setattr(basis, "lusztig_solve_one", residual_not_below)
+        monkeypatch.setattr(basis, "lusztig_element", residual_not_below)
         rc = main(["cb", "--shape", "1", "2", "--ro", "1,2,1", "--co", "1,1,2"])
         captured = capsys.readouterr()
         assert rc == 3

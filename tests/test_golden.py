@@ -94,6 +94,8 @@ CASES["inv_21_left_right"] = ["inv", "--shape", "2", "1", "--left", "E1",
 for _suite in ("relations", "laplace", "commun", "bar-minors", "cb-blocks",
                "ber-shift", "actions", "gl21"):
     CASES[f"verify_{_suite}_21"] = ["verify", "--suite", _suite, "--shape", "2", "1"]
+# the first shape whose checked elements have lower coordinates over the N family
+CASES["verify_cb-blocks_12"] = ["verify", "--suite", "cb-blocks", "--shape", "1", "2"]
 CASES["verify_gl11_11"] = ["verify", "--suite", "gl11", "--shape", "1", "1"]
 CASES["conventions"] = ["conventions"]
 

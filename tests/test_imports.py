@@ -1,6 +1,7 @@
 """Every module-level import of a test or kernel file is used in that file,
-every top-level definition of the kernel is read somewhere, and every
-kernel name that the benchmark's tracer wraps still exists."""
+every top-level definition and class method of the kernel is read
+somewhere, and every kernel name that the benchmark's tracer wraps still
+exists."""
 
 import ast
 import os
@@ -113,6 +114,67 @@ def test_checker_finds_unread_definitions():
     read = reads(module) | reads(other)
     assert unread_definitions(module, read) == [
         "recursive (line 3)", "Lonely (line 4)", "caller (line 8)"]
+
+
+def attribute_reads(source: str) -> set:
+    """Attribute names read in source, and the strings that could name one
+    (a getattr target such as qbench/tracing.py's), except a function's
+    reads of its own name."""
+    out = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = node.name
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = own
+        if name != own:
+            out.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def unread_methods(source: str, read: set) -> list:
+    """Non-dunder methods of the top-level classes of source whose name is
+    not in read."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [f"{cls.name}.{node.name} (line {node.lineno})"
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, defs) and node.name not in read
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def test_every_kernel_method_is_read():
+    read = set().union(*(attribute_reads(p.read_text()) for p in READER_FILES))
+    unread = [f"{path.name}: {entry}" for path in SRC_FILES
+              for entry in unread_methods(path.read_text(), read)]
+    assert unread == []
+
+
+def test_checker_finds_unread_methods():
+    module = (
+        "class Thing:\n"
+        "    def __add__(self, other): return self\n"
+        "    def used(self): return 1\n"
+        "    def named(self): return 2\n"
+        "    def recursive(self, n): return self.recursive(n - 1) if n else 0\n"
+        "    def lonely(self): return 3\n"
+        "    @property\n"
+        "    def size(self): return 4\n"
+        "def used(): return 5\n"
+        "def helper(thing): return thing.size\n"
+    )
+    other = "import mod\nmod.Thing().used()\ngetattr(mod.Thing, 'named')\nlonely = 6\n"
+    read = attribute_reads(module) | attribute_reads(other)
+    assert unread_methods(module, read) == [
+        "Thing.recursive (line 5)", "Thing.lonely (line 6)"]
 
 
 def test_benchmark_tracer_binds_to_the_kernel():
