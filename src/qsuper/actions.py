@@ -9,7 +9,10 @@ out.  Actions on localized letters (detA^-1, Schur-complement entries) are
 derived from the generator tables and the derivation rule for inverses,
 not postulated.  Powers of detD' act through the Berezinian: the key
 W(M) detA^a detD'^d is W(M) detA^(a+d) times Ber^-d, and Ber is central,
-even, of weight zero and killed by every E_i and F_i.
+even, of weight zero and killed by every E_i and F_i.  The coproduct rule
+also splits a word at W(M) | detA^a, so the image of W(M) detA^a is the
+image of W(M), re-keyed to detA^a, plus W(M) times the image of detA^a,
+and each W(M) runs through the word loop once for all powers a.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -304,10 +307,32 @@ def _act_word(shape, kind, i, side, letters, cls):
 
 # Bound: a degree-3 window at (2|2) with its six E_i/F_i and four values of
 # a + d holds 19,176 images (about 4 MiB), a qbench localize session 1,200.
+# An image at s != 0 is built from those at (M, 0) and (0, s), which a
+# window whose det range holds 0 computes anyway.
 @lru_cache(maxsize=1 << 15)
 def _act_key(shape, kind, i, side, M, s):
-    """E_i/F_i on the mixed word W(M) detA^s."""
-    return _act_word(shape, kind, i, side, _mixed_letters(shape, M, s), LocalElement)
+    """E_i/F_i on the mixed word W(M) detA^s.
+
+    With M and s both nonzero the word loop splits at W(M) | detA^s.  Its
+    positions in W(M) give the image of W(M) times detA^s: detA^s on the
+    right only raises each key's detA power, and the tail weight grows by
+    s w, w the pair weight of detA.  Its positions in detA^s give W(M)
+    times the image of detA^s, with the sign and head weight of W(M).
+    The image of detA^s is zero except for a left F_m or a right E_m.
+    """
+    if not s or not any(M):
+        return _act_word(shape, kind, i, side, _mixed_letters(shape, M, s), LocalElement)
+    c_tail, c_head = CONVENTIONS[kind]
+    shift = LaurentPoly.q_power(2 * c_tail * s * _pair_weight(shape, ("dA", 1), i, side))
+    out = LocalElement(shape, {(T, a + s, d): c * shift for (T, a, d), c
+                               in _act_key(shape, kind, i, side, M, 0).terms.items()})
+    det = _act_key(shape, kind, i, side, zero_matrix(shape.size), s)
+    if det.is_zero():
+        return out
+    head_w = sum(_pair_weight(shape, L, i, side) for L in _mixed_letters(shape, M, 0))
+    odd = side == "L" and shape.parity(i) != shape.parity(i + 1)
+    c = LaurentPoly.q_power(2 * c_head * head_w, (-1) ** shape.odd_degree(M) if odd else 1)
+    return out + (LocalElement.monomial(shape, M) * det).scale(c)
 
 
 def _key_image(shape, kind, i, side, key):

@@ -69,7 +69,10 @@ def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     return minor_star(shape, block + [mu], block + [nu])
 
 
-@lru_cache(maxsize=None)
+# Bounds of word_poly, _member and _reduce_pair: the degree-3 invariant
+# window at (2|2) (left E_i and F_i, a in [-1, 1], d in [-1, 0]) fills
+# them with 2,848, 3,080 and 7,623 entries.
+@lru_cache(maxsize=1 << 13)
 def word_poly(shape: Shape, M) -> AlgebraElement:
     """W(M) detA^r, with W(M) the mixed word of M and r = y_degree(M).
 
@@ -151,6 +154,13 @@ def _candidates(shape: Shape, rows, cols, a_lo: int, d_lo: int):
     return out
 
 
+@lru_cache(maxsize=1 << 13)
+def _member(shape: Shape, Mt, delta: int, e: int) -> AlgebraElement:
+    """W(Mt) detD'^delta detA^(e + y_degree(Mt) + n delta) as a polynomial:
+    word_poly(Mt) detDprime_poly(delta) detA^e."""
+    return word_poly(shape, Mt) * detDprime_poly(shape, delta) * _detA_power_alg(shape, e)
+
+
 def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
     """Coordinates of g detA^-K over the constrained mixed family.
 
@@ -176,8 +186,7 @@ def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
             rest = dict((AlgebraElement(shape, rest) * _detA_power_alg(shape, -e)).terms)
             K -= e
             continue
-        col = (word_poly(shape, Mt) * detDprime_poly(shape, delta)
-               * _detA_power_alg(shape, e)).terms
+        col = _member(shape, Mt, delta, e).terms
         u = col.get(S)
         if u is None or not u.is_unit() or max(col) != S:
             raise TriangularityViolation(f"member {Mt} is not unitriangular at {S}")
@@ -188,7 +197,7 @@ def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _reduce_pair(shape: Shape, M1, M2):
     """Constrained expansion of the word product W(M1) * W(M2).
 
@@ -348,9 +357,7 @@ def from_mixed(f: LocalElement) -> AlgebraElement:
     K = max(0, -min(lows.values(), default=0))
     g = AlgebraElement.zero(shape)
     for (M, a, d), c in f.terms.items():
-        member = (word_poly(shape, M) * detDprime_poly(shape, d)
-                  * _detA_power_alg(shape, lows[(M, a, d)] + K))
-        g = g + member.scale(c)
+        g = g + _member(shape, M, d, lows[(M, a, d)] + K).scale(c)
     dA = _detA_power_alg(shape, 1)
 
     def quotient(S):

@@ -2,6 +2,7 @@ from functools import lru_cache
 
 import pytest
 
+import qsuper
 from qsuper import actions, exactlinalg, glq, superspace
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
@@ -552,13 +553,14 @@ def _cached_values(shape):
     out = {"y": y_times_detA(shape, N, N), "detD'": detDprime_poly(shape, 1)}
     for M in mats:
         out[("word", M)] = word_poly(shape, M)
+    out["member"] = glq._member(shape, mats[1], 0, 0)
     out["y act"] = actions._y_letter_act(shape, "F", m, "L", N, N)
     out["detA act"] = actions._det_letter_act(shape, "F", m, "L")
     return out
 
 
 CACHES = (superspace._coact_cached, glq.y_times_detA, glq.word_poly, glq.detDprime_poly,
-          glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
+          glq._member, glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
           actions._det_inverse_act)
 
 
@@ -586,6 +588,21 @@ def test_cached_elements_are_never_mutated(shape):
     fresh = _cached_values(shape)
     for k, v in fresh.items():
         assert v is not before[k] and v.terms == snapshot[k], k
+
+
+@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq.word_poly],
+                         ids=lambda f: f.__name__)
+def test_clear_caches_empties_the_bounded_memo(cache):
+    def warm():
+        f = to_mixed(gen(S22, 4, 4) * gen(S22, 1, 4))
+        return f * LocalElement.y_gen(S22, 4, 3), from_mixed(f)
+
+    first = warm()
+    assert cache.cache_info().maxsize is not None
+    assert cache.cache_info().currsize > 0
+    qsuper.clear_caches()
+    assert cache.cache_info().currsize == 0
+    assert warm() == first
 
 
 # -- the candidate-window solver, as the reference for the peeling ------------
@@ -652,12 +669,21 @@ def test_reduce_pair_matches_window_solver(shape):
             assert dict(glq._reduce_pair(shape, M1, M2)) == expect, (M1, M2)
 
 
+@pytest.fixture
+def fresh_caches():
+    # a patched kernel function leaves its results in the memos that call
+    # it, so the test runs from empty caches and leaves none behind
+    qsuper.clear_caches()
+    yield
+    qsuper.clear_caches()
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda r: r.scale(LaurentPoly({0: 1, 2: 1})),
     lambda r: r.scale(LaurentPoly({0: 2})),
     lambda r: r + AlgebraElement.monomial(r.shape, unit_matrix(2, 1, 1)),
 ], ids=["lead_1_plus_q2", "lead_2", "term_above_lead"])
-def test_non_triangular_member_raises(monkeypatch, corrupt):
+def test_non_triangular_member_raises(fresh_caches, monkeypatch, corrupt):
     # a member that is not a unit at its leading monomial, or that has a
     # monomial above it, cannot be peeled; the loop must raise, never spin
     word_poly = glq.word_poly
