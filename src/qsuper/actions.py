@@ -335,13 +335,11 @@ def _act_key(shape, kind, i, side, M, s):
     return out + (LocalElement.monomial(shape, M) * det).scale(c)
 
 
-def _key_image(shape, kind, i, side, key):
-    """E_i/F_i on the basis element at key = (M, a, d), as a dict: W(M)
-    detA^(a+d) is acted on, and the image is multiplied by Ber^-d =
-    detA^-d detD'^d, which shifts the det powers of its keys."""
-    M, a, d = key
-    return {(T, alpha - d, delta + d): c for (T, alpha, delta), c
-            in _act_key(shape, kind, i, side, M, a + d).terms.items()}
+def _times_ber(key, k):
+    """The key of the basis element at key times Ber^k: Ber = detA detD'^-1
+    is central and even, so it only moves the det powers."""
+    T, alpha, delta = key
+    return T, alpha + k, delta - k
 
 
 def _k_exponent(gen, side, f, key):
@@ -360,8 +358,9 @@ def _act_terms(shape, kind, i, side, f):
             letters = tuple(("x", *g) for g in matrix_to_word(key, shape.size))
             out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
         else:
-            out = out + cls(shape, {k: c * coeff for k, c
-                                    in _key_image(shape, kind, i, side, key).items()})
+            M, a, d = key
+            image = _act_key(shape, kind, i, side, M, a + d)
+            out = out + cls(shape, {_times_ber(k, -d): c * coeff for k, c in image.terms.items()})
     return out
 
 
@@ -431,6 +430,7 @@ def invariants_window(
     probe = LocalElement.zero(shape)  # reads the keys' biweights
     columns = []
     for key in basis:
+        M, a, d = key
         col = {}
         for gi, (g, side) in enumerate(gens):
             if g.kind in ("K", "Kinv"):
@@ -438,8 +438,8 @@ def invariants_window(
                 if k:
                     col[(gi, key)] = LaurentPoly.q_power(k) - ONE
             else:
-                for T, c in _key_image(shape, g.kind, g.index, side, key).items():
-                    col[(gi, T)] = c
+                for T, c in _act_key(shape, g.kind, g.index, side, M, a + d).terms.items():
+                    col[(gi, _times_ber(T, -d))] = c
         columns.append(col)
     return [LocalElement(shape, {basis[j]: c for j, c in vec.items()})
             for vec in nullspace(columns)]

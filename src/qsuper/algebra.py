@@ -430,11 +430,6 @@ class AlgebraElement(LinearElement):
         return cls(shape, terms)
 
 
-def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:
-    """Normal form of the two-letter product x_g1 * x_g2."""
-    return AlgebraElement.from_word(shape, (tuple(g1), tuple(g2)))
-
-
 # -- normalized monomials and block enumeration ---------------------------
 
 

@@ -86,15 +86,6 @@ def _downset(shape: Shape, M) -> frozenset:
     return frozenset(out)
 
 
-def leq(shape: Shape, M, N) -> bool:
-    """M <= N in the 2x2-move order (same row and column sums required)."""
-    M, N = tuple(M), tuple(N)
-    sz = shape.size
-    if row_sums(M, sz) != row_sums(N, sz) or col_sums(M, sz) != col_sums(N, sz):
-        raise ValueError("comparable matrices must share row and column sums")
-    return M in _downset(shape, N)
-
-
 def _pick_maximal(shape: Shape, indices):
     """A maximal element of the support under the move order; a support
     without one means the order has a cycle, a kernel fault."""

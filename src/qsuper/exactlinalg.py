@@ -15,10 +15,19 @@ LinearSolveFailure.  The pivot columns are the leftmost independent set,
 so the coordinates are those that elimination over the fraction field
 gives, whenever those lie in Z[q, q^-1].  A target lies in a span when it
 is a free column after the span's columns.
+
+A nullspace eliminates only the columns that share a row with another.
+An empty column is free, and its vector is 1 at itself.  A column whose
+rows no other column uses is independent of the rest, so it is a pivot,
+and no kernel vector reaches it: its rows would hold its coordinate
+alone.  Setting both aside changes neither the other columns' pivots nor
+their vectors, and most columns of an invariant window are one or the
+other.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd
 
 from qsuper.laurent import LaurentPoly, ONE, ZERO
@@ -148,10 +157,22 @@ def nullspace(columns):
 
     Vectors are sparse, {column: coordinate}: 1 at the free column, the
     pivot coordinates it reaches, no zeros; LinearSolveFailure is raised
-    when a pivot coordinate is not Laurent.
+    when a pivot coordinate is not Laurent.  Only the columns that share
+    a row with another column are eliminated: an empty column is free
+    with the vector {c: 1}, and a column whose rows no other column uses
+    is a pivot that no kernel vector reaches.
     """
-    system = _eliminate(columns)
+    uses = Counter(k for vec in columns for k, v in vec.items() if v.terms)
+    out, linked = {}, []
+    for c, vec in enumerate(columns):
+        counts = [uses[k] for k, v in vec.items() if v.terms]
+        if not counts:
+            out[c] = {c: ONE}
+        elif max(counts) > 1:
+            linked.append(c)
+    system = _eliminate([columns[c] for c in linked])
     pivot_cols = set(system[1].values())
-    return [
-        _kernel_vector(system, c) for c in range(len(columns)) if c not in pivot_cols
-    ]
+    for j, c in enumerate(linked):
+        if j not in pivot_cols:
+            out[c] = {linked[jj]: v for jj, v in _kernel_vector(system, j).items()}
+    return [out[c] for c in sorted(out)]

@@ -406,16 +406,6 @@ def det_dprime_local(shape: Shape) -> LocalElement:
     return LocalElement(shape, {(zero_matrix(shape.size), 0, 1): ONE})
 
 
-def mixed_generators(shape: Shape):
-    """All x-generators of the first three blocks plus all y-generators."""
-    return [LocalElement.y_gen(shape, i, j) if shape.block(i, j) == "D"
-            else LocalElement.x_gen(shape, i, j) for i, j in shape.generators()]
-
-
-def is_central(f: LocalElement) -> bool:
-    return all(f * g == g * f for g in mixed_generators(f.shape))
-
-
 def sl_project(f: LocalElement) -> LocalElement:
     """Normal form modulo Ber = 1: fold the detD' power into detA."""
     out: dict = {}

@@ -189,29 +189,6 @@ def det_qinv_D(shape: Shape) -> AlgebraElement:
     return _perm_sum(shape, interval(lo, hi), interval(lo, hi), -2)
 
 
-def sub_minor_A(shape: Shape, l: int, k: int) -> AlgebraElement:
-    """Determinant of the even q-block with row l and column k removed."""
-    if not (1 <= l <= shape.m and 1 <= k <= shape.m):
-        raise IndexError(f"sub-minor index ({l},{k}) outside the q-block")
-    rows = [i for i in interval(1, shape.m) if i != l]
-    cols = [j for j in interval(1, shape.m) if j != k]
-    return _perm_sum(shape, rows, cols, 2)
-
-
-def c_block_minor(shape: Shape, r: int) -> AlgebraElement:
-    """Explicit q^-2-permutation sum for the lower-left block minor.
-
-    The entries here are odd, so an inversion contributes +q^-2: the
-    super sign of the swap absorbs the -1 of the even-block formula.
-    """
-    return _perm_sum(shape, interval(shape.m + 1, shape.m + r), interval(1, r), -2, sign=1)
-
-
-def b_block_minor_star(shape: Shape, r: int) -> AlgebraElement:
-    """Explicit q^2-permutation sum for the upper-right block minor."""
-    return _perm_sum(shape, interval(1, r), interval(shape.m + 1, shape.m + r), 2, sign=1)
-
-
 def covariant_minor_star(shape: Shape, r: int) -> AlgebraElement:
     """Starred minor on rows 1..r against the last r columns."""
     N = shape.size

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -41,6 +42,7 @@ from qsuper.actions import (
     minor_power_expansion,
     window_indices,
 )
+from test_exactlinalg import all_columns_nullspace
 
 S11 = Shape(1, 1)
 S21 = Shape(2, 1)
@@ -460,7 +462,8 @@ class TestInvariantsWindow:
 def reference_window(shape, left_gens, right_gens, max_degree, a_range, d_range):
     """The window's assembly before the per-key memo, kept as its reference:
     each column is act_left/act_right on a one-term LocalElement minus
-    eps(g) times it, and every kernel vector is densified over the window."""
+    eps(g) times it, every column is eliminated, and every kernel vector is
+    densified over the window."""
     keys = window_indices(shape, max_degree, a_range, d_range)
     if not keys:
         return []
@@ -472,7 +475,7 @@ def reference_window(shape, left_gens, right_gens, max_degree, a_range, d_range)
                for j in range(len(keys))]
     return [LocalElement(shape, dict(zip(keys, [vec.get(j, LaurentPoly.zero())
                                                 for j in range(len(keys))])))
-            for vec in nullspace(columns)]
+            for vec in all_columns_nullspace(columns)]
 
 
 def act_word_oracle(shape, kind, i, side, M, s):
@@ -545,6 +548,22 @@ class TestWindowAgainstReference:
             invariants_window(S12, all_E(S12), (F(1),), 2, a_range, d_range)
         assert [len(cols) for cols in calls] == [
             len(window_indices(S12, 2, a_range, d_range)) for a_range, d_range in DET_WINDOWS]
+
+    def test_window_eliminates_only_the_columns_that_share_a_row(self, monkeypatch):
+        systems, eliminated = [], []
+        real_nullspace, real_eliminate = actions.nullspace, exactlinalg._eliminate
+        monkeypatch.setattr(actions, "nullspace",
+                            lambda cols: systems.append(cols) or real_nullspace(cols))
+        monkeypatch.setattr(exactlinalg, "_eliminate",
+                            lambda cols: eliminated.append(cols) or real_eliminate(cols))
+        invariants_window(S12, all_E(S12), (F(1),), 2, (-1, 0), (0, 1))
+        (columns,) = systems
+        rows = [[k for k, v in col.items() if v.terms] for col in columns]
+        uses = collections.Counter(k for keys in rows for k in keys)
+        linked = [col for col, keys in zip(columns, rows) if any(uses[k] > 1 for k in keys)]
+        assert eliminated == [linked]
+        # 36 of the 160 columns are empty and 108 isolated
+        assert (len(columns), len(linked)) == (160, 16)
 
 
 def solve_span_check(shape, left_gens, max_degree, a_range=(0, 0)):

@@ -15,7 +15,6 @@ from qsuper.algebra import (
     enumerate_block,
     mat_entry,
     matrix_to_word,
-    straighten_pair,
     x_norm,
 )
 
@@ -26,6 +25,11 @@ S22 = Shape(2, 2)
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:
+    """Normal form of the two-letter product x_g1 * x_g2."""
+    return AlgebraElement.from_word(shape, (tuple(g1), tuple(g2)))
 
 
 def gen(shape, i, j):

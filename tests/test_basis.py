@@ -22,7 +22,6 @@ from qsuper.basis import (
     TriangularityViolation,
     covariant_shift_check,
     express_in_n,
-    leq,
     n_abc,
     n_ad,
     omega_ABC,
@@ -37,6 +36,7 @@ from qsuper.basis import (
     submatrix_moves,
     _block_element,
 )
+from test_superspace import c_block_minor
 
 S11 = Shape(1, 1)
 S21 = Shape(2, 1)
@@ -62,6 +62,15 @@ def corner_sums(M, N: int):
         for i in range(1, N + 1)
         for j in range(1, N + 1)
     )
+
+
+def leq(shape: Shape, M, N) -> bool:
+    """M <= N in the 2x2-move order (same row and column sums required)."""
+    M, N = tuple(M), tuple(N)
+    sz = shape.size
+    if row_sums(M, sz) != row_sums(N, sz) or col_sums(M, sz) != col_sums(N, sz):
+        raise ValueError("comparable matrices must share row and column sums")
+    return M in basis._downset(shape, N)
 
 
 def corner_dominates(M, N, size: int) -> bool:
@@ -221,8 +230,6 @@ class TestOmegaC:
         M = [0] * 16
         M[2 * 4 + 0] = 1  # x_{3,1}
         M[3 * 4 + 1] = 1  # x_{4,2}
-        from qsuper.superspace import c_block_minor
-
         assert omega_C(S22, tuple(M)).expansion == c_block_minor(S22, 2)
 
     def test_zero(self):

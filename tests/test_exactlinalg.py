@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qsuper.laurent import LaurentPoly, ONE
-from qsuper.exactlinalg import LinearSolveFailure, nullspace, solve_in_span
+from qsuper import exactlinalg
+from qsuper.exactlinalg import (
+    LinearSolveFailure,
+    _eliminate,
+    _kernel_vector,
+    nullspace,
+    solve_in_span,
+)
 
 
 def lp(d):
@@ -36,6 +43,20 @@ def _nonzero(vec):
 def _dense(vec, n):
     """A sparse kernel vector {column: coordinate} as a list of n."""
     return [vec.get(c, ZERO) for c in range(n)]
+
+
+def all_columns_nullspace(columns):
+    """nullspace before it set empty and isolated columns aside, kept as
+    its reference: every column is eliminated, and each free column gives
+    its kernel vector."""
+    system = _eliminate(columns)
+    pivot_cols = set(system[1].values())
+    return [_kernel_vector(system, c) for c in range(len(columns)) if c not in pivot_cols]
+
+
+def _items(vectors):
+    """Kernel vectors as lists of (column, coordinate), so key order counts."""
+    return [list(vec.items()) for vec in vectors]
 
 
 class TestSolve:
@@ -317,9 +338,10 @@ def dense_rank(columns):
     return len(_dense_eliminate(rows))
 
 
-# units, non-units (2, 1+q^2, q-q^-1, -3q^2) and, most often, no entry
+# units, non-units (2, 1+q^2, q-q^-1, -3q^2), an explicit zero and, most
+# often, no entry
 ENTRIES = [
-    None, None, None,
+    None, None, None, ZERO,
     ONE, -ONE, lp({1: 1}), lp({-1: 1}),
     lp({0: 2}), lp({0: 1, 2: 1}), lp({1: 1, -1: -1}), lp({2: -3}),
 ]
@@ -327,12 +349,13 @@ ENTRIES = [
 
 @st.composite
 def systems(draw):
-    """Sparse systems of up to 6 x 6 with zero and dependent columns and
-    targets inside or (mostly) outside the span."""
+    """Sparse systems of up to 6 x 6 with zero, dependent and isolated
+    columns (whose rows no other column uses) and targets inside or
+    (mostly) outside the span."""
     keys = range(draw(st.integers(1, 6)))
-    coeff = st.sampled_from(ENTRIES[3:])
+    coeff = st.sampled_from(ENTRIES[4:])
 
-    def random_vector():
+    def random_vector(keys=keys):
         vec = {}
         for k in keys:
             v = draw(st.sampled_from(ENTRIES))
@@ -341,10 +364,12 @@ def systems(draw):
         return vec
 
     columns = []
-    for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["random", "random", "zero", "dependent"]))
+    for c in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "dependent", "isolated"]))
         if kind == "zero":
             columns.append({})
+        elif kind == "isolated":
+            columns.append(random_vector(range(10 * c + 10, 10 * c + 10 + len(keys))))
         elif kind == "dependent" and columns:
             picked = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2))
             columns.append(_combine(picked, [draw(coeff) for _ in picked]))
@@ -412,6 +437,18 @@ class TestAgainstDenseReference:
             assert list(vec) == sorted(vec)
             assert all(not v.is_zero() for v in vec.values())
 
+    @settings(max_examples=300, deadline=None)
+    @given(systems())
+    def test_nullspace_matches_all_columns_elimination(self, system):
+        columns = system[0]
+        try:
+            want = all_columns_nullspace(columns)
+        except LinearSolveFailure:
+            with pytest.raises(LinearSolveFailure):
+                nullspace(columns)
+            return
+        assert _items(nullspace(columns)) == _items(want)
+
     def test_non_unit_pivot(self):
         # the only pivot is 2: the second row is cross-multiplied and left
         # with content 4 and a factor q, which are divided out
@@ -432,3 +469,47 @@ class TestAgainstDenseReference:
         # through the same non-unit pivot, a Laurent kernel vector
         ns = nullspace([col, {k: Q * v for k, v in col.items()}])
         assert [_dense(v, 2) for v in ns] == [[-Q, ONE]]
+
+
+K2 = lp({2: 1, 0: -1})  # q^2 - 1, a K generator's (g - eps(g)) on its key
+
+
+class TestColumnsSetAside:
+    """nullspace eliminates only the columns that share a row."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        calls = []
+
+        def record(columns):
+            calls.append(list(columns))
+            return _eliminate(columns)
+
+        monkeypatch.setattr(exactlinalg, "_eliminate", record)
+        return calls
+
+    @pytest.mark.parametrize("columns,want", [
+        # an empty column is free by itself
+        ([{"u": ONE}, {}], [{1: ONE}]),
+        # an isolated column is a pivot no kernel vector reaches
+        ([{"u": ONE}, {"w": Q}, {"u": Q}], [{0: -Q, 2: ONE}]),
+        # a column of zeros counts as empty
+        ([{"u": ZERO}, {"v": ONE}], [{0: ONE}]),
+        # a K-style diagonal entry sits on a row of its own
+        ([{("K", 0): K2}, {"u": ONE}, {"u": Q}], [{1: -Q, 2: ONE}]),
+        # a linked pair through the non-unit pivot 2
+        ([{"u": lp({0: 2})}, {"u": lp({1: 2})}], [{0: -Q, 1: ONE}]),
+    ], ids=["empty", "isolated", "zeros", "k-diagonal", "non-unit-pair"])
+    def test_deterministic_cases(self, columns, want):
+        assert _items(nullspace(columns)) == _items(want)
+        assert _items(all_columns_nullspace(columns)) == _items(want)
+
+    def test_no_shared_row_eliminates_no_column(self, eliminated):
+        columns = [{"u": ONE}, {}, {"v": Q, "w": K2}, {"x": ZERO}, {("K", 4): K2}]
+        assert _items(nullspace(columns)) == _items([{1: ONE}, {3: ONE}])
+        assert all(cols == [] for cols in eliminated)
+
+    def test_only_linked_columns_are_eliminated(self, eliminated):
+        columns = [{"u": ONE}, {"v": ONE, "w": Q}, {"w": ONE}, {}, {"u": Q}]
+        assert _items(nullspace(columns)) == _items([{3: ONE}, {0: -Q, 4: ONE}])
+        assert eliminated == [[columns[0], columns[1], columns[2], columns[4]]]

@@ -21,7 +21,7 @@ from qsuper.algebra import (
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, perm_coefficients, sub_minor_A
+from qsuper.superspace import det_q_A, perm_coefficients
 from qsuper.glq import (
     LocalElement,
     bar_local,
@@ -32,13 +32,12 @@ from qsuper.glq import (
     detDprime_poly,
     format_local,
     from_mixed,
-    is_central,
-    mixed_generators,
     sl_project,
     to_mixed,
     word_poly,
     y_times_detA,
 )
+from test_superspace import sub_minor_A
 
 
 # -- the raw form, as the reference for the polynomial builders ---------------
@@ -217,6 +216,16 @@ def lp(d):
 
 def gen(shape, i, j):
     return AlgebraElement.generator(shape, i, j)
+
+
+def mixed_generators(shape: Shape):
+    """All x-generators of the first three blocks plus all y-generators."""
+    return [LocalElement.y_gen(shape, i, j) if shape.block(i, j) == "D"
+            else LocalElement.x_gen(shape, i, j) for i, j in shape.generators()]
+
+
+def is_central(f: LocalElement) -> bool:
+    return all(f * g == g * f for g in mixed_generators(f.shape))
 
 
 def raw_eq(shape, r1, r2):

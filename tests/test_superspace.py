@@ -5,8 +5,7 @@ import pytest
 from qsuper.laurent import LaurentPoly
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.superspace import (
-    b_block_minor_star,
-    c_block_minor,
+    _perm_sum,
     coact,
     coact_star,
     covariant_minor,
@@ -17,7 +16,6 @@ from qsuper.superspace import (
     laplace_verify,
     minor,
     minor_star,
-    sub_minor_A,
     valid_vector,
 )
 
@@ -28,6 +26,29 @@ S22 = Shape(2, 2)
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def sub_minor_A(shape: Shape, l: int, k: int) -> AlgebraElement:
+    """Determinant of the even q-block with row l and column k removed."""
+    if not (1 <= l <= shape.m and 1 <= k <= shape.m):
+        raise IndexError(f"sub-minor index ({l},{k}) outside the q-block")
+    rows = [i for i in interval(1, shape.m) if i != l]
+    cols = [j for j in interval(1, shape.m) if j != k]
+    return _perm_sum(shape, rows, cols, 2)
+
+
+def c_block_minor(shape: Shape, r: int) -> AlgebraElement:
+    """Explicit q^-2-permutation sum for the lower-left block minor.
+
+    The entries here are odd, so an inversion contributes +q^-2: the
+    super sign of the swap absorbs the -1 of the even-block formula.
+    """
+    return _perm_sum(shape, interval(shape.m + 1, shape.m + r), interval(1, r), -2, sign=1)
+
+
+def b_block_minor_star(shape: Shape, r: int) -> AlgebraElement:
+    """Explicit q^2-permutation sum for the upper-right block minor."""
+    return _perm_sum(shape, interval(1, r), interval(shape.m + 1, shape.m + r), 2, sign=1)
 
 
 def gen(shape, i, j):
