@@ -3,16 +3,16 @@
 The algebra of functions carries two commuting translation actions.  On
 generators they are given by finite tables; on products they extend by the
 coproduct rule, with the K-type factor acting diagonally by weight q-powers.
-One word loop applies the rule to polynomial and localized words; the two
-differ only in how a word with one letter replaced by its image multiplies
-out.  Actions on localized letters (detA^-1, Schur-complement entries) are
-derived from the generator tables and the derivation rule for inverses,
-not postulated.  Powers of detD' act through the Berezinian: the key
-W(M) detA^a detD'^d is W(M) detA^(a+d) times Ber^-d, and Ber is central,
-even, of weight zero and killed by every E_i and F_i.  The coproduct rule
-also splits a word at W(M) | detA^a, so the image of W(M) detA^a is the
-image of W(M), re-keyed to detA^a, plus W(M) times the image of detA^a,
-and each W(M) runs through the word loop once for all powers a.
+A polynomial word applies the rule letter by letter and straightens each
+term.  A mixed word W(M) detA^s applies it once, at its last factor b:
+detA^s when M and s are nonzero, else one detA^(+-1) or the last letter
+of W(M).  The rest of the word is a shorter key, memoized like the word,
+and b's image is a table entry.  Actions on localized letters (detA^-1,
+Schur-complement entries) are derived from the generator tables and the
+derivation rule for inverses, not postulated.  Powers of detD' act
+through the Berezinian: the key W(M) detA^a detD'^d is W(M) detA^(a+d)
+times Ber^-d, and Ber is central, even, of weight zero and killed by
+every E_i and F_i.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -34,7 +34,7 @@ from .algebra import (
     matrix_to_word,
     row_sums,
     straighten_word,
-    word_to_matrix,
+    unit_matrix,
     x_norm,
     zero_matrix,
 )
@@ -144,56 +144,34 @@ def conventions() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# letters
-#
-# A word is a tuple of letters:
-#   ("x", i, j)   generator, any block for polynomials, upper blocks mixed
-#   ("y", mu, nu) Schur-complement entry
-#   ("dA", s) with s = +-1        a power of detA
+# pair weights and single-letter actions
 # ---------------------------------------------------------------------------
 
 
-def _pair_weight(shape: Shape, L, i: int, side: str) -> int:
-    """Parity-signed w_i - w_{i+1} of one letter, w its row weight (left)
-    or column weight (right) with w_k signed by (-1)^{[k]}; detA^s weighs s
-    on the even rows and columns, so its pair is s where i is even and i+1
-    odd, else 0."""
-    if L[0] == "dA":
-        return L[1] * (shape.parity(i + 1) - shape.parity(i))
-    idx = L[1] if side == "L" else L[2]
+def _pair_weight(shape: Shape, k: int, l: int, i: int, side: str) -> int:
+    """Parity-signed w_i - w_{i+1} of the letter at cell (k, l), w its row
+    weight (left) or column weight (right) with w_k signed by (-1)^{[k]}."""
+    idx = k if side == "L" else l
     if idx == i:
         return (-1) ** shape.parity(i)
     return -(-1) ** shape.parity(i + 1) if idx == i + 1 else 0
 
 
-def _mixed_letters(shape: Shape, M, a: int):
-    """The word of W(M) detA^a: x- and y-letters in lexicographic order,
-    then the detA letters, so each run of it is W(M_run) detA^(a_run)."""
-    N = shape.size
-    letters = [("y" if b == "D" else "x", k // N + 1, k % N + 1)
-               for k, (v, b) in enumerate(zip(M, shape.blocks)) for _ in range(v)]
-    return tuple(letters + [("dA", 1 if a >= 0 else -1)] * abs(a))
+def _key_weight(shape: Shape, M, s: int, i: int, side: str) -> int:
+    """The pair weight of W(M) detA^s, from the row (left) or column
+    (right) sums i and i+1 of M; detA weighs 1 on each even row and
+    column, so its pair is 1 where i is even and i+1 odd, else 0."""
+    N, p, p1 = shape.size, shape.parity(i), shape.parity(i + 1)
+    if side == "L":
+        wi, wj = sum(M[(i - 1) * N:i * N]), sum(M[i * N:(i + 1) * N])
+    else:
+        wi, wj = sum(M[i - 1::N]), sum(M[i::N])
+    return (-1) ** p * wi - (-1) ** p1 * wj + s * (p1 - p)
 
 
-def _x_local(shape: Shape, i: int, j: int) -> LocalElement:
-    if shape.block(i, j) == "D":
-        return to_mixed(AlgebraElement.generator(shape, i, j))
-    return LocalElement.x_gen(shape, i, j)
-
-
-def _letters_local(shape: Shape, letters) -> LocalElement:
-    """A run of a mixed word, W(M_run) detA^(a_run), as one monomial."""
-    M = word_to_matrix([L[1:] for L in letters if L[0] != "dA"], shape.size)
-    return LocalElement.monomial(shape, M, sum(L[1] for L in letters if L[0] == "dA"))
-
-
-# ---------------------------------------------------------------------------
-# single-letter actions: one cache entry per (shape, generator, side, letter)
-# ---------------------------------------------------------------------------
-
-
-def _x_letter_act(shape: Shape, kind: str, i: int, side: str, k: int, l: int):
-    """Action of E_i/F_i on a generator; None encodes zero.
+def _x_letter_act(kind: str, i: int, side: str, k: int, l: int):
+    """Action of E_i/F_i on the generator x_kl: the cell of its image, or
+    None for zero.
 
     Left E lowers the row index, left F raises it.  On the right, E raises
     the column index and F lowers it: this is the unique direction
@@ -202,32 +180,40 @@ def _x_letter_act(shape: Shape, kind: str, i: int, side: str, k: int, l: int):
     """
     if side == "L":
         if kind == "E":
-            return ("x", i, l) if k == i + 1 else None
-        return ("x", i + 1, l) if k == i else None
+            return (i, l) if k == i + 1 else None
+        return (i + 1, l) if k == i else None
     if kind == "E":
-        return ("x", k, i + 1) if l == i else None
-    return ("x", k, i) if l == i + 1 else None
+        return (k, i + 1) if l == i else None
+    return (k, i) if l == i + 1 else None
+
+
+def _x_image(shape: Shape, kind: str, i: int, side: str, k: int, l: int) -> LocalElement:
+    """E_i/F_i on the generator x_kl as a mixed element; an image in the
+    D block is not a mixed letter, so to_mixed rewrites it."""
+    cell = _x_letter_act(kind, i, side, k, l)
+    if cell is None:
+        return LocalElement.zero(shape)
+    if shape.block(*cell) == "D":
+        return to_mixed(AlgebraElement.generator(shape, *cell))
+    return LocalElement.x_gen(shape, *cell)
 
 
 @lru_cache(maxsize=None)
 def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
     """Action on a Schur-complement entry, derived from its x-expansion.
 
-    y_{mu,nu} = x_{mu,nu} - (correction in upper-block letters and detA^{-1});
-    the action is computed on the right-hand side and re-expressed, so the
-    entry tables are a theorem here, not an input.
+    y_{mu,nu} = x_{mu,nu} - corr, with corr in upper-block letters and
+    powers of detA, so the action is the table's on x_{mu,nu} minus
+    _act_key's on each key of corr, and the entry tables are a theorem
+    here, not an input.  No key of corr holds a y-letter, so _act_key
+    never comes back here from one.
     """
-    f = to_mixed(AlgebraElement.generator(shape, mu, nu))
-    corr = f - LocalElement.y_gen(shape, mu, nu)
-    # y = x - corr, so the action is the table action on the letter x_{mu,nu}
-    # minus the action on the correction (x letters + dA^{-1})
-    head = _act_word(shape, kind, i, side, (("x", mu, nu),), LocalElement)
-    tail = LocalElement.zero(shape)
+    corr = to_mixed(AlgebraElement.generator(shape, mu, nu)) - LocalElement.y_gen(shape, mu, nu)
+    out = _x_image(shape, kind, i, side, mu, nu)
     for (M, a, d), c in corr.terms.items():
-        letters = _mixed_letters(shape, M, a)
-        assert d == 0 and all(L[0] != "y" for L in letters)
-        tail = tail + _act_word(shape, kind, i, side, letters, LocalElement).scale(c)
-    return head - tail
+        assert d == 0 and not any(shape.restrict(M, "D"))
+        out = out - _act_key(shape, kind, i, side, M, a).scale(c)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -247,59 +233,44 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str):
     if hit.is_zero():
         return hit
     c_tail, c_head = CONVENTIONS[kind]
-    w = _pair_weight(shape, ("dA", 1), i, side)
-    inv = LocalElement(shape, {(zero_matrix(shape.size), -1, 0): ONE})
+    zero = zero_matrix(shape.size)
+    w = _key_weight(shape, zero, 1, i, side)
+    inv = LocalElement(shape, {(zero, -1, 0): ONE})
     return (inv * hit * inv).scale(
         LaurentPoly.q_power(-2 * (c_tail + c_head) * w, -1)
     )
 
 
 # ---------------------------------------------------------------------------
-# word engine
+# words
 # ---------------------------------------------------------------------------
 
 
-def _act_word(shape, kind, i, side, letters, cls):
-    """E_i/F_i on one word by the coproduct rule, as a cls element.
+def _act_word(shape, kind, i, side, word):
+    """E_i/F_i on one polynomial word of cells (k, l) by the coproduct rule.
 
     Each letter's pair weight and parity are read once.  The term of
     position p is the word with letter p replaced by its image, times
-    q^(2 c_tail w(suffix) + 2 c_head w(prefix)); an odd E_m/F_m also
-    gives (-1)^(parity of the prefix) on the left, of the suffix on the
-    right.  A polynomial term is one straightening; a localized one is
-    the product prefix * image * suffix, with prefix and suffix one
-    monomial each.
+    q^(2 c_tail w(suffix) + 2 c_head w(prefix)), straightened; an odd
+    E_m/F_m also gives (-1)^(parity of the prefix) on the left, of the
+    suffix on the right.
     """
     c_tail, c_head = CONVENTIONS[kind]
-    local, odd_gen = cls is LocalElement, shape.parity(i) != shape.parity(i + 1)
-    weights = [_pair_weight(shape, L, i, side) for L in letters]
-    parities = [L[0] == "x" and shape.gen_parity(L[1], L[2]) for L in letters]
+    odd_gen = shape.parity(i) != shape.parity(i + 1)
+    weights = [_pair_weight(shape, k, l, i, side) for k, l in word]
+    parities = [shape.gen_parity(k, l) for k, l in word]
     head_w, tail_w, head_par, tail_par = 0, sum(weights), 0, sum(parities)
-    out = cls.zero(shape)
-    for p, L in enumerate(letters):
+    out = AlgebraElement.zero(shape)
+    for p, (k, l) in enumerate(word):
         tail_w -= weights[p]
         tail_par -= parities[p]
-        if L[0] == "x":
-            image = _x_letter_act(shape, kind, i, side, L[1], L[2])
-            if local and image is not None:
-                image = _x_local(shape, image[1], image[2])
-        elif L[0] == "y":
-            image = _y_letter_act(shape, kind, i, side, L[1], L[2])
-        elif L[1] == 1:
-            image = _det_letter_act(shape, kind, i, side)
-        else:
-            image = _det_inverse_act(shape, kind, i, side)
-        if image is not None and not (local and image.is_zero()):
+        image = _x_letter_act(kind, i, side, k, l)
+        if image is not None:
             run = head_par if side == "L" else tail_par
             c = LaurentPoly.q_power(2 * (c_tail * tail_w + c_head * head_w),
                                     (-1) ** run if odd_gen else 1)
-            if local:
-                term = (_letters_local(shape, letters[:p]) * image
-                        * _letters_local(shape, letters[p + 1:])).scale(c)
-            else:
-                word = [T[1:] for T in letters[:p] + (image,) + letters[p + 1:]]
-                term = AlgebraElement(shape, straighten_word(shape, word, c))
-            out = out + term
+            word_p = word[:p] + (image,) + word[p + 1:]
+            out = out + AlgebraElement(shape, straighten_word(shape, word_p, c))
         head_w += weights[p]
         head_par += parities[p]
     return out
@@ -307,32 +278,55 @@ def _act_word(shape, kind, i, side, letters, cls):
 
 # Bound: a degree-3 window at (2|2) with its six E_i/F_i and four values of
 # a + d holds 19,176 images (about 4 MiB), a qbench localize session 1,200.
-# An image at s != 0 is built from those at (M, 0) and (0, s), which a
-# window whose det range holds 0 computes anyway.
+# An image is built from that of its key less the last factor: W(M) less
+# its last letter, W(M) at s = 0, or detA^(s -+ 1), which a window whose
+# degrees and det range hold them computes anyway.
 @lru_cache(maxsize=1 << 15)
 def _act_key(shape, kind, i, side, M, s):
-    """E_i/F_i on the mixed word W(M) detA^s.
+    """E_i/F_i on the mixed word W(M) detA^s, by the coproduct rule at
+    its last factor b.
 
-    With M and s both nonzero the word loop splits at W(M) | detA^s.  Its
-    positions in W(M) give the image of W(M) times detA^s: detA^s on the
-    right only raises each key's detA power, and the tail weight grows by
-    s w, w the pair weight of detA.  Its positions in detA^s give W(M)
-    times the image of detA^s, with the sign and head weight of W(M).
-    The image of detA^s is zero except for a left F_m or a right E_m.
+    With the word a b, X.(a b) = (X.a) b q^(2 c_tail w(b)) + a (X.b)
+    q^(2 c_head w(a)), w the pair weight; an odd E_m/F_m also gives
+    (-1)^[b] on the first term on the right and (-1)^[a] on the second
+    on the left.  b is detA^s when M and s are nonzero, one detA^(+-1)
+    when M is zero, and the last letter of W(M) when s is zero; a is a
+    shorter key, and a lone letter's image is its table entry.  detA^k
+    on the right only raises each key's detA power.
     """
-    if not s or not any(M):
-        return _act_word(shape, kind, i, side, _mixed_letters(shape, M, s), LocalElement)
+    N = shape.size
+    zero = zero_matrix(N)
+    if s:
+        step = s if any(M) else (1 if s > 0 else -1)
+        aM, a_s = M, s - step
+        if not (a_s or any(aM)):
+            return (_det_letter_act if s > 0 else _det_inverse_act)(shape, kind, i, side)
+        image = _act_key(shape, kind, i, side, zero, step)
+        w_b, p_b = _key_weight(shape, zero, step, i, side), 0
+    elif any(M):
+        k = max(p for p, v in enumerate(M) if v)
+        cell, aM, a_s = (k // N + 1, k % N + 1), M[:k] + (M[k] - 1,) + M[k + 1:], 0
+        image = (_y_letter_act if shape.block(*cell) == "D" else _x_image)(
+            shape, kind, i, side, *cell)
+        if not any(aM):
+            return image
+        w_b, p_b = _pair_weight(shape, *cell, i, side), shape.gen_parity(*cell)
+    else:
+        return LocalElement.zero(shape)
     c_tail, c_head = CONVENTIONS[kind]
-    shift = LaurentPoly.q_power(2 * c_tail * s * _pair_weight(shape, ("dA", 1), i, side))
-    out = LocalElement(shape, {(T, a + s, d): c * shift for (T, a, d), c
-                               in _act_key(shape, kind, i, side, M, 0).terms.items()})
-    det = _act_key(shape, kind, i, side, zero_matrix(shape.size), s)
-    if det.is_zero():
+    odd = shape.parity(i) != shape.parity(i + 1)
+    c = LaurentPoly.q_power(2 * c_tail * w_b, (-1) ** p_b if odd and side == "R" else 1)
+    hit = _act_key(shape, kind, i, side, aM, a_s)
+    if s:
+        out = LocalElement(shape, {(T, al + step, de): v * c
+                                   for (T, al, de), v in hit.terms.items()})
+    else:
+        out = (hit * LocalElement.monomial(shape, unit_matrix(N, *cell))).scale(c)
+    if image.is_zero():
         return out
-    head_w = sum(_pair_weight(shape, L, i, side) for L in _mixed_letters(shape, M, 0))
-    odd = side == "L" and shape.parity(i) != shape.parity(i + 1)
-    c = LaurentPoly.q_power(2 * c_head * head_w, (-1) ** shape.odd_degree(M) if odd else 1)
-    return out + (LocalElement.monomial(shape, M) * det).scale(c)
+    sign = (-1) ** shape.odd_degree(aM) if odd and side == "L" else 1
+    c = LaurentPoly.q_power(2 * c_head * _key_weight(shape, aM, a_s, i, side), sign)
+    return out + (LocalElement.monomial(shape, aM, a_s) * image).scale(c)
 
 
 def _times_ber(key, k):
@@ -342,10 +336,10 @@ def _times_ber(key, k):
     return T, alpha + k, delta - k
 
 
-def _k_exponent(gen, side, f, key):
-    """K_i (Kinv_i) acts on f's key by q^(2 w_i) (q^(-2 w_i)), w its row
-    (left) or column (right) sums."""
-    w = f.key_biweight(key)[0 if side == "L" else 1][gen.index - 1]
+def _k_exponent(gen, side, biweight):
+    """K_i (Kinv_i) acts on a key of this biweight by q^(2 w_i)
+    (q^(-2 w_i)), w its row (left) or column (right) sums."""
+    w = biweight[0 if side == "L" else 1][gen.index - 1]
     return 2 * w if gen.kind == "K" else -2 * w
 
 
@@ -355,8 +349,8 @@ def _act_terms(shape, kind, i, side, f):
     out = cls.zero(shape)
     for key, coeff in f.terms.items():
         if cls is AlgebraElement:
-            letters = tuple(("x", *g) for g in matrix_to_word(key, shape.size))
-            out = out + _act_word(shape, kind, i, side, letters, cls).scale(coeff)
+            word = matrix_to_word(key, shape.size)
+            out = out + _act_word(shape, kind, i, side, word).scale(coeff)
         else:
             M, a, d = key
             image = _act_key(shape, kind, i, side, M, a + d)
@@ -368,7 +362,7 @@ def _act(gen: GenSymbol, f, side: str):
     shape = f.shape
     if gen.validate(shape).kind in ("K", "Kinv"):
         return type(f)(shape, {
-            key: c * LaurentPoly.q_power(_k_exponent(gen, side, f, key))
+            key: c * LaurentPoly.q_power(_k_exponent(gen, side, f.key_biweight(key)))
             for key, c in f.terms.items()
         })
     return _act_terms(shape, gen.kind, gen.index, side, f)
@@ -420,24 +414,24 @@ def invariants_window(
     d_range=(0, 0),
 ):
     """Basis of the joint invariant space on a finite window, exactly.
-    Column j holds (g - eps(g)) on key j at rows (g's position, image key):
-    the E_i/F_i image, or q^k - 1 at the key itself for K_i/Kinv_i."""
-    basis = window_indices(shape, max_degree, a_range, d_range)
-    if not basis:
-        return []
+
+    K_i and Kinv_i act on a key by q^k, k read from its biweight, so a key
+    that one of them moves has coefficient 0 in every invariant: only the
+    keys that every K fixes are kept.  Column j holds the E_i/F_i images of
+    key j at rows (generator's position, image key)."""
     gens = [(g.validate(shape), side) for side, gs in (("L", left_gens), ("R", right_gens))
             for g in gs]
+    ks = [(g, side) for g, side in gens if g.kind in ("K", "Kinv")]
     probe = LocalElement.zero(shape)  # reads the keys' biweights
+    basis = [key for key in window_indices(shape, max_degree, a_range, d_range)
+             if not any(_k_exponent(g, side, probe.key_biweight(key)) for g, side in ks)]
+    if not basis:
+        return []
     columns = []
-    for key in basis:
-        M, a, d = key
+    for M, a, d in basis:
         col = {}
         for gi, (g, side) in enumerate(gens):
-            if g.kind in ("K", "Kinv"):
-                k = _k_exponent(g, side, probe, key)
-                if k:
-                    col[(gi, key)] = LaurentPoly.q_power(k) - ONE
-            else:
+            if g.kind in ("E", "F"):
                 for T, c in _act_key(shape, g.kind, g.index, side, M, a + d).terms.items():
                     col[(gi, _times_ber(T, -d))] = c
         columns.append(col)

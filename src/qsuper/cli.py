@@ -169,17 +169,8 @@ def cmd_minor(args) -> int:
 
 
 def cmd_det(args) -> int:
-    shape = _shape(args)
-    which = args.which
-    if which == "A":
-        out = det_q_A(shape)
-    elif which == "D":
-        out = det_qinv_D(shape)
-    elif which == "D'":
-        out = det_dprime_local(shape)
-    else:
-        raise UsageError(f"unknown determinant {which!r}")
-    print(_emit_element(out, args.format))
+    det = {"A": det_q_A, "D": det_qinv_D, "D'": det_dprime_local}[args.which]
+    print(_emit_element(det(_shape(args)), args.format))
     return 0
 
 

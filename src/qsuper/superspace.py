@@ -85,18 +85,10 @@ def reorder_factor(shape: Shape, u, v, star: bool) -> LaurentPoly:
 
 def _times_gen(shape: Shape, b, j: int, star: bool):
     """(factor, b + e_j) for v^b * v_j, or None when the square vanishes."""
-    pj = var_parity(shape, j, star)
-    if pj and b[j - 1] >= 1:
+    if var_parity(shape, j, star) and b[j - 1] >= 1:
         return None
-    cross = sum(b[j:])
-    oddcross = sum(
-        b[k - 1] for k in range(j + 1, shape.size + 1) if var_parity(shape, k, star)
-    )
-    base = 2 if star else -2
-    factor = LaurentPoly.q_power(base * cross, (-1) ** ((pj * oddcross) % 2))
-    nb = list(b)
-    nb[j - 1] += 1
-    return factor, tuple(nb)
+    ej = evec(shape, (j,))
+    return reorder_factor(shape, b, ej, star), tuple(u + v for u, v in zip(b, ej))
 
 
 # -- coactions and minors -------------------------------------------------

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from qsuper.algebra import (
     Shape,
     enumerate_block,
     mat_entry,
+    word_to_matrix,
     x_norm,
 )
 from qsuper.superspace import det_q_A, minor_star, perm_coefficients
@@ -317,6 +319,84 @@ class TestKillIdentities:
                     assert act_right(F(i), g).is_zero()
 
 
+# The word loop that _act_key's product rule replaced, kept as its
+# reference: a mixed word is a tuple of letters ("x", i, j), ("y", mu, nu)
+# and ("dA", +-1), and the term of each position is prefix * image *
+# suffix, each of prefix and suffix one monomial.  Its y-letter table is
+# derived from the x-expansion by this loop too, so nothing here reads
+# _act_key.
+
+
+def ref_letter_weight(shape, L, i, side):
+    """Parity-signed w_i - w_{i+1} of one letter; detA^s weighs s on the
+    even rows and columns."""
+    if L[0] == "dA":
+        return L[1] * (shape.parity(i + 1) - shape.parity(i))
+    idx = L[1] if side == "L" else L[2]
+    if idx == i:
+        return (-1) ** shape.parity(i)
+    return -(-1) ** shape.parity(i + 1) if idx == i + 1 else 0
+
+
+def ref_mixed_letters(shape, M, s):
+    """The word of W(M) detA^s: x- and y-letters in lexicographic order,
+    then the detA letters."""
+    N = shape.size
+    letters = [("y" if b == "D" else "x", k // N + 1, k % N + 1)
+               for k, (v, b) in enumerate(zip(M, shape.blocks)) for _ in range(v)]
+    return tuple(letters + [("dA", 1 if s >= 0 else -1)] * abs(s))
+
+
+def ref_letters_local(shape, letters):
+    """A run of a mixed word as one monomial."""
+    M = word_to_matrix([L[1:] for L in letters if L[0] != "dA"], shape.size)
+    return LocalElement.monomial(shape, M, sum(L[1] for L in letters if L[0] == "dA"))
+
+
+@functools.lru_cache(maxsize=None)
+def ref_y_letter_act(shape, kind, i, side, mu, nu):
+    """y_{mu,nu} = x_{mu,nu} - corr: the loop on the letter x_{mu,nu} minus
+    the loop on each word of corr."""
+    corr = to_mixed(xg(shape, mu, nu)) - LocalElement.y_gen(shape, mu, nu)
+    out = ref_act_word(shape, kind, i, side, (("x", mu, nu),))
+    for (M, a, d), c in corr.terms.items():
+        assert d == 0
+        out = out - ref_act_word(shape, kind, i, side, ref_mixed_letters(shape, M, a)).scale(c)
+    return out
+
+
+def ref_letter_image(shape, kind, i, side, L):
+    if L[0] == "y":
+        return ref_y_letter_act(shape, kind, i, side, L[1], L[2])
+    if L[0] == "dA":
+        det_act = actions._det_letter_act if L[1] == 1 else actions._det_inverse_act
+        return det_act(shape, kind, i, side)
+    cell = actions._x_letter_act(kind, i, side, L[1], L[2])
+    if cell is None:
+        return LocalElement.zero(shape)
+    return to_mixed(xg(shape, *cell))
+
+
+def ref_act_word(shape, kind, i, side, letters):
+    """E_i/F_i on a mixed word, summed over every letter position."""
+    c_tail, c_head = actions.CONVENTIONS[kind]
+    odd_gen = shape.parity(i) != shape.parity(i + 1)
+    out = LocalElement.zero(shape)
+    for p, L in enumerate(letters):
+        head, tail = letters[:p], letters[p + 1:]
+        image = ref_letter_image(shape, kind, i, side, L)
+        if image.is_zero():
+            continue
+        w = (c_tail * sum(ref_letter_weight(shape, T, i, side) for T in tail)
+             + c_head * sum(ref_letter_weight(shape, T, i, side) for T in head))
+        run = head if side == "L" else tail
+        par = sum(T[0] == "x" and shape.gen_parity(T[1], T[2]) for T in run)
+        c = qp(2 * w, (-1) ** par if odd_gen else 1)
+        out = out + (ref_letters_local(shape, head) * image
+                     * ref_letters_local(shape, tail)).scale(c)
+    return out
+
+
 def permutation_detDprime_act(shape, kind, i, side):
     """The detD' action through its y-letters, the reference for the action
     through the Berezinian: the action on each product of n y-letters of
@@ -325,7 +405,7 @@ def permutation_detDprime_act(shape, kind, i, side):
     out = LocalElement.zero(shape)
     for tau, c in perm_coefficients(n, -2):
         letters = tuple(("y", m + 1 + r, m + 1 + tau[r]) for r in range(n))
-        out = out + actions._act_word(shape, kind, i, side, letters, LocalElement).scale(c)
+        out = out + ref_act_word(shape, kind, i, side, letters).scale(c)
     return out
 
 
@@ -479,16 +559,17 @@ def reference_window(shape, left_gens, right_gens, max_degree, a_range, d_range)
 
 
 def act_word_oracle(shape, kind, i, side, M, s):
-    """E_i/F_i on W(M) detA^s by the word loop over every letter, unsplit."""
-    letters = actions._mixed_letters(shape, M, s)
-    return actions._act_word(shape, kind, i, side, letters, LocalElement)
+    """E_i/F_i on W(M) detA^s by the reference word loop over every letter."""
+    return ref_act_word(shape, kind, i, side, ref_mixed_letters(shape, M, s))
 
 
 @pytest.mark.parametrize("shape,max_degree", [
     (S11, 2), (S21, 2), (S12, 2), (S22, 1), (Shape(3, 1), 1)], ids=str)
 def test_act_key_split_at_the_determinant(shape, max_degree):
-    # _act_key builds W(M) detA^s from the images of W(M) and of detA^s;
-    # from cleared caches every image equals the word loop on the whole word
+    # _act_key builds W(M) detA^s from the image of the key less its last
+    # factor (detA^s, one detA^(+-1) or W(M)'s last letter) and the image of
+    # that factor; from cleared caches every image equals the reference word
+    # loop on the whole word
     qsuper.clear_caches()
     zero = (0,) * shape.size ** 2
     for M in actions._window_matrices(shape, max_degree):
@@ -523,6 +604,30 @@ class TestWindowAgainstReference:
             for a_range, d_range in DET_WINDOWS[::3]:
                 got = invariants_window(shape, lefts, rights, 2, a_range, d_range)
                 assert got == reference_window(shape, lefts, rights, 2, a_range, d_range)
+
+    @pytest.mark.parametrize("shape", [S21, S12], ids=str)
+    def test_k_that_moves_every_key(self, shape, monkeypatch):
+        # detA^1 puts 1 on row 1 of every key, so K_1 moves each one and
+        # the window is empty before any column is built
+        args = (shape, (K(1), E(1)), (F(1),), 2, (1, 1), (0, 0))
+        assert reference_window(*args) == []
+        monkeypatch.setattr(actions, "nullspace", lambda cols: pytest.fail("built a system"))
+        assert invariants_window(*args) == []
+
+    def test_window_keeps_only_the_keys_every_k_fixes(self, monkeypatch):
+        systems = []
+        real = actions.nullspace
+        monkeypatch.setattr(actions, "nullspace", lambda cols: systems.append(cols) or real(cols))
+        lefts, rights = (E(1), K(2)), (Kinv(1), F(2))
+        got = invariants_window(S21, lefts, rights, 2, (-1, 0), (0, 0))
+        assert got == reference_window(S21, lefts, rights, 2, (-1, 0), (0, 0))
+        probe = LocalElement.zero(S21)
+        fixed = [key for key in window_indices(S21, 2, (-1, 0), (0, 0))
+                 if probe.key_biweight(key)[0][1] == probe.key_biweight(key)[1][0] == 0]
+        (columns,) = systems
+        assert 0 < len(columns) == len(fixed) < len(window_indices(S21, 2, (-1, 0), (0, 0)))
+        # no K row: every row is an E/F image, at the generator's position
+        assert {gi for col in columns for gi, _ in col} <= {0, 3}
 
     def test_act_key_matches_its_uncached_form(self):
         for M, a, d in window_indices(S22, 2, (-1, 0), (0, 1)):

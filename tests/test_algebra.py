@@ -15,6 +15,7 @@ from qsuper.algebra import (
     enumerate_block,
     mat_entry,
     matrix_to_word,
+    validate_matrix,
     x_norm,
 )
 
@@ -314,6 +315,25 @@ class TestEnumerateBlock:
 
     def test_mismatched_sums(self):
         assert enumerate_block(S11, (1, 0), (0, 0)) == []
+
+    @pytest.mark.parametrize("ro,co", [((1, 0, 0), (1, 0)), ((1,), (1, 0))])
+    def test_sums_of_the_wrong_length(self, ro, co):
+        with pytest.raises(ValueError, match="length mismatch"):
+            enumerate_block(S11, ro, co)
+
+
+class TestValidateMatrix:
+    def test_wrong_length(self):
+        with pytest.raises(ValueError, match="does not match shape"):
+            validate_matrix(S11, (0, 0, 0))
+
+    def test_negative_exponent(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            validate_matrix(S11, (1, 0, 0, -1))
+
+    def test_odd_square(self):
+        with pytest.raises(ValueError, match=r"odd generator x\[1,2\]"):
+            validate_matrix(S11, (0, 2, 0, 0))
 
 
 class TestCounting:

@@ -285,6 +285,34 @@ class TestExitCodes:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["minor", "--shape", "2", "1", "--rows", "1,x", "--cols", "1,2"],
+         "expected comma-separated integers, got '1,x'"),
+        (["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1", "--sector", "z=1"],
+         "bad sector component 'z=1'"),
+        (["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1", "--sector", "a=1,d=y"],
+         "bad sector component 'd=y'"),
+        (["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1", "--a-range", "0"],
+         "expected lo:hi range, got '0'"),
+        (["mul", "--element", "-"], "mul needs exactly two --element inputs"),
+        (["act", "--gen", "E1,F1", "--side", "left", "--element", "-"],
+         "act takes exactly one --gen"),
+    ], ids=["rows", "sector-key", "sector-value", "a-range", "mul-one-element", "act-two-gens"])
+    def test_usage_errors_name_the_argument(self, argv, message, capsys, monkeypatch):
+        f = AlgebraElement.generator(S21, 1, 1)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(f.to_json())))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_unknown_determinant_is_a_parser_error(self, capsys):
+        # argparse's choices reject it before cmd_det runs
+        assert main(["det", "--shape", "2", "1", "--which", "X"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --which: invalid choice: 'X'" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1"],
         ["verify", "--suite", "relations", "--shape", "2", "1"],

@@ -441,6 +441,11 @@ class TestMixedForm:
         with pytest.raises(IndexError):
             LocalElement.y_gen(S21, *cell)
 
+    @pytest.mark.parametrize("cell", [(1, 1), (1, 3), (3, 2)])
+    def test_y_outside_the_lower_block_raises(self, cell):
+        with pytest.raises(IndexError, match="lower block"):
+            LocalElement.y_gen(S21, *cell)
+
 
 class TestLocalArithmetic:
     def test_detA_q_commutes_with_mixed_gen(self):

@@ -58,6 +58,10 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             lp({1: 1, 0: 1}).divexact(lp({2: 1, 0: -1}))
 
+    def test_divexact_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            lp({1: 1}).divexact(LaurentPoly.zero())
+
 
 class TestBar:
     def test_bar_flips_exponents(self):
@@ -87,6 +91,12 @@ class TestQCombinatorics:
             assert q_binom(n, 0) == LaurentPoly.one()
             assert q_binom(n, n) == LaurentPoly.one()
         assert q_binom(2, 1, 2) == lp({0: 1, 2: 1})
+
+    def test_out_of_range_arguments(self):
+        with pytest.raises(ValueError, match="s >= 0"):
+            q_integer(-1)
+        with pytest.raises(ValueError, match="0 <= r <= s"):
+            q_binom(2, 3)
 
     @pytest.mark.parametrize("base", [2, 4])
     def test_q_binom_pascal(self, base):

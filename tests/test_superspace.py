@@ -6,6 +6,7 @@ from qsuper.laurent import LaurentPoly
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.superspace import (
     _perm_sum,
+    _times_gen,
     coact,
     coact_star,
     covariant_minor,
@@ -17,6 +18,7 @@ from qsuper.superspace import (
     minor,
     minor_star,
     valid_vector,
+    var_parity,
 )
 
 S11 = Shape(1, 1)
@@ -92,6 +94,32 @@ class TestCoact:
     def test_degrees_match(self):
         for b in coact(S22, (1, 0, 1, 0)):
             assert sum(b) == 2
+
+
+def crossing_times_gen(shape, b, j, star):
+    """v^b * v_j counted directly: v_j crosses every variable k > j of b,
+    each crossing a q^-2 (row space) or q^2 (dual space), and a sign for
+    each odd one when v_j is odd."""
+    pj = var_parity(shape, j, star)
+    if pj and b[j - 1] >= 1:
+        return None
+    cross = sum(b[j:])
+    oddcross = sum(b[k - 1] for k in range(j + 1, shape.size + 1) if var_parity(shape, k, star))
+    factor = LaurentPoly.q_power((2 if star else -2) * cross, (-1) ** (pj * oddcross))
+    return factor, tuple(v + (k == j) for k, v in enumerate(b, start=1))
+
+
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2), S22, Shape(3, 1), Shape(1, 3)], ids=str)
+def test_times_gen_is_the_reorder_factor_of_one_variable(shape):
+    # _times_gen reads its factor from reorder_factor(b, e_j)
+    N = shape.size
+    cases = 0
+    for star in (False, True):
+        for b in itertools.product(range(3), repeat=N):
+            for j in range(1, N + 1):
+                assert _times_gen(shape, b, j, star) == crossing_times_gen(shape, b, j, star)
+                cases += 1
+    assert cases == 2 * N * 3 ** N
 
 
 class TestMinorIndices:
