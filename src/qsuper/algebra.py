@@ -73,6 +73,11 @@ class Shape:
         return _cell_table(self.m, self.n)[1]
 
     @cached_property
+    def rewrites(self) -> list:
+        """The straightening rewrites on flat cell codes (_rewrite_table)."""
+        return _rewrite_table(self.m, self.n)
+
+    @cached_property
     def diagonals(self) -> tuple:
         """Slices of a flat matrix onto the diagonal cells of A and of D."""
         step = self.size + 1
@@ -182,19 +187,12 @@ def word_to_matrix(word, N):
 # -- the straightening kernel -------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _pair_rule(shape: Shape, g1, g2):
-    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 > g2
-    or an odd g1 == g2.
-
-    Returns a tuple of (two-letter word, LaurentPoly) pairs; the empty
-    tuple encodes zero (odd square).
-    """
+    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 > g2:
+    a tuple of (two-letter word, LaurentPoly) pairs, the swap first."""
     i, j = g1
     k, l = g2
     par = shape.parity
-    if g1 == g2:  # straighten_word passes an equal pair only when it is odd
-        return ()
     if i == k:  # same row, j > l
         s = (-1) ** ((par(i) + par(l)) % 2 * ((par(i) + par(j)) % 2))
         c = LaurentPoly.q_power(-2 * (-1) ** par(i), s)
@@ -212,6 +210,30 @@ def _pair_rule(shape: Shape, g1, g2):
     return (((g2, g1), LaurentPoly.from_int(s1)), (((k, j), (i, l)), corr))
 
 
+@lru_cache(maxsize=None)
+def _rewrite_table(m: int, n: int) -> list:
+    """_pair_rule of every descent of the (m|n) layout, on flat cell codes.
+
+    Entry k1 * N^2 + k2, for k1 > k2 or an odd k1 == k2, is None for an odd
+    square (zero), else (e, s, corr): x_k1 x_k2 = s q^e x_k2 x_k1, plus
+    sigma (q^2 - q^-2) x_c1 x_c2 when corr = (c1, c2, sigma).
+    """
+    shape = Shape(m, n)
+    N = shape.size
+    N2 = N * N
+    cells = [(k // N + 1, k % N + 1) for k in range(N2)]
+    table = [None] * (N2 * N2)
+    for k1 in range(N2):
+        for k2 in range(k1):
+            (_, swap), *rest = _pair_rule(shape, cells[k1], cells[k2])
+            ((e, s),) = swap.terms.items()
+            corr = None
+            for (c1, c2), c in rest:
+                corr = (shape.cell(*c1), shape.cell(*c2), c.terms[2])
+            table[k1 * N2 + k2] = (e, s, corr)
+    return table
+
+
 def _put(terms, key, c):
     """terms[key] += c, dropping the key when the sum is zero; c is a
     LaurentPoly or an element."""
@@ -224,27 +246,62 @@ def _put(terms, key, c):
 
 
 def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
-    """Normal form of a generator word: dict matrix -> LaurentPoly."""
+    """Normal form of a generator word: dict matrix -> LaurentPoly.
+
+    The word runs on flat cell codes (i - 1) N + (j - 1), whose integer
+    order is the lexicographic order of the letters, with coefficients as
+    exponent -> integer dicts.  A rewrite at the first descent reads one
+    entry of the shape's table, and the scan of the rewritten word resumes
+    one letter before the descent, as the letters ahead are still ordered.
+    """
+    N = shape.size
+    N2, odd, table = N * N, shape.odd, shape.rewrites
+    coeff = ONE if coeff is None else coeff
+    stack = [(tuple([(i - 1) * N + j - 1 for i, j in word]), coeff.terms, 0)] if coeff else []
     out: dict = {}
-    stack = [(tuple(word), coeff if coeff is not None else ONE)]
-    N, odd = shape.size, shape.odd
     while stack:
-        w, c = stack.pop()
-        if c.is_zero():
-            continue
-        pos = -1
-        for t in range(len(w) - 1):
-            g = w[t]
-            if g > w[t + 1] or (g == w[t + 1] and odd[(g[0] - 1) * N + g[1] - 1]):
-                pos = t
+        w, c, t = stack.pop()
+        last = len(w) - 1
+        while t < last:
+            a, b = w[t], w[t + 1]
+            if a > b or (a == b and odd[a]):
                 break
-        if pos < 0:
-            _put(out, word_to_matrix(w, N), c)
+            t += 1
+        else:
+            out.setdefault(w, []).append(c)
             continue
-        head, tail = w[:pos], w[pos + 2 :]
-        for pair, pc in _pair_rule(shape, w[pos], w[pos + 1]):
-            stack.append((head + pair + tail, c * pc))
-    return out
+        rule = table[a * N2 + b]
+        if rule is None:  # an odd square
+            continue
+        e, s, corr = rule
+        head, tail, back = w[:t], w[t + 2:], t - 1 if t else 0
+        stack.append((head + (b, a) + tail,
+                      {x + e: s * v for x, v in c.items()} if e or s != 1 else c, back))
+        if corr is not None:
+            c1, c2, sigma = corr
+            cc: dict = {}
+            for x, v in c.items():
+                cc[x + 2] = cc.get(x + 2, 0) + sigma * v
+                cc[x - 2] = cc.get(x - 2, 0) - sigma * v
+            cc = {x: v for x, v in cc.items() if v}
+            if cc:
+                stack.append((head + (c1, c2) + tail, cc, back))
+    terms = {}
+    for w, cs in out.items():
+        if len(cs) == 1 and cs[0] is coeff.terms:  # the word was ordered
+            acc = coeff
+        else:
+            acc = {}
+            for c in cs:
+                for x, v in c.items():
+                    acc[x] = acc.get(x, 0) + v
+            acc = LaurentPoly(acc)
+        if acc.terms:
+            M = [0] * N2
+            for k in w:
+                M[k] += 1
+            terms[tuple(M)] = acc
+    return terms
 
 
 @lru_cache(maxsize=200000)
@@ -300,8 +357,10 @@ class LinearElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative powers are not available")
-        out = type(self).one(self.shape)
-        for _ in range(k):
+        if k == 0:
+            return type(self).one(self.shape)
+        out = self
+        for _ in range(k - 1):
             out = out * self
         return out
 

@@ -255,11 +255,17 @@ class LocalElement(LinearElement):
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check(other)
         shape = self.shape
+        zero = zero_matrix(shape.size)
         out: dict = {}
         for (M1, a, d), c1 in self.terms.items():
             for (M2, a2, d2), c2 in other.terms.items():
-                qfac = LaurentPoly.q_power(2 * (a + d) * shape.odd_degree(M2))
-                c = c1 * c2 * qfac
+                c = (c1 * c2).shift(2 * (a + d) * shape.odd_degree(M2))
+                T = M1 if M2 == zero else M2 if M1 == zero else None
+                if T is not None and is_constrained(shape, T):
+                    # W(T) times a pure det factor, on either side, is the
+                    # key of W(T) with the det powers added
+                    _put(out, (T, a + a2, d + d2), c)
+                    continue
                 for (Mt, alpha, delta), r in _reduce_pair(shape, M1, M2):
                     _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
         return LocalElement(self.shape, out)

@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 
-from qsuper.laurent import LaurentPoly
-from qsuper.algebra import AlgebraElement, Shape, _put
+from qsuper.laurent import LaurentPoly, ONE
+from qsuper.algebra import AlgebraElement, Shape, _put, straighten_word
 
 
 # -- superspace monomials ------------------------------------------------
@@ -94,31 +94,50 @@ def _times_gen(shape: Shape, b, j: int, star: bool):
 # -- coactions and minors -------------------------------------------------
 
 
+def _path_sums(shape: Shape, a, star: bool, cols=None) -> dict:
+    """Components b -> normal-form terms of the coaction of v^a, or only
+    the component cols when it is given.
+
+    The coaction of v_i is sum_j v_j (x) x_ij, so the coaction of
+    v^a = v_i1 ... v_ir sums one path j1 ... jr per choice of columns: its
+    word x_i1j1 ... x_irjr is straightened once, with the reorder factors
+    of v_j1 ... v_jr into v^b and the tensor signs, each the space part so
+    far passing the next matrix generator, as its coefficient.  Paths that
+    square an odd variable vanish; with cols, only paths whose columns
+    make up cols are walked.
+    """
+    N = shape.size
+    rows = [i for i in range(1, N + 1) for _ in range(a[i - 1])]
+    if not valid_vector(shape, a, star) or (cols is not None and sum(cols) != len(rows)):
+        return {}
+    vp = [var_parity(shape, j, star) for j in range(1, N + 1)]
+    comps: dict = {}
+    stack = [((0,) * N, 0, (), ONE)]  # (b, parity of v^b, word, coefficient)
+    while stack:
+        b, pb, word, coeff = stack.pop()
+        t = len(word)
+        if t == len(rows):
+            terms = comps.setdefault(b, {})
+            for M, c in straighten_word(shape, word, coeff).items():
+                _put(terms, M, c)
+            continue
+        i = rows[t]
+        for j in range(1, N + 1):
+            if cols is not None and b[j - 1] == cols[j - 1]:
+                continue
+            hit = _times_gen(shape, b, j, star)
+            if hit is not None:
+                factor, nb = hit
+                if pb and shape.gen_parity(i, j):
+                    factor = -factor
+                stack.append((nb, pb ^ vp[j - 1], word + ((i, j),), coeff * factor))
+    return {b: terms for b, terms in comps.items() if terms}
+
+
 @lru_cache(maxsize=None)
 def _coact_cached(shape: Shape, a, star: bool):
-    if not valid_vector(shape, a, star):
-        return ()
-    N = shape.size
-    word = [i for i in range(1, N + 1) for _ in range(a[i - 1])]
-    comps = {(0,) * N: AlgebraElement.one(shape)}
-    for i in word:
-        nxt: dict = {}
-        for b, F in comps.items():
-            pb = vector_parity(shape, b, star)
-            for j in range(1, N + 1):
-                hit = _times_gen(shape, b, j, star)
-                if hit is None:
-                    continue
-                factor, nb = hit
-                # tensor sign: the space part of the left factor moves
-                # past the matrix generator of the right factor
-                sgn = (-1) ** (pb * shape.gen_parity(i, j))
-                term = (F * AlgebraElement.generator(shape, i, j)).scale(
-                    factor.scale(sgn)
-                )
-                _put(nxt, nb, term)
-        comps = nxt
-    return tuple(sorted(comps.items()))
+    return tuple(sorted((b, AlgebraElement(shape, terms))
+                        for b, terms in _path_sums(shape, a, star).items()))
 
 
 def coact(shape: Shape, a) -> dict:
@@ -131,15 +150,18 @@ def coact_star(shape: Shape, a) -> dict:
     return dict(_coact_cached(shape, tuple(a), True))
 
 
+@lru_cache(maxsize=1 << 12)
+def _minor_cached(shape: Shape, a, b, star: bool) -> AlgebraElement:
+    return AlgebraElement(shape, _path_sums(shape, a, star, b).get(b))
+
+
 def minor(shape: Shape, rows, cols) -> AlgebraElement:
     """Quantum minor: coefficient of x^cols in the coaction of x^rows."""
-    comps = coact(shape, evec(shape, rows))
-    return comps.get(evec(shape, cols), AlgebraElement.zero(shape))
+    return _minor_cached(shape, evec(shape, rows), evec(shape, cols), False)
 
 
 def minor_star(shape: Shape, rows, cols) -> AlgebraElement:
-    comps = coact_star(shape, evec(shape, rows))
-    return comps.get(evec(shape, cols), AlgebraElement.zero(shape))
+    return _minor_cached(shape, evec(shape, rows), evec(shape, cols), True)
 
 
 # -- permutation-sum determinants (independent of the coactions) -----------

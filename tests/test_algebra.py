@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
+    QSQ_DIFF,
     _pair_rule,
+    _put,
+    _rewrite_table,
     AlgebraElement,
     NonHomogeneous,
     Shape,
@@ -15,7 +18,9 @@ from qsuper.algebra import (
     enumerate_block,
     mat_entry,
     matrix_to_word,
+    straighten_word,
     validate_matrix,
+    word_to_matrix,
     x_norm,
 )
 
@@ -102,12 +107,71 @@ class TestCellTable:
         assert "blocks" not in vars(fresh)  # constructing builds no table
         built.odd  # one of the two equal shapes has its table built
         assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
-        g1, g2 = (shape.size, 1), (1, shape.size)
-        _pair_rule(built, g1, g2)
-        before = _pair_rule.cache_info()
-        _pair_rule(fresh, g1, g2)
-        after = _pair_rule.cache_info()
+        assert "rewrites" not in vars(built)  # straightening builds it on first use
+        AlgebraElement.from_word(built, ((shape.size, 1), (1, shape.size)))
+        before = _rewrite_table.cache_info()
+        assert fresh.rewrites is built.rewrites
+        after = _rewrite_table.cache_info()
         assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
+
+def ref_straighten_word(shape: Shape, word, coeff=None):
+    """The straightening loop on (i, j) letters and LaurentPoly
+    coefficients that rescans each rewritten word from its first letter:
+    the reference for the kernel's rewrite table on flat cell codes."""
+    out: dict = {}
+    stack = [(tuple(word), coeff if coeff is not None else ONE)]
+    N, odd = shape.size, shape.odd
+    while stack:
+        w, c = stack.pop()
+        if c.is_zero():
+            continue
+        pos = -1
+        for t in range(len(w) - 1):
+            g = w[t]
+            if g > w[t + 1] or (g == w[t + 1] and odd[(g[0] - 1) * N + g[1] - 1]):
+                pos = t
+                break
+        if pos < 0:
+            _put(out, word_to_matrix(w, N), c)
+            continue
+        if w[pos] == w[pos + 1]:  # an odd square
+            continue
+        head, tail = w[:pos], w[pos + 2:]
+        for pair, pc in _pair_rule(shape, w[pos], w[pos + 1]):
+            stack.append((head + pair + tail, c * pc))
+    return out
+
+
+@pytest.mark.parametrize("shape, length", [(S11, 4), (S21, 4), (Shape(1, 2), 4),
+                                           (S22, 3), (Shape(3, 1), 3)], ids=str)
+def test_straighten_word_matches_the_reference(shape, length):
+    # every word up to the length, so every overlap of two rewrites and
+    # every resumed scan of a three-letter window is exercised
+    gens = shape.generators()
+    coeffs = (None, lp({3: 2, -1: -1}), QSQ_DIFF, LaurentPoly.zero())
+    words = 0
+    for size in range(length + 1):
+        for word in itertools.product(gens, repeat=size):
+            for c in coeffs:
+                assert straighten_word(shape, word, c) == ref_straighten_word(shape, word, c), (
+                    word, c)
+            words += 1
+    assert words == sum(len(gens) ** k for k in range(length + 1))
+
+
+def test_rewrite_table_holds_every_descent_once():
+    for shape in TABLE_SHAPES:
+        N2 = shape.size ** 2
+        table = shape.rewrites
+        assert len(table) == N2 * N2
+        for k1, k2 in itertools.product(range(N2), repeat=2):
+            entry = table[k1 * N2 + k2]
+            if k1 > k2:
+                e, s, corr = entry
+                assert s in (1, -1) and (corr is None or k2 < corr[0] < corr[1] < k1)
+            else:  # ordered pairs and odd squares have no rewrite
+                assert entry is None
 
 
 @pytest.mark.parametrize("cell", [(1, 4), (0, 1), (2, 0), (-1, 1), (4, 1)])
@@ -160,6 +224,14 @@ class TestMultiply:
 
     def test_matches_pair_rule(self):
         assert gen(S11, 2, 2) * gen(S11, 1, 1) == straighten_pair(S11, (2, 2), (1, 1))
+
+    def test_powers_are_repeated_products(self):
+        f = gen(S21, 2, 3) + gen(S21, 3, 1).scale(lp({2: 1})) + gen(S21, 1, 1)
+        assert f ** 0 == AlgebraElement.one(S21)
+        assert f ** 1 is f  # no product, so nothing is straightened
+        assert f ** 3 == (f * f) * f
+        with pytest.raises(ValueError, match="negative"):
+            f ** -1
 
     def test_shape_mismatch(self):
         from qsuper.algebra import ShapeMismatch

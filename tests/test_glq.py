@@ -503,6 +503,25 @@ class TestLocalArithmetic:
             f.biweight()
 
 
+@pytest.mark.parametrize("shape, degree, keys", [(S21, 3, 120), (S12, 3, 120), (S31, 2, 130),
+                                                 (S22, 2, 143)], ids=str)
+def test_pure_det_factors_re_key(shape, degree, keys):
+    # W(T) detA^a detD'^d times detA^a2 detD'^d2, on either side, is the key
+    # (T, a + a2, d + d2) with q^(2 (a + d) k) for k odd letters in front:
+    # the product skips _reduce_pair, which is the identity on those pairs
+    zero = zero_matrix(shape.size)
+    window = actions._window_matrices(shape, degree)
+    for T in window:
+        assert glq._reduce_pair(shape, T, zero) == glq._reduce_pair(shape, zero, T) == (
+            ((T, 0, 0), ONE),)
+        f = LocalElement(shape, {(T, 1, -1): lp({1: 2})})
+        g = LocalElement(shape, {(zero, -2, 1): lp({-1: 1})})
+        k = shape.odd_degree(T)
+        assert (f * g).terms == {(T, -1, 0): lp({0: 2})}
+        assert (g * f).terms == {(T, -1, 0): lp({-2 * k: 2})}
+    assert len(window) == keys
+
+
 class TestBarLocal:
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_y_fixed(self, shape):
@@ -573,9 +592,9 @@ def _cached_values(shape):
     return out
 
 
-CACHES = (superspace._coact_cached, glq.y_times_detA, glq.word_poly, glq.detDprime_poly,
-          glq._member, glq._reduce_pair, actions._y_letter_act, actions._det_letter_act,
-          actions._det_inverse_act)
+CACHES = (superspace._coact_cached, superspace._minor_cached, glq.y_times_detA, glq.word_poly,
+          glq.detDprime_poly, glq._member, glq._reduce_pair, actions._y_letter_act,
+          actions._det_letter_act, actions._det_inverse_act)
 
 
 @pytest.mark.parametrize("shape", [S21, S22])

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from qsuper.laurent import LaurentPoly
-from qsuper.algebra import AlgebraElement, Shape
+from qsuper.algebra import AlgebraElement, Shape, _put
 from qsuper.superspace import (
     _perm_sum,
     _times_gen,
@@ -13,12 +13,14 @@ from qsuper.superspace import (
     covariant_minor_star,
     det_q_A,
     det_qinv_D,
+    evec,
     interval,
     laplace_verify,
     minor,
     minor_star,
     valid_vector,
     var_parity,
+    vector_parity,
 )
 
 S11 = Shape(1, 1)
@@ -120,6 +122,50 @@ def test_times_gen_is_the_reorder_factor_of_one_variable(shape):
                 assert _times_gen(shape, b, j, star) == crossing_times_gen(shape, b, j, star)
                 cases += 1
     assert cases == 2 * N * 3 ** N
+
+
+def ref_coact(shape, a, star):
+    """The coaction of v^a as products: each component F at b is carried
+    to F x_ij times the factor of v^b v_j, for every letter v_i of v^a in
+    turn; the reference for the kernel's path walk."""
+    N = shape.size
+    if not valid_vector(shape, a, star):
+        return {}
+    comps = {(0,) * N: AlgebraElement.one(shape)}
+    for i in (i for i in range(1, N + 1) for _ in range(a[i - 1])):
+        nxt: dict = {}
+        for b, F in comps.items():
+            pb = vector_parity(shape, b, star)
+            for j in range(1, N + 1):
+                hit = crossing_times_gen(shape, b, j, star)
+                if hit is not None:
+                    factor, nb = hit
+                    sgn = (-1) ** (pb * shape.gen_parity(i, j))
+                    _put(nxt, nb, (F * gen(shape, i, j)).scale(factor.scale(sgn)))
+        comps = nxt
+    return comps
+
+
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2), S22, Shape(3, 1)], ids=str)
+def test_minors_are_the_components_of_the_product_coaction(shape):
+    # every row and column vector of degree <= 3, odd squares and degree
+    # mismatches included: minor reads only the paths that reach cols
+    N = shape.size
+    indices = [c for k in range(4) for c in itertools.combinations_with_replacement(
+        range(1, N + 1), k)]
+    zero = AlgebraElement.zero(shape)
+    for star, fn, full in ((False, minor, coact), (True, minor_star, coact_star)):
+        seen = set()
+        for rows in indices:
+            a = evec(shape, rows)
+            expect = ref_coact(shape, a, star)
+            assert full(shape, a) == expect, (rows, star)
+            for cols in indices:
+                got = fn(shape, rows, cols)
+                assert got == expect.get(evec(shape, cols), zero), (rows, cols, star)
+                seen.add((valid_vector(shape, a, star), got.is_zero()))
+        # valid and invalid rows, zero and nonzero minors all occur
+        assert seen == {(True, True), (True, False), (False, True)}
 
 
 class TestMinorIndices:
