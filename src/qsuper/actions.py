@@ -6,13 +6,14 @@ coproduct rule, with the K-type factor acting diagonally by weight q-powers.
 A polynomial word applies the rule letter by letter and straightens each
 term.  A mixed word W(M) detA^s applies it once, at its last factor b:
 detA^s when M and s are nonzero, else one detA^(+-1) or the last letter
-of W(M).  The rest of the word is a shorter key, memoized like the word,
-and b's image is a table entry.  Actions on localized letters (detA^-1,
-Schur-complement entries) are derived from the generator tables and the
-derivation rule for inverses, not postulated.  Powers of detD' act
-through the Berezinian: the key W(M) detA^a detD'^d is W(M) detA^(a+d)
-times Ber^-d, and Ber is central, even, of weight zero and killed by
-every E_i and F_i.
+of W(M).  The rest of the word and b are shorter keys, memoized like
+the word; a lone letter or detA^(+-1) is the base case, whose image is
+computed once as its own key's entry.  Actions on localized letters
+(detA^-1, Schur-complement entries) are derived from the generator
+tables and the derivation rule for inverses, not postulated.  Powers of
+detD' act through the Berezinian: the key W(M) detA^a detD'^d is
+W(M) detA^(a+d) times Ber^-d, and Ber is central, even, of weight zero
+and killed by every E_i and F_i.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -198,7 +199,6 @@ def _x_image(shape: Shape, kind: str, i: int, side: str, k: int, l: int) -> Loca
     return LocalElement.x_gen(shape, *cell)
 
 
-@lru_cache(maxsize=None)
 def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
     """Action on a Schur-complement entry, derived from its x-expansion.
 
@@ -216,24 +216,23 @@ def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def _det_letter_act(shape: Shape, kind: str, i: int, side: str):
     """Action on detA, computed on the expanded determinant."""
     return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
 
 
-@lru_cache(maxsize=None)
 def _det_inverse_act(shape: Shape, kind: str, i: int, side: str):
     """Action on detA^{-1} via the derivation rule.
 
     From X.(u u^{-1}) = 0:  X.u^{-1} = -q^{-2(c_head + c_tail) w(u)}
-    u^{-1} (X.u) u^{-1}, with u = detA and w(u) its K-pair weight.
+    u^{-1} (X.u) u^{-1}, with u = detA and w(u) its K-pair weight; X.u is
+    the _act_key entry of detA.
     """
-    hit = _det_letter_act(shape, kind, i, side)
+    zero = zero_matrix(shape.size)
+    hit = _act_key(shape, kind, i, side, zero, 1)
     if hit.is_zero():
         return hit
     c_tail, c_head = CONVENTIONS[kind]
-    zero = zero_matrix(shape.size)
     w = _key_weight(shape, zero, 1, i, side)
     inv = LocalElement(shape, {(zero, -1, 0): ONE})
     return (inv * hit * inv).scale(
@@ -278,9 +277,10 @@ def _act_word(shape, kind, i, side, word):
 
 # Bound: a degree-3 window at (2|2) with its six E_i/F_i and four values of
 # a + d holds 19,176 images (about 4 MiB), a qbench localize session 1,200.
-# An image is built from that of its key less the last factor: W(M) less
-# its last letter, W(M) at s = 0, or detA^(s -+ 1), which a window whose
-# degrees and det range hold them computes anyway.
+# An image is built from those of two shorter keys, the key less its last
+# factor (W(M) less its last letter, W(M) at s = 0, or detA^(s -+ 1)) and
+# that factor (one letter or detA^s), which a window whose degrees and det
+# range hold them computes anyway.
 @lru_cache(maxsize=1 << 15)
 def _act_key(shape, kind, i, side, M, s):
     """E_i/F_i on the mixed word W(M) detA^s, by the coproduct rule at
@@ -290,9 +290,9 @@ def _act_key(shape, kind, i, side, M, s):
     q^(2 c_head w(a)), w the pair weight; an odd E_m/F_m also gives
     (-1)^[b] on the first term on the right and (-1)^[a] on the second
     on the left.  b is detA^s when M and s are nonzero, one detA^(+-1)
-    when M is zero, and the last letter of W(M) when s is zero; a is a
-    shorter key, and a lone letter's image is its table entry.  detA^k
-    on the right only raises each key's detA power.
+    when M is zero, and the last letter of W(M) when s is zero; a and b
+    are shorter keys, and a lone letter or detA^(+-1) is the base case.
+    detA^k on the right only raises each key's detA power.
     """
     N = shape.size
     zero = zero_matrix(N)
@@ -301,18 +301,19 @@ def _act_key(shape, kind, i, side, M, s):
         aM, a_s = M, s - step
         if not (a_s or any(aM)):
             return (_det_letter_act if s > 0 else _det_inverse_act)(shape, kind, i, side)
-        image = _act_key(shape, kind, i, side, zero, step)
+        b = zero, step
         w_b, p_b = _key_weight(shape, zero, step, i, side), 0
     elif any(M):
         k = max(p for p, v in enumerate(M) if v)
         cell, aM, a_s = (k // N + 1, k % N + 1), M[:k] + (M[k] - 1,) + M[k + 1:], 0
-        image = (_y_letter_act if shape.block(*cell) == "D" else _x_image)(
-            shape, kind, i, side, *cell)
         if not any(aM):
-            return image
+            return (_y_letter_act if shape.block(*cell) == "D" else _x_image)(
+                shape, kind, i, side, *cell)
+        b = unit_matrix(N, *cell), 0
         w_b, p_b = _pair_weight(shape, *cell, i, side), shape.gen_parity(*cell)
     else:
         return LocalElement.zero(shape)
+    image = _act_key(shape, kind, i, side, *b)
     c_tail, c_head = CONVENTIONS[kind]
     odd = shape.parity(i) != shape.parity(i + 1)
     c = LaurentPoly.q_power(2 * c_tail * w_b, (-1) ** p_b if odd and side == "R" else 1)

@@ -113,28 +113,30 @@ def _parse_gens(raw: str, shape: Shape):
 
 
 def _parse_sector(raw: str):
-    a, d = 0, 0
+    powers = {}
     for part in raw.split(","):
         key, _, val = part.partition("=")
         try:
             power = int(val)
         except ValueError:
             raise UsageError(f"bad sector component {part!r}")
-        if key == "a":
-            a = power
-        elif key == "d":
-            d = power
-        else:
+        if key not in ("a", "d"):
             raise UsageError(f"bad sector component {part!r}")
-    return a, d
+        if key in powers:
+            raise UsageError(f"sector component {key!r} given twice")
+        powers[key] = power
+    return powers.get("a", 0), powers.get("d", 0)
 
 
 def _parse_range(raw: str):
     lo, _, hi = raw.partition(":")
     try:
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"expected lo:hi range, got {raw!r}")
+    if lo > hi:
+        raise UsageError(f"empty range {raw!r}: lo exceeds hi")
+    return lo, hi
 
 
 def cmd_mul(args) -> int:
@@ -222,6 +224,8 @@ def cmd_inv(args) -> int:
     shape = _shape(args)
     left = _parse_gens(args.left, shape)
     right = _parse_gens(args.right, shape)
+    if args.max_degree < 0:
+        raise UsageError(f"--max-degree must be at least 0, got {args.max_degree}")
     deg = max_degree_cap(args.max_degree)
     a_range = _parse_range(args.a_range)
     d_range = _parse_range(args.d_range)

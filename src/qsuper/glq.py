@@ -55,7 +55,6 @@ def _detA_power_alg(shape: Shape, p: int) -> AlgebraElement:
     return _detA_power_alg(shape, p - 1) * det_q_A(shape)
 
 
-@lru_cache(maxsize=None)
 def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     """y_uv detA for the Schur complement entry y_uv: the starred minor on
     rows 1..m, u and columns 1..m, v.

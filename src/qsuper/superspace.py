@@ -4,9 +4,8 @@ The row space A_q (variables x_i) and column space A_q* (variables xi_i,
 with flipped parity) are comodule algebras over the supermatrix algebra;
 quantum minors are the coaction coefficients; the localization takes
 y_uv detA, for its Schur-complement entries y_uv, from the dual space's.
-The determinants of the diagonal blocks are permutation sums (cheaper
-cold than a coaction); the permutation sums of sub-minors and block
-minors are an independent code path for cross-checks.
+The determinants of the diagonal blocks are minors too: detA is the dual
+space's on rows and columns 1..m, detD the row space's on the rest.
 """
 
 from __future__ import annotations
@@ -164,7 +163,19 @@ def minor_star(shape: Shape, rows, cols) -> AlgebraElement:
     return _minor_cached(shape, evec(shape, rows), evec(shape, cols), True)
 
 
-# -- permutation-sum determinants (independent of the coactions) -----------
+def det_q_A(shape: Shape) -> AlgebraElement:
+    """The q-determinant of the A block: the dual minor on 1..m."""
+    block = interval(1, shape.m)
+    return minor_star(shape, block, block)
+
+
+def det_qinv_D(shape: Shape) -> AlgebraElement:
+    """The q^-1-determinant of the D block: the minor on m+1..N."""
+    block = interval(shape.m + 1, shape.size)
+    return minor(shape, block, block)
+
+
+# -- the permutation rule of the q-determinants (glq.detDprime_poly) --------
 
 
 def _inversions(sigma) -> int:
@@ -179,28 +190,6 @@ def perm_coefficients(n: int, base: int, sign: int = -1):
     for sigma in permutations(range(n)):
         l = _inversions(sigma)
         yield sigma, LaurentPoly.q_power(base * l, sign**l)
-
-
-def _perm_sum(shape: Shape, rows, cols, base: int, sign: int = -1) -> AlgebraElement:
-    """Sum over bijections of (sign * q^base)^inversions, rows in order.
-
-    Even-block determinants use sign -1; for the odd blocks the super
-    swap cancels the -1 and each inversion contributes +q^base.
-    """
-    total = AlgebraElement.zero(shape)
-    for sigma, coeff in perm_coefficients(len(cols), base, sign):
-        word = [(rows[t], cols[sigma[t]]) for t in range(len(rows))]
-        total = total + AlgebraElement.from_word(shape, word, coeff)
-    return total
-
-
-def det_q_A(shape: Shape) -> AlgebraElement:
-    return _perm_sum(shape, interval(1, shape.m), interval(1, shape.m), 2)
-
-
-def det_qinv_D(shape: Shape) -> AlgebraElement:
-    lo, hi = shape.m + 1, shape.size
-    return _perm_sum(shape, interval(lo, hi), interval(lo, hi), -2)
 
 
 def covariant_minor_star(shape: Shape, r: int) -> AlgebraElement:

@@ -65,8 +65,27 @@ def _qp(e, c=1):
     return LaurentPoly.q_power(e, c)
 
 
+class _Report:
+    """The pass/fail lines of one suite; ok while every check has passed."""
+
+    def __init__(self):
+        self.ok, self.lines = True, []
+
+    def check(self, good: bool, text: str) -> None:
+        self.ok = self.ok and good
+        self.lines.append(f"{text} {'ok' if good else 'FAIL'}")
+
+    def fail(self, text: str) -> None:
+        """A failure whose line carries its own wording."""
+        self.ok = False
+        self.lines.append(text)
+
+    def result(self):
+        return self.ok, self.lines
+
+
 def suite_relations(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     kmax = max_degree_cap(4)
     m, n = shape.m, shape.n
     for k in range(kmax + 1):
@@ -76,31 +95,22 @@ def suite_relations(shape: Shape):
             for r in range(k + 1)
             if k - r <= 2 * m * n
         )
-        good = got == want
-        ok = ok and good
-        lines.append(f"degree {k}: {got} monomials (expected {want})"
-                     f" {'ok' if good else 'FAIL'}")
+        report.check(got == want, f"degree {k}: {got} monomials (expected {want})")
     # finite certificates: every overlap x_a x_b x_c resolves to one normal
     # form, and bar(x_a x_b) = (-1)^(p_a p_b) x_b x_a on every pair
     gens = shape.generators()
     x = {g: AlgebraElement.generator(shape, *g) for g in gens}
-    good = all(
+    report.check(all(
         (x[a] * x[b]) * x[c] == x[a] * (x[b] * x[c])
         == AlgebraElement.from_word(shape, (a, b, c))
         for a, b, c in itertools.product(gens, repeat=3)
-    )
-    ok = ok and good
-    lines.append(f"overlaps: {len(gens) ** 3} generator triples resolve"
-                 f" {'ok' if good else 'FAIL'}")
-    good = all(
+    ), f"overlaps: {len(gens) ** 3} generator triples resolve")
+    report.check(all(
         (x[a] * x[b]).bar()
         == (x[b] * x[a]).scale((-1) ** (shape.gen_parity(*a) * shape.gen_parity(*b)))
         for a, b in itertools.product(gens, repeat=2)
-    )
-    ok = ok and good
-    lines.append(f"bar: {len(gens) ** 2} generator pairs respect the relations"
-                 f" {'ok' if good else 'FAIL'}")
-    return ok, lines
+    ), f"bar: {len(gens) ** 2} generator pairs respect the relations")
+    return report.result()
 
 
 def _index_vectors(shape: Shape, deg: int, star: bool):
@@ -111,7 +121,7 @@ def _index_vectors(shape: Shape, deg: int, star: bool):
 
 
 def suite_laplace(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     cap = max_degree_cap(3)
     for star in (False, True):
         checked = 0
@@ -123,15 +133,14 @@ def suite_laplace(shape: Shape):
                         checked += 1
                         if not laplace_verify(shape, a, a2, star):
                             good = False
-        good = good and checked > 0  # a check of nothing proves nothing
-        ok = ok and good
-        lines.append(f"{'dual ' if star else ''}expansion identities on "
-                     f"{checked} index pairs {'ok' if good else 'FAIL'}")
-    return ok, lines
+        # a check of nothing proves nothing
+        report.check(good and checked > 0, f"{'dual ' if star else ''}expansion "
+                     f"identities on {checked} index pairs")
+    return report.result()
 
 
 def suite_commun(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     dA = det_a_local(shape)
     dD = det_dprime_local(shape)
     ber = berezinian(shape)
@@ -153,20 +162,17 @@ def suite_commun(shape: Shape):
         for y in ys:
             if D * y != y * D:
                 good = False
-        ok = ok and good
-        lines.append(f"{name} q-commutation with generators and Schur "
-                     f"entries {'ok' if good else 'FAIL'}")
+        report.check(good, f"{name} q-commutation with generators and Schur entries")
 
     good = all(ber * g == g * ber for _, g in gens)
     good = good and all(ber * y == y * ber for y in ys)
     good = good and all(ber * g == g * ber for g in low)
-    ok = ok and good
-    lines.append(f"Berezinian centrality {'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(good, "Berezinian centrality")
+    return report.result()
 
 
 def suite_bar_minors(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     m, n = shape.m, shape.n
     fixed = []
     for r in range(1, m + 1):
@@ -178,19 +184,14 @@ def suite_bar_minors(shape: Shape):
                            tuple(range(1, r + 1))))
     fixed.append(det_q_A(shape))
     fixed.append(det_qinv_D(shape))
-    good = all(f.bar() == f for f in fixed)
-    ok = ok and good
-    lines.append(f"{len(fixed)} polynomial minors fixed by bar "
-                 f"{'ok' if good else 'FAIL'}")
+    report.check(all(f.bar() == f for f in fixed),
+                 f"{len(fixed)} polynomial minors fixed by bar")
 
     ys = [LocalElement.y_gen(shape, mu, nu)
           for mu in range(m + 1, m + n + 1) for nu in range(m + 1, m + n + 1)]
     ys += [det_dprime_local(shape), berezinian(shape)]
-    good = all(bar_local(f) == f for f in ys)
-    ok = ok and good
-    lines.append(f"Schur-complement entries fixed by bar "
-                 f"{'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(all(bar_local(f) == f for f in ys), "Schur-complement entries fixed by bar")
+    return report.result()
 
 
 def _small_blocks(shape: Shape, max_degree: int, max_block: int):
@@ -208,7 +209,7 @@ def _small_blocks(shape: Shape, max_degree: int, max_block: int):
 
 
 def suite_cb_blocks(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     checked = 0
     good = True
     for block in itertools.islice(_small_blocks(shape, max_degree_cap(2), 8), 6):
@@ -229,15 +230,13 @@ def suite_cb_blocks(shape: Shape):
                     if not tail.is_zero() or c.coeff(0) != 0:
                         good = False
                 checked += 1
-    good = good and checked > 0
-    ok = ok and good
-    lines.append(f"{checked} basis elements bar-invariant and unitriangular "
-                 f"{'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(good and checked > 0,
+                 f"{checked} basis elements bar-invariant and unitriangular")
+    return report.result()
 
 
 def suite_ber_shift(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     ber = berezinian(shape)
     good = True
     checked = 0
@@ -248,29 +247,23 @@ def suite_ber_shift(shape: Shape):
             if n_ad(shape, M, 0, 1) * ber != n_ad(shape, M, 1, 0):
                 good = False
             checked += 1
-    good = good and checked > 0
-    ok = ok and good
-    lines.append(f"Berezinian shift on {checked} normalized elements "
-                 f"{'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(good and checked > 0, f"Berezinian shift on {checked} normalized elements")
+    return report.result()
 
 
 def suite_actions(shape: Shape):
-    lines, ok = [], True
+    report = _Report()
     N = shape.size
     E = lambda i: GenSymbol("E", i)
     F = lambda i: GenSymbol("F", i)
     dA = det_q_A(shape)
     dD = det_dprime_local(shape)
     ber = berezinian(shape)
-    good = all(
+    report.check(all(
         act_left(E(i), f).is_zero() and act_right(F(i), f).is_zero()
         for i in range(1, N)
         for f in (to_mixed(dA), dD, ber)
-    )
-    ok = ok and good
-    lines.append(f"raising/lowering kill the determinants and the "
-                 f"Berezinian {'ok' if good else 'FAIL'}")
+    ), "raising/lowering kill the determinants and the Berezinian")
 
     rng = random.Random(5)
     good = True
@@ -281,16 +274,14 @@ def suite_actions(shape: Shape):
             for gl, gr in ((E(i), F(i)), (F(i), E(i))):
                 if act_right(gr, act_left(gl, f)) != act_left(gl, act_right(gr, f)):
                     good = False
-    ok = ok and good
-    lines.append(f"left and right actions commute on random elements "
-                 f"{'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(good, "left and right actions commute on random elements")
+    return report.result()
 
 
 def suite_gl11(shape: Shape = None):
     """The rank-(1,1) dual canonical basis against its closed product form."""
     sh = FIXED_SHAPES["gl11"]
-    lines, ok = [], True
+    report = _Report()
     x = lambda i, j: to_mixed(AlgebraElement.generator(sh, i, j))
     x11inv = LocalElement(sh, {((0, 0, 0, 0), -1, 0): ONE})
     corr = x(1, 2) * x11inv * x(2, 1)
@@ -302,9 +293,9 @@ def suite_gl11(shape: Shape = None):
         if x(2, 2) + corr.scale(_qp(e)) == LocalElement.y_gen(sh, 2, 2):
             dev = e
             break
-    lines.append(f"corner-entry correction coefficient: q^{dev}")
+    report.lines.append(f"corner-entry correction coefficient: q^{dev}")
     if dev is None:
-        return False, lines
+        return False, report.lines
     w22 = x(2, 2) + corr.scale(_qp(dev))
     good = True
     checked = 0
@@ -324,16 +315,14 @@ def suite_gl11(shape: Shape = None):
                     if el.expansion != f:
                         good = False
                     checked += 1
-    ok = good
-    lines.append(f"{checked} closed-family sectors match the computed basis "
-                 f"{'ok' if good else 'FAIL'}")
-    return ok, lines
+    report.check(good, f"{checked} closed-family sectors match the computed basis")
+    return report.result()
 
 
 def suite_gl21(shape: Shape = None):
     """Invariant subalgebras of the rank-(2,1) localization."""
     sh = FIXED_SHAPES["gl21"]
-    lines, ok = [], True
+    report = _Report()
     E = lambda i: GenSymbol("E", i)
     F = lambda i: GenSymbol("F", i)
 
@@ -347,21 +336,16 @@ def suite_gl21(shape: Shape = None):
         # principal monomials: x11 powers times determinant powers
         if any(v for pos, v in enumerate(M) if pos != 0):
             good = False
-    ok = ok and good
-    lines.append(f"two-sided invariants are principal monomials "
-                 f"({len(inv)} found) {'ok' if good else 'FAIL'}")
+    report.check(good, f"two-sided invariants are principal monomials ({len(inv)} found)")
 
     try:
         rep = canonical_span_check(sh, (E(1), E(2)),
                                    max_degree=max_degree_cap(2))
-        good = rep.passed
-        lines.append(f"invariant window spanned by {len(rep.selected)} basis "
-                     f"elements {'ok' if good else 'FAIL'}")
+        report.check(rep.passed,
+                     f"invariant window spanned by {len(rep.selected)} basis elements")
     except SpanMismatch as exc:
-        good = False
-        lines.append(f"span check FAILED: {exc}")
-    ok = ok and good
-    return ok, lines
+        report.fail(f"span check FAILED: {exc}")
+    return report.result()
 
 
 # suites stated for one shape, which ignore the shape they are given

@@ -18,15 +18,11 @@ DOCUMENTED_SCOPE = {
     ("algebra", "_rewrite_table"): "one straightening rewrite table per (m, n)",
     ("superspace", "_coact_cached"): "one coaction per shape and superspace monomial of a minor",
     ("glq", "_detA_power_alg"): "one power of detA per shape and exponent",
-    ("glq", "y_times_detA"): "one minor per shape and lower-block entry",
     ("glq", "detDprime_poly"): "one power of detD' per shape and exponent",
     ("basis", "_downset"): "one downset per shape and matrix of a compared block",
     ("basis", "_block"): "one block of basis elements per shape, biweight and region",
     ("basis", "n_ad"): "one N-family element per requested index and those below it",
     ("basis", "omega_global"): "one basis element per requested index, variant and lower index",
-    ("actions", "_y_letter_act"): "one image per shape, generator, side and lower-block entry",
-    ("actions", "_det_letter_act"): "one image of detA per shape, generator and side",
-    ("actions", "_det_inverse_act"): "one image of detA^-1 per shape, generator and side",
     ("actions", "_window_matrices"): "one matrix list per shape and window degree",
 }
 

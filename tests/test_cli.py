@@ -297,7 +297,17 @@ class TestExitCodes:
         (["mul", "--element", "-"], "mul needs exactly two --element inputs"),
         (["act", "--gen", "E1,F1", "--side", "left", "--element", "-"],
          "act takes exactly one --gen"),
-    ], ids=["rows", "sector-key", "sector-value", "a-range", "mul-one-element", "act-two-gens"])
+        # inputs that used to print an empty basis, or drop a value, and exit 0
+        (["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1", "--a-range", "1:0"],
+         "empty range '1:0': lo exceeds hi"),
+        (["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1", "--d-range", "0:-2"],
+         "empty range '0:-2': lo exceeds hi"),
+        (["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "-1"],
+         "--max-degree must be at least 0, got -1"),
+        (["cb", "--shape", "2", "1", "--ro", "1,1,1", "--co", "1,1,1", "--sector", "a=1,a=2"],
+         "sector component 'a' given twice"),
+    ], ids=["rows", "sector-key", "sector-value", "a-range", "mul-one-element", "act-two-gens",
+            "a-range-reversed", "d-range-reversed", "max-degree-negative", "sector-repeated"])
     def test_usage_errors_name_the_argument(self, argv, message, capsys, monkeypatch):
         f = AlgebraElement.generator(S21, 1, 1)
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(f.to_json())))

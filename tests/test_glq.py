@@ -583,18 +583,21 @@ def _cached_values(shape):
     m, N = shape.m, shape.size
     mats = (unit_matrix(N, 1, N), unit_matrix(N, N, N),
             word_to_matrix(((1, N), (N, 1), (N, N)), N))
-    out = {"y": y_times_detA(shape, N, N), "detD'": detDprime_poly(shape, 1)}
+    block = superspace.interval(1, m)
+    out = {"y": superspace.minor_star(shape, block + [N], block + [N]),
+           "detA": det_q_A(shape), "detD": superspace.det_qinv_D(shape),
+           "detD'": detDprime_poly(shape, 1)}
     for M in mats:
         out[("word", M)] = word_poly(shape, M)
     out["member"] = glq._member(shape, mats[1], 0, 0)
-    out["y act"] = actions._y_letter_act(shape, "F", m, "L", N, N)
-    out["detA act"] = actions._det_letter_act(shape, "F", m, "L")
+    # the images of the letters y_NN and detA are _act_key entries
+    out["y act"] = actions._act_key(shape, "F", m, "L", mats[1], 0)
+    out["detA act"] = actions._act_key(shape, "F", m, "L", zero_matrix(N), 1)
     return out
 
 
-CACHES = (superspace._coact_cached, superspace._minor_cached, glq.y_times_detA, glq.word_poly,
-          glq.detDprime_poly, glq._member, glq._reduce_pair, actions._y_letter_act,
-          actions._det_letter_act, actions._det_inverse_act)
+CACHES = (superspace._coact_cached, superspace._minor_cached, glq.word_poly,
+          glq.detDprime_poly, glq._member, glq._reduce_pair, actions._act_key)
 
 
 @pytest.mark.parametrize("shape", [S21, S22])
@@ -605,6 +608,8 @@ def test_cached_elements_are_never_mutated(shape):
     snapshot = {k: dict(v.terms) for k, v in before.items()}
     assert all(snapshot.values())
     N = shape.size
+    # y_times_detA hands out the bounded minor cache's entry
+    assert y_times_detA(shape, N, N) is before["y"]
     f = to_mixed(gen(shape, N, N) * gen(shape, 1, N)) * berezinian(shape)
     bar_local(f)
     f * LocalElement.y_gen(shape, N, N)
