@@ -419,7 +419,9 @@ def invariants_window(
     K_i and Kinv_i act on a key by q^k, k read from its biweight, so a key
     that one of them moves has coefficient 0 in every invariant: only the
     keys that every K fixes are kept.  Column j holds the E_i/F_i images of
-    key j at rows (generator's position, image key)."""
+    key j at rows (generator's position, image key's id): each image key
+    gets an integer id on first sight, so the elimination hashes pairs of
+    ints, not matrices, and the rows keep their order of first appearance."""
     gens = [(g.validate(shape), side) for side, gs in (("L", left_gens), ("R", right_gens))
             for g in gs]
     ks = [(g, side) for g, side in gens if g.kind in ("K", "Kinv")]
@@ -428,13 +430,13 @@ def invariants_window(
              if not any(_k_exponent(g, side, probe.key_biweight(key)) for g, side in ks)]
     if not basis:
         return []
-    columns = []
+    columns, ids = [], {}
     for M, a, d in basis:
         col = {}
         for gi, (g, side) in enumerate(gens):
             if g.kind in ("E", "F"):
                 for T, c in _act_key(shape, g.kind, g.index, side, M, a + d).terms.items():
-                    col[(gi, _times_ber(T, -d))] = c
+                    col[(gi, ids.setdefault(_times_ber(T, -d), len(ids)))] = c
         columns.append(col)
     return [LocalElement(shape, {basis[j]: c for j, c in vec.items()})
             for vec in nullspace(columns)]

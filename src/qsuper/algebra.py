@@ -29,15 +29,10 @@ class NonHomogeneous(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _cell_table(m: int, n: int) -> tuple:
-    """(block letters, odd flags) of the cells of the (m|n) layout, shared
-    by every Shape(m, n)."""
-    blocks = ("A" * m + "B" * n) * m + ("C" * m + "D" * n) * n
-    return blocks, tuple(int(b in "BC") for b in blocks)
+_SHAPES: dict = {}  # (m, n) -> the one Shape of that layout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Shape:
     """Block sizes of the supermatrix: m even rows/columns, n odd ones.
 
@@ -46,36 +41,57 @@ class Shape:
     columns above m) are the even diagonal blocks, B (upper right) and C
     (lower left) the odd ones.  A cell's parity follows from its block, and
     so does its exponent cap: odd generators square to zero, so an odd
-    cell's exponent is at most 1.  The table is built on first use, once
-    per (m, n), so a Shape costs nothing to construct; equality and hash
-    read only m and n.
+    cell's exponent is at most 1.
+
+    Shapes are interned: Shape(m, n) returns the one instance of its
+    layout, so equality and hashing are identity, and the cell and
+    rewrite tables are cached properties built once per (m, n), on first
+    use.  Copies and unpickled shapes are that instance too.
     """
 
     m: int
     n: int
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("need m >= 1 and n >= 1")
+    def __new__(cls, m: int, n: int):
+        # checked before the lookup: 2.0 or True would find the int key
+        if type(m) is not int or type(n) is not int:
+            raise TypeError("m and n must be integers")
+        shape = _SHAPES.get((m, n))
+        if shape is None:
+            if m < 1 or n < 1:
+                raise ValueError("need m >= 1 and n >= 1")
+            shape = _SHAPES[(m, n)] = super().__new__(cls)
+            object.__setattr__(shape, "m", m)
+            object.__setattr__(shape, "n", n)
+        return shape
 
-    @property
+    def __reduce__(self):
+        return Shape, (self.m, self.n)
+
+    @cached_property
     def size(self) -> int:
         return self.m + self.n
 
     @cached_property
+    def parities(self) -> tuple:
+        """The parity of each index 1..N, 0 for even and 1 for odd."""
+        return (0,) * self.m + (1,) * self.n
+
+    @cached_property
     def blocks(self) -> str:
         """The block letter of each cell, flat and row-major."""
-        return _cell_table(self.m, self.n)[0]
+        m, n = self.m, self.n
+        return ("A" * m + "B" * n) * m + ("C" * m + "D" * n) * n
 
     @cached_property
     def odd(self) -> tuple:
         """1 at each odd cell (blocks B and C, exponent cap 1), else 0."""
-        return _cell_table(self.m, self.n)[1]
+        return tuple(int(b in "BC") for b in self.blocks)
 
     @cached_property
     def rewrites(self) -> list:
         """The straightening rewrites on flat cell codes (_rewrite_table)."""
-        return _rewrite_table(self.m, self.n)
+        return _rewrite_table(self)
 
     @cached_property
     def diagonals(self) -> tuple:
@@ -95,9 +111,10 @@ class Shape:
         return self.blocks[self.cell(i, j)]
 
     def parity(self, i: int) -> int:
-        """0 for an even index, 1 for an odd one: the parity of the cell
-        (1, i), as index 1 is even."""
-        return self.odd[self.cell(1, i)]
+        """0 for an even index, 1 for an odd one; IndexError outside 1..N."""
+        if not 1 <= i <= self.size:
+            raise IndexError(f"index {i} out of range for shape {self}")
+        return self.parities[i - 1]
 
     def gen_parity(self, i: int, j: int) -> int:
         return self.odd[self.cell(i, j)]
@@ -210,15 +227,13 @@ def _pair_rule(shape: Shape, g1, g2):
     return (((g2, g1), LaurentPoly.from_int(s1)), (((k, j), (i, l)), corr))
 
 
-@lru_cache(maxsize=None)
-def _rewrite_table(m: int, n: int) -> list:
-    """_pair_rule of every descent of the (m|n) layout, on flat cell codes.
+def _rewrite_table(shape: Shape) -> list:
+    """_pair_rule of every descent of the shape's layout, on flat cell codes.
 
     Entry k1 * N^2 + k2, for k1 > k2 or an odd k1 == k2, is None for an odd
     square (zero), else (e, s, corr): x_k1 x_k2 = s q^e x_k2 x_k1, plus
     sigma (q^2 - q^-2) x_c1 x_c2 when corr = (c1, c2, sigma).
     """
-    shape = Shape(m, n)
     N = shape.size
     N2 = N * N
     cells = [(k // N + 1, k % N + 1) for k in range(N2)]

@@ -1,9 +1,12 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsuper import algebra
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
     QSQ_DIFF,
@@ -102,17 +105,50 @@ class TestCellTable:
             with pytest.raises(IndexError):
                 shape.gen_parity(1, i)
 
-    def test_equal_shapes_share_cache_entries(self, shape):
-        built, fresh = Shape(shape.m, shape.n), Shape(shape.m, shape.n)
-        assert "blocks" not in vars(fresh)  # constructing builds no table
-        built.odd  # one of the two equal shapes has its table built
-        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
-        assert "rewrites" not in vars(built)  # straightening builds it on first use
-        AlgebraElement.from_word(built, ((shape.size, 1), (1, shape.size)))
-        before = _rewrite_table.cache_info()
-        assert fresh.rewrites is built.rewrites
-        after = _rewrite_table.cache_info()
-        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+    def test_equal_shapes_share_cache_entries(self, shape, monkeypatch):
+        assert Shape(shape.m, shape.n) is Shape(shape.m, shape.n) is shape
+        built = []
+
+        def counted(s):
+            built.append(s)
+            return _rewrite_table(s)
+
+        monkeypatch.setattr(algebra, "_rewrite_table", counted)
+        for name in ("blocks", "odd", "rewrites"):
+            monkeypatch.delitem(vars(shape), name, raising=False)
+        tables = [(s.blocks, s.odd, s.rewrites) for s in (Shape(shape.m, shape.n),) * 2]
+        assert built == [shape]  # the rewrite table is built once
+        assert all(t is u for t, u in zip(*tables))
+        AlgebraElement.from_word(shape, ((shape.size, 1), (1, shape.size)))
+        assert built == [shape] and shape.rewrites is tables[0][2]
+
+
+class TestInterning:
+    @pytest.mark.parametrize("m, n", [(2.0, 1), (2, 1.0), (True, 1), (1, False), ("2", 1)])
+    def test_non_integer_sizes_raise_type_error(self, m, n):
+        # 2.0 and True hash like 2 and 1: they must not reach the interned (2|1)
+        with pytest.raises(TypeError):
+            Shape(m, n)
+        assert type(Shape(2, 1).m) is int and type(Shape(2, 1).n) is int
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (-1, 2)])
+    def test_sizes_below_one_raise_value_error(self, m, n):
+        with pytest.raises(ValueError):
+            Shape(m, n)
+
+    def test_copies_and_pickles_are_the_interned_shape(self):
+        for shape in TABLE_SHAPES:
+            assert copy.copy(shape) is shape
+            assert copy.deepcopy(shape) is shape
+            assert pickle.loads(pickle.dumps(shape)) is shape
+        f = AlgebraElement.generator(S21, 1, 3)
+        assert copy.deepcopy(f).shape is S21
+        assert copy.deepcopy({S21: 1}) == {S21: 1}
+
+    def test_fields_are_frozen(self):
+        with pytest.raises(AttributeError):
+            S21.m = 3
+        assert repr(S21) == "Shape(m=2, n=1)" and hash(S21) == hash(Shape(2, 1))
 
 
 def ref_straighten_word(shape: Shape, word, coeff=None):

@@ -522,6 +522,51 @@ def test_pure_det_factors_re_key(shape, degree, keys):
     assert len(window) == keys
 
 
+def ref_local_mul(f, g):
+    """The product that sends every pair of words through _reduce_pair:
+    the reference of LocalElement.__mul__'s re-keying of ordered words."""
+    shape = f.shape
+    out = {}
+    for (M1, a, d), c1 in f.terms.items():
+        for (M2, a2, d2), c2 in g.terms.items():
+            c = (c1 * c2).shift(2 * (a + d) * shape.odd_degree(M2))
+            for (Mt, alpha, delta), r in glq._reduce_pair(shape, M1, M2):
+                _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
+    return LocalElement(shape, out)
+
+
+@pytest.mark.parametrize("shape, degree, counts", [
+    (S21, 2, (40, 430, 58, 36)), (S12, 2, (40, 430, 58, 36)),
+    (S31, 2, (130, 3891, 242, 17)), (S22, 1, (17, 159, 8, 2))], ids=str)
+def test_ordered_products_re_key(shape, degree, counts):
+    # every pair of constrained window matrices, the i-th carrying
+    # detA^a detD'^d with (a, d) the i-th of the nine pairs in [-1, 1]^2:
+    # W(M1) W(M2) is re-keyed when no letter of M1 comes after one of M2,
+    # no odd letter is in both and M1 + M2 is constrained, and the product
+    # equals the reference either way
+    window = actions._window_matrices(shape, degree)
+    elements = [LocalElement(shape, {(M, i % 3 - 1, i // 3 % 3 - 1): lp({i % 5: 1})})
+                for i, M in enumerate(window)]
+    odd = shape.odd
+    re_keyed = odd_shared = unconstrained = 0
+    for M1, f in zip(window, elements):
+        last = max((k for k, v in enumerate(M1) if v), default=-1)
+        for M2, g in zip(window, elements):
+            first = min((k for k, v in enumerate(M2) if v), default=len(M2))
+            if last <= first:
+                T = tuple(u + v for u, v in zip(M1, M2))
+                if last == first and odd[last]:
+                    odd_shared += 1
+                elif not glq.is_constrained(shape, T):
+                    unconstrained += 1
+                else:
+                    re_keyed += 1
+            assert f * g == ref_local_mul(f, g)
+    # the grid reaches both guards: pairs that share an odd letter, and
+    # ordered pairs whose sum is not constrained
+    assert (len(window), re_keyed, odd_shared, unconstrained) == counts
+
+
 class TestBarLocal:
     @pytest.mark.parametrize("shape", [S11, S21, S22])
     def test_y_fixed(self, shape):
