@@ -591,8 +591,6 @@ def adapted_basis_tworow(shape: Shape, ro, co):
             "boxes between"
         )
     block = enumerate_block(shape, ro, co)
-    if not block:
-        return [], {}
     elements, expansions = [], []
     for M in block:
         cand = decompose_tworow(shape, M)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .laurent import Variant
@@ -39,7 +38,7 @@ from .actions import (
     conventions,
     invariants_window,
 )
-from .verify import FIXED_SHAPES, SUITES, max_degree_cap, run_suite
+from .verify import FIXED_SHAPES, SUITES, run_suite
 
 __all__ = ["main"]
 
@@ -226,10 +225,9 @@ def cmd_inv(args) -> int:
     right = _parse_gens(args.right, shape)
     if args.max_degree < 0:
         raise UsageError(f"--max-degree must be at least 0, got {args.max_degree}")
-    deg = max_degree_cap(args.max_degree)
     a_range = _parse_range(args.a_range)
     d_range = _parse_range(args.d_range)
-    basis = invariants_window(shape, left, right, max_degree=deg,
+    basis = invariants_window(shape, left, right, max_degree=args.max_degree,
                               a_range=a_range, d_range=d_range)
     if args.format == "json":
         print(_dump([f.to_json() for f in basis]))
@@ -335,12 +333,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cap = os.environ.get("QSUPER_MAX_DEGREE")
-        if cap is not None:
-            try:
-                int(cap)
-            except ValueError:
-                raise UsageError(f"QSUPER_MAX_DEGREE must be an integer, not {cap!r}") from None
         needs_element = args.fn in (cmd_mul, cmd_bar, cmd_reduce, cmd_act)
         if needs_element and not getattr(args, "element", None):
             raise UsageError(f"{args.verb} requires --element")

@@ -36,7 +36,7 @@ from qsuper.algebra import (
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, interval, minor_star, perm_coefficients
+from qsuper.superspace import det_q_A, det_qinv_D, interval, minor_star
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from qsuper.exactlinalg import LinearSolveFailure, solve_in_span
 
@@ -98,17 +98,17 @@ def word_poly(shape: Shape, M) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def detDprime_poly(shape: Shape, p: int) -> AlgebraElement:
-    """(detD' detA^n)^p for p >= 0: detD' is the q^-1-determinant of the
-    y-matrix, and each of its n y-letters takes one detA."""
+    """(detD' detA^n)^p for p >= 0.
+
+    detD' is the q^-1-determinant of the y-matrix.  The y_uv keep the
+    relations of the D block's x_uv, so detD' detA^n is the D-block minor
+    read in y-letters, each of which takes one detA.
+    """
     if p != 1:
         return detDprime_poly(shape, 1) ** p
-    m, n = shape.m, shape.n
     out = AlgebraElement.zero(shape)
-    for tau, c in perm_coefficients(n, -2):
-        cur = AlgebraElement.one(shape).scale(c)
-        for t in range(n):
-            cur = cur * y_times_detA(shape, m + 1 + t, m + 1 + tau[t])
-        out = out + cur
+    for M, c in det_qinv_D(shape).terms.items():
+        out = out + word_poly(shape, M).scale(c)
     return out
 
 

@@ -11,7 +11,7 @@ space's on rows and columns 1..m, detD the row space's on the rest.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import AlgebraElement, Shape, _put, straighten_word
@@ -93,36 +93,34 @@ def _times_gen(shape: Shape, b, j: int, star: bool):
 # -- coactions and minors -------------------------------------------------
 
 
-def _path_sums(shape: Shape, a, star: bool, cols=None) -> dict:
-    """Components b -> normal-form terms of the coaction of v^a, or only
-    the component cols when it is given.
+def _path_sums(shape: Shape, a, star: bool, cols) -> dict:
+    """Normal-form terms of the component cols of the coaction of v^a.
 
     The coaction of v_i is sum_j v_j (x) x_ij, so the coaction of
     v^a = v_i1 ... v_ir sums one path j1 ... jr per choice of columns: its
     word x_i1j1 ... x_irjr is straightened once, with the reorder factors
     of v_j1 ... v_jr into v^b and the tensor signs, each the space part so
-    far passing the next matrix generator, as its coefficient.  Paths that
-    square an odd variable vanish; with cols, only paths whose columns
-    make up cols are walked.
+    far passing the next matrix generator, as its coefficient.  Only paths
+    whose columns make up cols are walked; paths that square an odd
+    variable vanish.
     """
     N = shape.size
     rows = [i for i in range(1, N + 1) for _ in range(a[i - 1])]
-    if not valid_vector(shape, a, star) or (cols is not None and sum(cols) != len(rows)):
-        return {}
+    terms: dict = {}
+    if not valid_vector(shape, a, star) or sum(cols) != len(rows):
+        return terms
     vp = [var_parity(shape, j, star) for j in range(1, N + 1)]
-    comps: dict = {}
     stack = [((0,) * N, 0, (), ONE)]  # (b, parity of v^b, word, coefficient)
     while stack:
         b, pb, word, coeff = stack.pop()
         t = len(word)
         if t == len(rows):
-            terms = comps.setdefault(b, {})
             for M, c in straighten_word(shape, word, coeff).items():
                 _put(terms, M, c)
             continue
         i = rows[t]
         for j in range(1, N + 1):
-            if cols is not None and b[j - 1] == cols[j - 1]:
+            if b[j - 1] == cols[j - 1]:
                 continue
             hit = _times_gen(shape, b, j, star)
             if hit is not None:
@@ -130,28 +128,37 @@ def _path_sums(shape: Shape, a, star: bool, cols=None) -> dict:
                 if pb and shape.gen_parity(i, j):
                     factor = -factor
                 stack.append((nb, pb ^ vp[j - 1], word + ((i, j),), coeff * factor))
-    return {b: terms for b, terms in comps.items() if terms}
-
-
-@lru_cache(maxsize=None)
-def _coact_cached(shape: Shape, a, star: bool):
-    return tuple(sorted((b, AlgebraElement(shape, terms))
-                        for b, terms in _path_sums(shape, a, star).items()))
-
-
-def coact(shape: Shape, a) -> dict:
-    """Components of the coaction of x^a: map b -> minor element."""
-    return dict(_coact_cached(shape, tuple(a), False))
-
-
-def coact_star(shape: Shape, a) -> dict:
-    """Components of the coaction of xi^a: map b -> starred minor."""
-    return dict(_coact_cached(shape, tuple(a), True))
+    return terms
 
 
 @lru_cache(maxsize=1 << 12)
 def _minor_cached(shape: Shape, a, b, star: bool) -> AlgebraElement:
-    return AlgebraElement(shape, _path_sums(shape, a, star, b).get(b))
+    return AlgebraElement(shape, _path_sums(shape, a, star, b))
+
+
+def index_vectors(shape: Shape, deg: int, star: bool):
+    """Exponent vectors of degree deg in the row (or dual) superspace."""
+    combos = combinations_with_replacement(range(1, shape.size + 1), deg)
+    vectors = (evec(shape, combo) for combo in combos)
+    return [a for a in vectors if valid_vector(shape, a, star)]
+
+
+def _components(shape: Shape, a, star: bool) -> dict:
+    """Nonzero components b -> minor of the coaction of v^a."""
+    a = tuple(a)
+    minors = ((b, _minor_cached(shape, a, b, star))
+              for b in index_vectors(shape, sum(a), star))
+    return {b: f for b, f in minors if not f.is_zero()}
+
+
+def coact(shape: Shape, a) -> dict:
+    """Components of the coaction of x^a: map b -> minor element."""
+    return _components(shape, a, False)
+
+
+def coact_star(shape: Shape, a) -> dict:
+    """Components of the coaction of xi^a: map b -> starred minor."""
+    return _components(shape, a, True)
 
 
 def minor(shape: Shape, rows, cols) -> AlgebraElement:
@@ -173,23 +180,6 @@ def det_qinv_D(shape: Shape) -> AlgebraElement:
     """The q^-1-determinant of the D block: the minor on m+1..N."""
     block = interval(shape.m + 1, shape.size)
     return minor(shape, block, block)
-
-
-# -- the permutation rule of the q-determinants (glq.detDprime_poly) --------
-
-
-def _inversions(sigma) -> int:
-    return sum(
-        1 for s in range(len(sigma)) for t in range(s + 1, len(sigma)) if sigma[s] > sigma[t]
-    )
-
-
-def perm_coefficients(n: int, base: int, sign: int = -1):
-    """(sigma, (sign * q^base)^inversions(sigma)) for each permutation of
-    range(n): the coefficient rule of the q-determinants."""
-    for sigma in permutations(range(n)):
-        l = _inversions(sigma)
-        yield sigma, LaurentPoly.q_power(base * l, sign**l)
 
 
 def covariant_minor_star(shape: Shape, r: int) -> AlgebraElement:
@@ -218,13 +208,13 @@ def laplace_expand(shape: Shape, a, a2, star: bool) -> dict:
     global_factor = reorder_factor(shape, a, a2, star)
     ((ge, gc),) = global_factor.terms.items()
     inv_global = LaurentPoly.q_power(-ge, gc)
-    left = _coact_cached(shape, a, star)
-    right = _coact_cached(shape, a2, star)
+    left = _components(shape, a, star)
+    right = _components(shape, a2, star)
     pa2 = vector_parity(shape, a2, star)
     out: dict = {}
-    for c, F in left:
+    for c, F in left.items():
         pc = vector_parity(shape, c, star)
-        for c2, G in right:
+        for c2, G in right.items():
             b = tuple(x + y for x, y in zip(c, c2))
             if not valid_vector(shape, b, star):
                 continue
@@ -237,5 +227,4 @@ def laplace_expand(shape: Shape, a, a2, star: bool) -> dict:
 def laplace_verify(shape: Shape, a, a2, star: bool) -> bool:
     """Minor-of-a-sum against the expanded product form; exact equality."""
     ab = tuple(x + y for x, y in zip(a, a2))
-    lhs = dict(_coact_cached(shape, ab, star))
-    return laplace_expand(shape, a, a2, star) == lhs
+    return laplace_expand(shape, a, a2, star) == _components(shape, ab, star)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 
 from .laurent import LaurentPoly, ONE, Variant
@@ -25,11 +24,10 @@ from .algebra import (
 from .superspace import (
     det_q_A,
     det_qinv_D,
-    evec,
+    index_vectors,
     laplace_verify,
     minor,
     minor_star,
-    valid_vector,
 )
 from .glq import (
     LocalElement,
@@ -50,15 +48,7 @@ from .actions import (
     invariants_window,
 )
 
-__all__ = ["SUITES", "FIXED_SHAPES", "run_suite", "max_degree_cap"]
-
-
-def max_degree_cap(default: int) -> int:
-    """Window/degree cap, overridable via the QSUPER_MAX_DEGREE env var."""
-    raw = os.environ.get("QSUPER_MAX_DEGREE")
-    if raw is None:
-        return default
-    return min(default, max(0, int(raw)))
+__all__ = ["SUITES", "FIXED_SHAPES", "run_suite"]
 
 
 def _qp(e, c=1):
@@ -86,9 +76,8 @@ class _Report:
 
 def suite_relations(shape: Shape):
     report = _Report()
-    kmax = max_degree_cap(4)
     m, n = shape.m, shape.n
-    for k in range(kmax + 1):
+    for k in range(5):
         got = count_monomials(shape, k)
         want = sum(
             math.comb(m * m + n * n + r - 1, r) * math.comb(2 * m * n, k - r)
@@ -113,23 +102,16 @@ def suite_relations(shape: Shape):
     return report.result()
 
 
-def _index_vectors(shape: Shape, deg: int, star: bool):
-    """Exponent vectors of degree deg in the row (or dual) superspace."""
-    combos = itertools.combinations_with_replacement(range(1, shape.size + 1), deg)
-    vectors = (evec(shape, combo) for combo in combos)
-    return [a for a in vectors if valid_vector(shape, a, star)]
-
-
 def suite_laplace(shape: Shape):
     report = _Report()
-    cap = max_degree_cap(3)
+    cap = 3
     for star in (False, True):
         checked = 0
         good = True
         for d1 in range(cap + 1):
             for d2 in range(cap + 1 - d1):
-                for a in _index_vectors(shape, d1, star):
-                    for a2 in _index_vectors(shape, d2, star):
+                for a in index_vectors(shape, d1, star):
+                    for a2 in index_vectors(shape, d2, star):
                         checked += 1
                         if not laplace_verify(shape, a, a2, star):
                             good = False
@@ -212,7 +194,7 @@ def suite_cb_blocks(shape: Shape):
     report = _Report()
     checked = 0
     good = True
-    for block in itertools.islice(_small_blocks(shape, max_degree_cap(2), 8), 6):
+    for block in itertools.islice(_small_blocks(shape, 2, 8), 6):
         for M in block:
             if not is_constrained(shape, M):
                 continue
@@ -240,7 +222,7 @@ def suite_ber_shift(shape: Shape):
     ber = berezinian(shape)
     good = True
     checked = 0
-    for deg in range(max_degree_cap(2) + 1):
+    for deg in range(3):
         for M in itertools.islice(degree_matrices(shape, deg), 12):
             if not is_constrained(shape, M):
                 continue
@@ -327,7 +309,7 @@ def suite_gl21(shape: Shape = None):
     F = lambda i: GenSymbol("F", i)
 
     inv = invariants_window(sh, (E(1), E(2)), (F(1), F(2)),
-                            max_degree=max_degree_cap(3),
+                            max_degree=3,
                             a_range=(-1, 1), d_range=(0, 1))
     good = True
     for f in inv:
@@ -340,7 +322,7 @@ def suite_gl21(shape: Shape = None):
 
     try:
         rep = canonical_span_check(sh, (E(1), E(2)),
-                                   max_degree=max_degree_cap(2))
+                                   max_degree=2)
         report.check(rep.passed,
                      f"invariant window spanned by {len(rep.selected)} basis elements")
     except SpanMismatch as exc:
@@ -365,6 +347,4 @@ SUITES = {
 
 
 def run_suite(name: str, shape: Shape):
-    if name not in SUITES:
-        raise KeyError(name)
     return SUITES[name](shape)

@@ -16,7 +16,7 @@ from qsuper.algebra import (
     word_to_matrix,
     x_norm,
 )
-from qsuper.superspace import det_q_A, minor_star, perm_coefficients
+from qsuper.superspace import det_q_A, minor_star
 from qsuper.glq import (
     LocalElement,
     berezinian,
@@ -45,6 +45,7 @@ from qsuper.actions import (
     window_indices,
 )
 from test_exactlinalg import all_columns_nullspace
+from test_superspace import perm_coefficients
 
 S11 = Shape(1, 1)
 S21 = Shape(2, 1)
@@ -583,6 +584,28 @@ def test_act_key_split_at_the_determinant(shape, max_degree):
                     assert got.is_zero() != moves, (s, kind, i, side)
 
 
+@pytest.mark.parametrize("shape,max_degree,count", [
+    (S21, 3, 480), (S12, 2, 160), (S22, 2, 572)], ids=str)
+def test_window_rows_stay_in_one_weight_space(shape, max_degree, count, monkeypatch):
+    # E_i and F_i move every key's biweight by the same amount on their
+    # side, so no row (generator position, image key) is shared by keys of
+    # different biweights: the window's system is block diagonal by weight
+    systems = []
+    monkeypatch.setattr(actions, "nullspace", lambda cols: systems.append(cols) or [])
+    gens = [GenSymbol(kind, i) for kind in "EF" for i in range(1, shape.size)]
+    invariants_window(shape, gens, gens, max_degree, (-1, 0), (-1, 0))
+    (columns,) = systems
+    probe = LocalElement.zero(shape)
+    weights = [probe.key_biweight(key)
+               for key in window_indices(shape, max_degree, (-1, 0), (-1, 0))]
+    assert len(columns) == len(weights) == count
+    owner = {}
+    for col, weight in zip(columns, weights):
+        for row in col:
+            assert owner.setdefault(row, weight) == weight, row
+    assert owner
+
+
 # the benchmark's four det windows, (a_range, d_range), at degree 2
 DET_WINDOWS = [((-1, 0), (0, 0)), ((0, 0), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 1), (-1, 0))]
 
@@ -865,6 +888,11 @@ class TestAdaptedBasis:
         for ro, co in (((2, 1, 0), (1, 1, 1)), ((2, 2, 0), (2, 2, 0))):
             for M in enumerate_block(S21, ro, co):
                 assert decompose_tworow(S21, M).leading_matrix() == M
+
+    @pytest.mark.parametrize("ro,co", [((1, 0, 0), (0, 0, 0)), ((2, -1, 0), (1, 0, 0))])
+    def test_empty_block(self, ro, co):
+        # mismatched totals, and a negative row sum
+        assert adapted_basis_tworow(S21, ro, co) == ([], {})
 
     def test_shape_preconditions(self):
         with pytest.raises(ValueError):

@@ -424,6 +424,11 @@ class TestEnumerateBlock:
     def test_mismatched_sums(self):
         assert enumerate_block(S11, (1, 0), (0, 0)) == []
 
+    @pytest.mark.parametrize("ro,co", [((2, -1), (1, 0)), ((1, 0), (2, -1))])
+    def test_negative_sum(self, ro, co):
+        # equal totals, so only the sign check rules the block out
+        assert enumerate_block(S11, ro, co) == []
+
     @pytest.mark.parametrize("ro,co", [((1, 0, 0), (1, 0)), ((1,), (1, 0))])
     def test_sums_of_the_wrong_length(self, ro, co):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -484,3 +489,9 @@ def test_matrix_parity():
     assert S11.odd_degree((1, 0, 0, 1)) % 2 == 0
     assert S11.odd_degree((0, 1, 0, 0)) % 2 == 1
     assert S11.odd_degree((0, 1, 1, 0)) % 2 == 0
+
+
+def test_mixed_parities_raise():
+    f = gen(S11, 1, 1) + gen(S11, 1, 2)
+    with pytest.raises(NonHomogeneous, match="mixed parities"):
+        f.parity()

@@ -16,7 +16,7 @@ from qsuper.algebra import (
     zero_matrix,
 )
 from qsuper.superspace import det_q_A, det_qinv_D, minor_star
-from qsuper.glq import LocalElement, bar_local, berezinian, is_constrained
+from qsuper.glq import LocalElement, bar_local, berezinian, det_dprime_local, is_constrained
 from qsuper.basis import (
     NotConstrained,
     TriangularityViolation,
@@ -34,6 +34,7 @@ from qsuper.basis import (
     psi_power,
     solve_block,
     submatrix_moves,
+    y_substitute,
     _block_element,
 )
 from test_superspace import c_block_minor
@@ -274,6 +275,13 @@ class TestOmegaDprime:
         assert f == det_qinv_D(S22)
 
 
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2), S22, Shape(3, 1), Shape(1, 3)],
+                         ids=str)
+def test_detD_in_y_letters_is_detDprime(shape):
+    # the y_uv keep the relations of the D block's x_uv
+    assert y_substitute(det_qinv_D(shape)) == det_dprime_local(shape)
+
+
 class TestOmegaABC:
     def test_reduces_to_H(self):
         M = (1, 1, 0, 0, 0, 0, 0, 0, 0)
@@ -434,6 +442,18 @@ class TestCovariantShift:
         cb = omega_global(S11, M, 0, 0, Variant.PLUS_Q)
         with pytest.raises(ValueError):
             covariant_shift_check(S11, cb, r=1)
+
+    @pytest.mark.parametrize("corners", [{"r": 1, "s": 1}, {}], ids=["both", "neither"])
+    def test_exactly_one_corner(self, corners):
+        cb = omega_global(S11, zero_matrix(2), 0, 0, Variant.PLUS_Q)
+        with pytest.raises(ValueError, match="exactly one of r"):
+            covariant_shift_check(S11, cb, **corners)
+
+    def test_lower_precondition(self):
+        M = (0, 0, 1, 0)  # x_21, the (N - j + 1, j) entry for j = 1
+        cb = omega_global(S11, M, 0, 0, Variant.PLUS_Q)
+        with pytest.raises(ValueError, match=r"entry \(2,1\) must vanish"):
+            covariant_shift_check(S11, cb, s=1)
 
 
 class TestExpressInN:

@@ -14,7 +14,6 @@ KERNEL_MODULES = sorted(p.stem for p in (Path(qsuper.__file__).parent).glob("*.p
 
 # (module, name) -> what one entry is keyed by, and why that stays small
 DOCUMENTED_SCOPE = {
-    ("superspace", "_coact_cached"): "one coaction per shape and superspace monomial of a minor",
     ("glq", "_detA_power_alg"): "one power of detA per shape and exponent",
     ("glq", "detDprime_poly"): "one power of detD' per shape and exponent",
     ("basis", "_downset"): "one downset per shape and matrix of a compared block",

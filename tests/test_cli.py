@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qsuper import basis, cli, glq, verify
+from qsuper.actions import SpanMismatch
 from qsuper.algebra import AlgebraElement, Shape
 from qsuper.glq import LocalElement, berezinian, to_mixed
 from qsuper.cli import main
@@ -114,14 +115,6 @@ class TestWindows:
             f = LocalElement.from_json(obj)
             (key,) = f.terms
 
-    def test_max_degree_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSUPER_MAX_DEGREE", "1")
-        rc, out = run(["inv", "--shape", "2", "1", "--left", "E1,E2",
-                       "--right", "F1,F2", "--max-degree", "3"],
-                      capsys=capsys)
-        assert rc == 0
-        assert len(json.loads(out)) == 2  # 1 and x11 only
-
     def test_cb_block(self, capsys):
         rc, out = run(["cb", "--shape", "2", "1", "--ro", "1,1,1",
                        "--co", "1,1,1", "--sector", "a=0,d=0",
@@ -147,6 +140,10 @@ class TestVerify:
                       capsys=capsys)
         assert rc == 0
         assert out.strip().endswith("PASS")
+
+    def test_unknown_suite_raises(self):
+        with pytest.raises(KeyError, match="nope"):
+            verify.run_suite("nope", S21)
 
     def test_conventions(self, capsys):
         rc, out = run(["conventions"], capsys=capsys)
@@ -228,6 +225,16 @@ class TestKernelFaultsPropagate:
         monkeypatch.setattr(verify, "n_ad", _kernel_fault)
         with pytest.raises(ValueError, match="non-exact"):
             verify.suite_ber_shift(S21)
+
+
+def test_gl21_suite_reports_a_span_mismatch(monkeypatch):
+    def mismatch(*args, **kwargs):
+        raise SpanMismatch("3 invariants vs 2")
+
+    monkeypatch.setattr(verify, "canonical_span_check", mismatch)
+    ok, lines = verify.suite_gl21()
+    assert not ok
+    assert lines[-1] == "span check FAILED: 3 invariants vs 2"
 
 
 @pytest.mark.parametrize("shape,checked", [(Shape(1, 2), 20), (Shape(2, 2), 22)], ids=str)
@@ -323,17 +330,6 @@ class TestExitCodes:
         assert captured.out == ""
         assert "error: argument --which: invalid choice: 'X'" in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ["inv", "--shape", "2", "1", "--left", "E1", "--max-degree", "1"],
-        ["verify", "--suite", "relations", "--shape", "2", "1"],
-    ], ids=["inv", "verify"])
-    def test_malformed_max_degree_env_exits_2(self, argv, capsys, monkeypatch):
-        monkeypatch.setenv("QSUPER_MAX_DEGREE", "abc")
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: QSUPER_MAX_DEGREE must be an integer, not 'abc'\n"
-
     def test_bad_element_inputs_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -401,7 +397,7 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith("error: bad element")
 
     def test_suite_that_checks_nothing_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("QSUPER_MAX_DEGREE", "0")
+        monkeypatch.setattr(verify, "_small_blocks", lambda *args: iter(()))
         rc, out = run(["verify", "--suite", "cb-blocks", "--shape", "2", "1"],
                       capsys=capsys)
         assert rc == 1

@@ -21,7 +21,7 @@ from qsuper.algebra import (
     word_to_matrix,
     zero_matrix,
 )
-from qsuper.superspace import det_q_A, perm_coefficients
+from qsuper.superspace import det_q_A
 from qsuper.glq import (
     LocalElement,
     bar_local,
@@ -37,7 +37,7 @@ from qsuper.glq import (
     word_poly,
     y_times_detA,
 )
-from test_superspace import sub_minor_A
+from test_superspace import perm_coefficients, sub_minor_A
 
 
 # -- the raw form, as the reference for the polynomial builders ---------------
@@ -392,6 +392,20 @@ class TestPolynomialBuilders:
             raw = detDprime_power(shape, p)
             assert detDprime_poly(shape, p) == expand_raw(shape, raw, n * p), p
 
+    @pytest.mark.parametrize("shape", [Shape(m, n) for m in range(1, 5)
+                                       for n in range(1, 6 - m)], ids=str)
+    def test_detDprime_poly_is_the_permutation_sum(self, shape):
+        # the D-block minor read in y-letters against the q^-1-determinant
+        # of the y-matrix by its permutation rule, to n = 4
+        m, n = shape.m, shape.n
+        expect = AlgebraElement.zero(shape)
+        for tau, c in perm_coefficients(n, -2):
+            cur = AlgebraElement.one(shape).scale(c)
+            for t in range(n):
+                cur = cur * y_times_detA(shape, m + 1 + t, m + 1 + tau[t])
+            expect = expect + cur
+        assert detDprime_poly(shape, 1) == expect
+
     def test_out_of_block(self):
         for mu, nu in ((1, 3), (3, 1), (1, 1)):
             with pytest.raises(IndexError):
@@ -641,8 +655,8 @@ def _cached_values(shape):
     return out
 
 
-CACHES = (superspace._coact_cached, superspace._minor_cached, glq.word_poly,
-          glq.detDprime_poly, glq._member, glq._reduce_pair, actions._act_key)
+CACHES = (superspace._minor_cached, glq.word_poly, glq.detDprime_poly,
+          glq._member, glq._reduce_pair, actions._act_key)
 
 
 @pytest.mark.parametrize("shape", [S21, S22])

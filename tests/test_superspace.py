@@ -17,7 +17,6 @@ from qsuper.superspace import (
     laplace_verify,
     minor,
     minor_star,
-    perm_coefficients,
     valid_vector,
     var_parity,
     vector_parity,
@@ -33,6 +32,20 @@ SMALL_SHAPES = [Shape(m, n) for m in range(1, 6) for n in range(1, 7 - m)]
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def _inversions(sigma) -> int:
+    return sum(
+        1 for s in range(len(sigma)) for t in range(s + 1, len(sigma)) if sigma[s] > sigma[t]
+    )
+
+
+def perm_coefficients(n: int, base: int, sign: int = -1):
+    """(sigma, (sign * q^base)^inversions(sigma)) for each permutation of
+    range(n): the coefficient rule of the q-determinants."""
+    for sigma in itertools.permutations(range(n)):
+        l = _inversions(sigma)
+        yield sigma, LaurentPoly.q_power(base * l, sign**l)
 
 
 def _perm_sum(shape: Shape, rows, cols, base: int, sign: int = -1) -> AlgebraElement:
@@ -98,6 +111,11 @@ class TestCoact:
     def test_invalid_vector_is_zero(self):
         assert coact(S11, (0, 2)) == {}
         assert not valid_vector(S11, (0, 2), False)
+
+    @pytest.mark.parametrize("a", [(1,), (1, 0, 0), (-1, 1), (1, -1)])
+    def test_wrong_length_or_negative_entry_is_invalid(self, a):
+        for star in (False, True):
+            assert not valid_vector(S11, a, star)
 
     def test_star_generator(self):
         comps = coact_star(S11, (1, 0))
