@@ -5,7 +5,10 @@ normalized leading monomial plus strictly smaller terms whose
 coefficients lie in qZ[q] (PLUS_Q) or q^-1 Z[q^-1] (MINUS_Q).  The
 construction is staged: the row subalgebra (A and B entries), the
 lower-left block, their combination, the Schur-complement block, and
-finally the full localization with determinant powers.
+finally the full localization with determinant powers.  Each staged
+sub-block element (block_element) and each global element (omega_global)
+is one cached Lusztig element per index, built only when an index above it
+needs it: no block is solved as a whole.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from qsuper.algebra import (
     AlgebraElement,
     Shape,
     col_sums,
-    enumerate_block,
     mat_entry,
     row_sums,
     x_norm,
@@ -119,41 +121,21 @@ def lusztig_element(T, column, element, bar, variant: Variant, pick_max, strictl
     return sum(terms, col)
 
 
-def solve_block(shape: Shape, indices, monomials, variant: Variant):
-    """All basis elements of one finite block.
-
-    indices: matrices sharing (ro, co); monomials: index -> element.
-    Returns dict index -> element.
-    """
-    indices = [tuple(M) for M in indices]
-    index_set = set(indices)
-    columns = {M: monomials(M) for M in indices}
-    memo = {}
-
-    def lower(S, T):
-        return S != T and S in _downset(shape, T) and S in index_set
-
-    def element(T):
-        if T not in memo:
-            memo[T] = lusztig_element(T, columns.__getitem__, element, lambda f: f.bar(),
-                                      variant, lambda sup: _pick_maximal(shape, sup), lower)
-        return memo[T]
-
-    return {T: element(T) for T in indices}
-
-
 # -- staged sub-block bases ---------------------------------------------------
 
 
-def _block_key(shape: Shape, M):
-    N = shape.size
-    return row_sums(M, N), col_sums(M, N)
-
-
-def _block_element(shape: Shape, M, region: str):
-    """The sub-block basis element of the region at the index M."""
-    M = tuple(M)
-    return _block(shape, *_block_key(shape, M), region)[M]
+@lru_cache(maxsize=None)
+def block_element(shape: Shape, M, blocks: str, variant: Variant, monomial) -> AlgebraElement:
+    """The basis element at M of the subalgebra on the named blocks, led by
+    monomial(shape, M).  The elements below M are the indices of its downset
+    supported on the blocks (a 2x2 move keeps the row and column sums, so
+    they share M's biweight), each built by this function when M's bar
+    residual first reaches it."""
+    return lusztig_element(
+        M, lambda S: monomial(shape, S),
+        lambda S: block_element(shape, S, blocks, variant, monomial),
+        AlgebraElement.bar, variant, lambda sup: _pick_maximal(shape, sup),
+        lambda S, T: S != T and S in _downset(shape, T) and shape.restrict(S, blocks) == S)
 
 
 def _omega(shape: Shape, M, region: str, wrong_support: str) -> CBElement:
@@ -162,7 +144,8 @@ def _omega(shape: Shape, M, region: str, wrong_support: str) -> CBElement:
     M = tuple(M)
     if shape.restrict(M, region) != M:
         raise ValueError(wrong_support)
-    return CBElement((M, 0, 0), _REGIONS[region][0], _block_element(shape, M, region))
+    variant, monomial = _REGIONS[region]
+    return CBElement((M, 0, 0), variant, block_element(shape, M, region, variant, monomial))
 
 
 def omega_H(shape: Shape, M) -> CBElement:
@@ -204,26 +187,20 @@ def n_abc(shape: Shape, M) -> AlgebraElement:
     """The product monomial for the three-block stage, with prefactor
     q^-(c(A).c(C)) over the column sums of the A and C blocks."""
     top, low = shape.restrict(M, "AB"), shape.restrict(M, "C")
-    f = omega_H(shape, top).expansion * _block_element(shape, low, "C")
+    f = omega_H(shape, top).expansion * block_element(shape, low, "C", *_REGIONS["C"])
     return f.scale(LaurentPoly.q_power(-_cross(shape, M, "A", "C", col_sums)))
 
 
 # region, the blocks its indices are supported on -> (the variant of its
-# basis, the monomial of an index)
+# basis, the monomial of an index); block_element(shape, M, region,
+# *_REGIONS[region]) is the region's basis element at M, cached per index
+# and built only when asked for or reached from an index above it
 _REGIONS = {
     "AB": (Variant.PLUS_Q, x_norm),
     "C": (Variant.MINUS_Q, x_norm),
     "D": (Variant.MINUS_Q, x_norm),
     "ABC": (Variant.PLUS_Q, n_abc),
 }
-
-
-@lru_cache(maxsize=None)
-def _block(shape: Shape, ro, co, region: str):
-    """Every basis element of the region with row sums ro, column sums co."""
-    variant, monomial = _REGIONS[region]
-    indices = [M for M in enumerate_block(shape, ro, co) if shape.restrict(M, region) == M]
-    return solve_block(shape, indices, lambda M: monomial(shape, M), variant)
 
 
 def omega_ABC(shape: Shape, M) -> CBElement:
@@ -259,7 +236,7 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
     zero = zero_matrix(shape.size)
     out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
     out = out * to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
-    out = out * y_substitute(_block_element(shape, shape.restrict(M, "D"), "D"))
+    out = out * y_substitute(block_element(shape, shape.restrict(M, "D"), "D", *_REGIONS["D"]))
     return out * LocalElement(shape, {(zero, 0, d): ONE})
 
 

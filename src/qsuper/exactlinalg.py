@@ -8,13 +8,17 @@ with ring arithmetic; a non-unit pivot cross-multiplies the rows it
 clears, which are then divided by their integer content and lowest power
 of q (fraction-free elimination, cf. Bareiss, Math. Comp. 22, 1968).
 
-Each free column gives one sparse kernel vector, and its coordinates are
-Laurent polynomials: each is one exact division, a free-column entry by
-its row's pivot, and a coordinate outside Z[q, q^-1] raises
-LinearSolveFailure.  The pivot columns are the leftmost independent set,
-so the coordinates are those that elimination over the fraction field
-gives, whenever those lie in Z[q, q^-1].  A target lies in a span when it
-is a free column after the span's columns.
+Each free column gives one sparse kernel vector with Laurent coordinates,
+so a nullspace always has a Laurent basis.  A pivot coordinate is a
+free-column entry divided by its row's pivot: where the division is
+exact, it is the coordinate over the fraction field (the pivot columns
+are the leftmost independent set), and 1 stays at the free column; where
+it is not, the vector is multiplied by that pivot and finally divided by
+its integer content and lowest power of q (fraction-free back
+substitution).  A target lies in a span when it is a free column after
+the span's columns, and solve_in_span raises LinearSolveFailure when the
+target's vector had to be scaled: its coordinates lie in the fraction
+field only.
 
 A nullspace eliminates only the columns that share a row with another.
 An empty column is free, and its vector is 1 at itself.  A column whose
@@ -112,27 +116,27 @@ def _eliminate(columns):
     return rows, pivot_of, index
 
 
-def _quotient(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """num / den, which must lie in Z[q, q^-1]."""
-    if den.is_one():
-        return num
-    try:
-        return num.divexact(den)
-    except ValueError:
-        raise LinearSolveFailure(
-            f"coordinate ({num}) / ({den}) is not a Laurent polynomial"
-        )
-
-
 def _kernel_vector(system, c):
     """The kernel vector of the free column c, {column: coordinate} in
-    column order: 1 at c and the pivot columns of c's rows; raises
-    LinearSolveFailure when a pivot coordinate is not Laurent."""
+    column order: c and the pivot columns of c's rows.  Its coordinate at c
+    is 1 when every pivot divides its row's entry at c.  Otherwise, taking
+    the rows in order, the vector built so far is multiplied by each pivot
+    that does not divide, and the result is divided by its integer content
+    and lowest power of q; its coordinate at c is then not a unit."""
     rows, pivot_of, index = system
     vec = {c: ONE}
-    for r in index[c]:
+    for r in sorted(index[c]):
         pc = pivot_of[r]
-        vec[pc] = _quotient(-rows[r][c], rows[r][pc])
+        num, den = -rows[r][c], rows[r][pc]
+        if not vec[c].is_one():
+            num = vec[c] * num
+        try:
+            vec[pc] = num if den.is_one() else num.divexact(den)
+        except ValueError:
+            vec = {k: den * v for k, v in vec.items()}
+            vec[pc] = num
+    if not vec[c].is_one():
+        vec = _strip_content(vec)
     return dict(sorted(vec.items()))
 
 
@@ -149,18 +153,23 @@ def solve_in_span(columns, target):
     if n in system[1].values():  # the target is a pivot: outside the span
         return None
     vec = _kernel_vector(system, n)
+    if not vec[n].is_one():
+        raise LinearSolveFailure("the target lies in the span only over the fraction field")
     return [-vec.get(k, ZERO) for k in range(n)]
 
 
 def nullspace(columns):
     """Basis of {c : sum(c_i * columns_i) = 0}, one vector per free column.
 
-    Vectors are sparse, {column: coordinate}: 1 at the free column, the
-    pivot coordinates it reaches, no zeros; LinearSolveFailure is raised
-    when a pivot coordinate is not Laurent.  Only the columns that share
-    a row with another column are eliminated: an empty column is free
-    with the vector {c: 1}, and a column whose rows no other column uses
-    is a pivot that no kernel vector reaches.
+    Vectors are sparse, {column: coordinate}: the free column, the pivot
+    coordinates it reaches, no zeros.  Every coordinate is a Laurent
+    polynomial: the free coordinate is 1 when the field's coordinates are
+    Laurent, and otherwise the vector is their multiple by the pivots
+    that did not divide, with its content and lowest q-power divided out.
+    Only the columns that share a row with another column are
+    eliminated: an empty column is free with the vector {c: 1}, and a
+    column whose rows no other column uses is a pivot that no kernel
+    vector reaches.
     """
     uses = Counter(k for vec in columns for k, v in vec.items() if v.terms)
     out, linked = {}, []

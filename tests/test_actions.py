@@ -44,7 +44,7 @@ from qsuper.actions import (
     minor_power_expansion,
     window_indices,
 )
-from test_exactlinalg import all_columns_nullspace
+from test_exactlinalg import _dense, all_columns_nullspace, assert_laurent_multiples, dense_nullspace
 from test_superspace import perm_coefficients
 
 S11 = Shape(1, 1)
@@ -604,6 +604,32 @@ def test_window_rows_stay_in_one_weight_space(shape, max_degree, count, monkeypa
         for row in col:
             assert owner.setdefault(row, weight) == weight, row
     assert owner
+
+
+@pytest.mark.parametrize("det_range", [(0, 0), (-1, 0)], ids=["det0", "det-1:0"])
+@pytest.mark.parametrize("shape,lefts,rights,counts", [
+    (S21, (), (E(2),), (54, 95)), (S21, (), (E(1), E(2)), (13, 25)),
+    (S12, (), (E(1),), (26, 120)), (S21, (F(2),), (), (54, 95)),
+], ids=["21-right-E2", "21-right-E1E2", "12-right-E1", "21-left-F2"])
+def test_window_with_pivots_that_do_not_divide(shape, lefts, rights, counts, det_range,
+                                               monkeypatch):
+    # degree-3 windows, a and d both in det_range, in which a pivot does not
+    # divide an entry of a free column: every kernel vector is still
+    # Laurent, the generators kill it, and it is a multiple of the fraction
+    # field's kernel vector
+    systems = []
+    real = actions.nullspace
+    monkeypatch.setattr(actions, "nullspace",
+                        lambda cols: systems.append((cols, real(cols))) or systems[-1][1])
+    inv = invariants_window(shape, lefts, rights, 3, det_range, det_range)
+    assert len(inv) == counts[det_range != (0, 0)]
+    for f in inv:
+        assert all(act_left(g, f).is_zero() for g in lefts)
+        assert all(act_right(g, f).is_zero() for g in rights)
+    ((columns, vectors),) = systems
+    assert_laurent_multiples([_dense(vec, len(columns)) for vec in vectors],
+                             dense_nullspace(columns))
+    assert any(not vec[max(vec)].is_one() for vec in vectors)
 
 
 # the benchmark's four det windows, (a_range, d_range), at degree 2

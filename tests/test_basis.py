@@ -32,10 +32,9 @@ from qsuper.basis import (
     p_strictly_lower,
     peel,
     psi_power,
-    solve_block,
+    block_element,
     submatrix_moves,
     y_substitute,
-    _block_element,
 )
 from test_superspace import c_block_minor
 
@@ -124,45 +123,48 @@ class TestOrder:
                 assert leq(shape, M, N) == corner_dominates(M, N, shape.size)
 
 
+def full_block_element(shape, M, variant=Variant.PLUS_Q):
+    """The basis element of the whole polynomial algebra at M."""
+    return block_element(shape, M, "ABCD", variant, x_norm)
+
+
 class TestSolveBlock:
     def test_rank_one_block(self):
-        block = enumerate_block(S11, (1, 1), (1, 1))
-        out = solve_block(S11, block, lambda M: x_norm(S11, M), Variant.PLUS_Q)
         expect_diag = gen(S11, 1, 1) * gen(S11, 2, 2) + (
             gen(S11, 1, 2) * gen(S11, 2, 1)
         ).scale(lp({2: 1}))
-        assert out[DIAG] == expect_diag
-        assert out[ANTI] == gen(S11, 1, 2) * gen(S11, 2, 1)
+        assert full_block_element(S11, DIAG) == expect_diag
+        assert full_block_element(S11, ANTI) == gen(S11, 1, 2) * gen(S11, 2, 1)
 
     def test_zero_matrix(self):
-        Z = zero_matrix(2)
-        out = solve_block(S11, [Z], lambda M: x_norm(S11, M), Variant.PLUS_Q)
-        assert out[Z] == AlgebraElement.one(S11)
+        assert full_block_element(S11, zero_matrix(2)) == AlgebraElement.one(S11)
 
     def test_order_independence(self):
+        # the elements do not depend on the order in which they are asked for
         block = enumerate_block(S21, (1, 1, 0), (1, 1, 0))
-        fwd = solve_block(S21, block, lambda M: x_norm(S21, M), Variant.PLUS_Q)
-        rev = solve_block(
-            S21, list(reversed(block)), lambda M: x_norm(S21, M), Variant.PLUS_Q
-        )
-        assert fwd == rev
+        clear_caches()
+        fwd = [full_block_element(S21, M) for M in block]
+        clear_caches()
+        rev = [full_block_element(S21, M) for M in reversed(block)]
+        assert fwd == rev[::-1]
 
     def test_order_cycle_raises(self, monkeypatch):
         # a move order in which DIAG and ANTI lie below each other has no
-        # maximal element, a kernel fault rather than a choice
+        # maximal element, a kernel fault rather than a choice; cached
+        # elements would answer without consulting the order
+        clear_caches()
         monkeypatch.setattr(basis, "_downset", lambda shape, M: frozenset({DIAG, ANTI}))
         block = enumerate_block(S11, (1, 1), (1, 1))
         with pytest.raises(TriangularityViolation, match="no maximal element"):
             basis._pick_maximal(S11, block)
         with pytest.raises(TriangularityViolation):
-            solve_block(S11, block, lambda M: x_norm(S11, M), Variant.PLUS_Q)
+            full_block_element(S11, DIAG)
 
     def test_minus_variant(self):
-        block = enumerate_block(S11, (1, 1), (1, 1))
-        out = solve_block(S11, block, lambda M: x_norm(S11, M), Variant.MINUS_Q)
-        assert out[DIAG] == gen(S11, 1, 1) * gen(S11, 2, 2) + (
+        expect_diag = gen(S11, 1, 1) * gen(S11, 2, 2) + (
             gen(S11, 1, 2) * gen(S11, 2, 1)
         ).scale(lp({-2: -1}))
+        assert full_block_element(S11, DIAG, Variant.MINUS_Q) == expect_diag
 
 
 class TestOmegaH:
@@ -238,6 +240,11 @@ class TestOmegaC:
         assert omega_C(S11, Z).expansion == AlgebraElement.one(S11)
 
 
+def d_block_element(M):
+    """The Schur-complement block's element at M in the x-picture."""
+    return block_element(S22, tuple(M), "D", *basis._REGIONS["D"])
+
+
 class TestOmegaDprime:
     def test_rank_one_power(self):
         M = (0, 0, 0, 2)
@@ -250,7 +257,7 @@ class TestOmegaDprime:
         M = [0] * 16
         M[2 * 4 + 2] = 1
         M[3 * 4 + 3] = 1
-        f = _block_element(S22, tuple(M), "D")
+        f = d_block_element(M)
         assert f.bar() == f
         lead = x_norm(S22, tuple(M))
         for c in (f - lead).terms.values():
@@ -260,18 +267,18 @@ class TestOmegaDprime:
         # detD' * Omega(M4) = Omega(M4 + I), checked in the x-picture
         M = [0] * 16
         M[2 * 4 + 3] = 1  # one off-diagonal entry
-        f = _block_element(S22, tuple(M), "D")
+        f = d_block_element(M)
         lhs = det_qinv_D(S22) * f
         shifted = list(M)
         shifted[2 * 4 + 2] += 1
         shifted[3 * 4 + 3] += 1
-        assert lhs == _block_element(S22, tuple(shifted), "D")
+        assert lhs == d_block_element(shifted)
 
     def test_dprime_det_is_basis_element(self):
         M = [0] * 16
         M[2 * 4 + 2] = 1
         M[3 * 4 + 3] = 1
-        f = _block_element(S22, tuple(M), "D")
+        f = d_block_element(M)
         assert f == det_qinv_D(S22)
 
 
@@ -601,16 +608,47 @@ def all_blocks(shape, max_degree):
     (S11, 3), (S21, 3), (Shape(1, 2), 3), (S22, 3), (Shape(3, 1), 3), (Shape(1, 3), 2),
 ], ids=str)
 def test_solve_block_matches_the_residual_recursion(shape, degree):
+    # the full blocks in both variants, and each staged region in its own
+    regions = [("ABCD", variant, x_norm) for variant in Variant]
+    regions += [(region, *spec) for region, spec in basis._REGIONS.items()]
     for block in all_blocks(shape, degree):
-        columns = {M: x_norm(shape, M) for M in block}
-        index_set = set(block)
-        for variant in Variant:
+        for blocks, variant, monomial in regions:
+            indices = [M for M in block if shape.restrict(M, blocks) == M]
+            index_set = set(indices)
             want = reference_elements(
-                block, columns.__getitem__, lambda f: f.bar(), variant,
+                indices, lambda M: monomial(shape, M), lambda f: f.bar(), variant,
                 lambda sup: basis._pick_maximal(shape, sup),
                 lambda S, T: S != T and S in basis._downset(shape, T) and S in index_set)
-            got = solve_block(shape, block, lambda M: x_norm(shape, M), variant)
-            assert list(got) == list(want) and got == want, (block, variant)
+            got = {M: block_element(shape, M, blocks, variant, monomial) for M in indices}
+            assert got == want, (block, blocks, variant)
+
+
+def test_block_element_builds_only_the_downset():
+    # one "ABC" element at (2|2) builds that region's elements below it and
+    # no other index of its biweight
+    M = (0, 1, 1, 0,
+         0, 0, 0, 1,
+         1, 0, 0, 0,
+         0, 0, 0, 0)
+    requested = []
+    clear_caches()
+    cached = basis.block_element
+
+    def recording(shape, T, blocks, variant, monomial):
+        requested.append((shape, T, blocks, variant, monomial))
+        return cached(shape, T, blocks, variant, monomial)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis, "block_element", recording)
+        omega_ABC(S22, M)
+    # every call made an entry or hit one, so the calls name every entry
+    assert cached.cache_info().currsize == len(set(requested))
+    built = {T for _, T, blocks, _, _ in requested if blocks == "ABC"}
+    assert M in built and built <= basis._downset(S22, M)
+    N = S22.size
+    region = [T for T in enumerate_block(S22, row_sums(M, N), col_sums(M, N))
+              if S22.restrict(T, "ABC") == T]
+    assert len(built) < len(region)
 
 
 @pytest.mark.parametrize("shape,degree", [

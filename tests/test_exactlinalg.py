@@ -405,6 +405,23 @@ def _agrees(got, want):
     return result
 
 
+def assert_laurent_multiples(vectors, want):
+    """Each dense Laurent kernel vector is its reference vector times the
+    vector's own nonzero coordinate at the free column (where the reference
+    holds 1, its last nonzero coordinate), and that coordinate is 1
+    whenever the reference vector is Laurent."""
+    assert len(vectors) == len(want)
+    for got, ref in zip(vectors, want):
+        c = max(k for k, f in enumerate(ref) if not f.is_zero())
+        assert not got[c].is_zero()
+        assert [Frac(v) for v in got] == [f * Frac(got[c]) for f in ref]
+        try:
+            laurent = [f.to_laurent() for f in ref]
+        except LinearSolveFailure:
+            continue
+        assert got == laurent
+
+
 class TestAgainstDenseReference:
     @settings(max_examples=300, deadline=None)
     @given(systems())
@@ -415,10 +432,9 @@ class TestAgainstDenseReference:
             assert solve_in_span(columns, target) is None
         else:
             _agrees(lambda: [solve_in_span(columns, target)], [want])
-        got_ns = _agrees(lambda: [_dense(v, len(columns)) for v in nullspace(columns)],
-                         dense_nullspace(columns))
-        if got_ns is not None:
-            assert len(columns) - len(got_ns) == dense_rank(columns)
+        got_ns = [_dense(v, len(columns)) for v in nullspace(columns)]
+        assert_laurent_multiples(got_ns, dense_nullspace(columns))
+        assert len(columns) - len(got_ns) == dense_rank(columns)
 
     @settings(max_examples=200, deadline=None)
     @given(systems())
@@ -426,13 +442,10 @@ class TestAgainstDenseReference:
         columns = system[0]
         pivots = {c for _, c in _dense_eliminate(_dense_assemble(columns)[0])}
         free = [c for c in range(len(columns)) if c not in pivots]
-        try:
-            vectors = nullspace(columns)
-        except LinearSolveFailure:  # test_solve_nullspace_rank checks when
-            return
+        vectors = nullspace(columns)
         assert len(vectors) == len(free)
         for c, vec in zip(free, vectors):
-            assert vec[c] == ONE
+            assert not vec[c].is_zero()
             assert set(vec) <= pivots | {c}
             assert list(vec) == sorted(vec)
             assert all(not v.is_zero() for v in vec.values())
@@ -441,13 +454,7 @@ class TestAgainstDenseReference:
     @given(systems())
     def test_nullspace_matches_all_columns_elimination(self, system):
         columns = system[0]
-        try:
-            want = all_columns_nullspace(columns)
-        except LinearSolveFailure:
-            with pytest.raises(LinearSolveFailure):
-                nullspace(columns)
-            return
-        assert _items(nullspace(columns)) == _items(want)
+        assert _items(nullspace(columns)) == _items(all_columns_nullspace(columns))
 
     def test_non_unit_pivot(self):
         # the only pivot is 2: the second row is cross-multiplied and left
@@ -464,8 +471,8 @@ class TestAgainstDenseReference:
             solve_in_span([col], half)
         dep = {"u": lp({0: 1, 2: 1}), "v": lp({0: 1, 2: 2, 4: 1})}
         assert dense_nullspace([col, dep]) == [[Frac(lp({0: -1, 2: -1}), lp({0: 2})), FRAC_ONE]]
-        with pytest.raises(LinearSolveFailure):
-            nullspace([col, dep])
+        # the kernel vector scaled by that pivot
+        assert [_dense(v, 2) for v in nullspace([col, dep])] == [[lp({0: -1, 2: -1}), lp({0: 2})]]
         # through the same non-unit pivot, a Laurent kernel vector
         ns = nullspace([col, {k: Q * v for k, v in col.items()}])
         assert [_dense(v, 2) for v in ns] == [[-Q, ONE]]
@@ -499,7 +506,12 @@ class TestColumnsSetAside:
         ([{("K", 0): K2}, {"u": ONE}, {"u": Q}], [{1: -Q, 2: ONE}]),
         # a linked pair through the non-unit pivot 2
         ([{"u": lp({0: 2})}, {"u": lp({1: 2})}], [{0: -Q, 1: ONE}]),
-    ], ids=["empty", "isolated", "zeros", "k-diagonal", "non-unit-pair"])
+        # a pivot that does not divide scales the vector by itself, whose
+        # integer content, then lowest power of q, are divided out
+        ([{"u": lp({0: 4})}, {"u": lp({0: 2, 2: 2})}], [{0: lp({0: -1, 2: -1}), 1: lp({0: 2})}]),
+        ([{"u": lp({2: 2})}, {"u": lp({3: 1, 5: 1})}], [{0: lp({1: -1, 3: -1}), 1: lp({0: 2})}]),
+    ], ids=["empty", "isolated", "zeros", "k-diagonal", "non-unit-pair", "scaled-content",
+            "scaled-q-power"])
     def test_deterministic_cases(self, columns, want):
         assert _items(nullspace(columns)) == _items(want)
         assert _items(all_columns_nullspace(columns)) == _items(want)

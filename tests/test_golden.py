@@ -91,6 +91,8 @@ CASES["inv_21_left"] = ["inv", "--shape", "2", "1", "--left", "E1,E2",
 CASES["inv_21_left_right"] = ["inv", "--shape", "2", "1", "--left", "E1",
                               "--right", "F2", "--max-degree", "2",
                               "--format", "text"]
+# a window whose kernel needs a pivot that does not divide its entry
+CASES["inv_21_right_E2"] = ["inv", "--shape", "2", "1", "--right", "E2", "--max-degree", "3"]
 for _suite in ("relations", "laplace", "commun", "bar-minors", "cb-blocks",
                "ber-shift", "actions", "gl21"):
     CASES[f"verify_{_suite}_21"] = ["verify", "--suite", _suite, "--shape", "2", "1"]

@@ -4,6 +4,7 @@ somewhere, and every kernel name that the benchmark's tracer wraps still
 exists."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -175,6 +176,27 @@ def test_checker_finds_unread_methods():
     read = attribute_reads(module) | attribute_reads(other)
     assert unread_methods(module, read) == [
         "Thing.recursive (line 5)", "Thing.lonely (line 6)"]
+
+
+def load_tracer():
+    """qbench/tracing.py loaded from its path, with nothing installed."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "qbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve():
+    # the names the tracer wraps, the caches it reads and the four functions
+    # it hooks without a span, read without installing anything
+    tracing = load_tracer()
+    missing = [(name, attr) for name, bindings in tracing.SPAN_BINDINGS.items()
+               for owner, attr in bindings if not hasattr(owner, attr)]
+    assert missing == []
+    assert all(hasattr(fn, "cache_info") for fn in tracing.CACHES.values())
+    hooked = [(tracing.glq, "_candidates"), (tracing.basis, "_global_candidates"),
+              (tracing.actions, "window_indices"), (tracing.basis, "solve_bar_equation")]
+    assert all(callable(getattr(owner, attr, None)) for owner, attr in hooked)
 
 
 def test_benchmark_tracer_binds_to_the_kernel():
