@@ -248,9 +248,9 @@ def _det_inverse_act(shape: Shape, kind: str, i: int, side: str):
 def _act_word(shape, kind, i, side, word):
     """E_i/F_i on one polynomial word of cells (k, l) by the coproduct rule.
 
-    Each letter's pair weight and parity are read once.  The term of
-    position p is the word with letter p replaced by its image, times
-    q^(2 c_tail w(suffix) + 2 c_head w(prefix)), straightened; an odd
+    Each letter's pair weight, parity and flat cell code are read once.
+    The term of position p is the word with letter p replaced by its image,
+    times q^(2 c_tail w(suffix) + 2 c_head w(prefix)), straightened; an odd
     E_m/F_m also gives (-1)^(parity of the prefix) on the left, of the
     suffix on the right.
     """
@@ -258,6 +258,7 @@ def _act_word(shape, kind, i, side, word):
     odd_gen = shape.parity(i) != shape.parity(i + 1)
     weights = [_pair_weight(shape, k, l, i, side) for k, l in word]
     parities = [shape.gen_parity(k, l) for k, l in word]
+    codes = tuple(shape.cell(k, l) for k, l in word)
     head_w, tail_w, head_par, tail_par = 0, sum(weights), 0, sum(parities)
     out = AlgebraElement.zero(shape)
     for p, (k, l) in enumerate(word):
@@ -268,7 +269,7 @@ def _act_word(shape, kind, i, side, word):
             run = head_par if side == "L" else tail_par
             c = LaurentPoly.q_power(2 * (c_tail * tail_w + c_head * head_w),
                                     (-1) ** run if odd_gen else 1)
-            word_p = word[:p] + (image,) + word[p + 1:]
+            word_p = codes[:p] + (shape.cell(*image),) + codes[p + 1:]
             out = out + AlgebraElement(shape, straighten_word(shape, word_p, c))
         head_w += weights[p]
         head_par += parities[p]

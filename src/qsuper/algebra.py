@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress
+from math import comb
+from operator import mul
 
 from .laurent import LaurentPoly, ONE
 
@@ -46,7 +48,8 @@ class Shape:
     Shapes are interned: Shape(m, n) returns the one instance of its
     layout, so equality and hashing are identity, and the cell and
     rewrite tables are cached properties built once per (m, n), on first
-    use.  Copies and unpickled shapes are that instance too.
+    use, as is each block mask.  Copies and unpickled shapes are that
+    instance too.
     """
 
     m: int
@@ -86,7 +89,11 @@ class Shape:
     @cached_property
     def odd(self) -> tuple:
         """1 at each odd cell (blocks B and C, exponent cap 1), else 0."""
-        return tuple(int(b in "BC") for b in self.blocks)
+        return self.mask("BC")
+
+    @cached_property
+    def _masks(self) -> dict:
+        return {}
 
     @cached_property
     def rewrites(self) -> list:
@@ -123,9 +130,16 @@ class Shape:
         """Total exponent of M over the odd cells."""
         return sum(compress(M, self.odd))
 
+    def mask(self, letters: str) -> tuple:
+        """1 at each cell of the named blocks, else 0; built once per letters."""
+        mask = self._masks.get(letters)
+        if mask is None:
+            mask = self._masks[letters] = tuple(int(b in letters) for b in self.blocks)
+        return mask
+
     def restrict(self, M, letters: str) -> tuple:
         """M with every cell outside the named blocks set to 0."""
-        return tuple(v if b in letters else 0 for v, b in zip(M, self.blocks))
+        return tuple(map(mul, M, self.mask(letters)))
 
     @classmethod
     def from_json(cls, obj: dict) -> "Shape":
@@ -189,9 +203,14 @@ def col_sums(M, N):
     return tuple(sum(M[r * N + c] for r in range(N)) for c in range(N))
 
 
+def matrix_codes(M):
+    """Flat cell codes of the ordered monomial, in lexicographic order."""
+    return tuple(k for k, v in enumerate(M) if v for _ in range(v))
+
+
 def matrix_to_word(M, N):
     """Letters (i, j) of the ordered monomial, in lexicographic order."""
-    return tuple((k // N + 1, k % N + 1) for k, v in enumerate(M) if v for _ in range(v))
+    return tuple((k // N + 1, k % N + 1) for k in matrix_codes(M))
 
 
 def word_to_matrix(word, N):
@@ -260,62 +279,79 @@ def _put(terms, key, c):
         terms.pop(key, None)
 
 
-def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
-    """Normal form of a generator word: dict matrix -> LaurentPoly.
+@lru_cache(maxsize=1 << 6)
+def _qsq_diff_power(k: int) -> tuple:
+    """(exponent, coefficient) pairs of (q^2 - q^-2)^k."""
+    return tuple((2 * k - 4 * j, (-1) ** j * comb(k, j)) for j in range(k + 1))
 
-    The word runs on flat cell codes (i - 1) N + (j - 1), whose integer
-    order is the lexicographic order of the letters, with coefficients as
-    exponent -> integer dicts.  A rewrite at the first descent reads one
-    entry of the shape's table, and the scan of the rewritten word resumes
-    one letter before the descent, as the letters ahead are still ordered.
+
+def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
+    """Normal form of coeff times a word of flat cell codes: dict matrix ->
+    LaurentPoly.
+
+    A letter x_ij is the code (i - 1) N + (j - 1), whose integer order is
+    the lexicographic order of the letters.  The word is one list changed
+    in place: the first descent is rewritten from one entry of the shape's
+    table, and the scan resumes one letter before it, as the letters ahead
+    are still ordered.  Every rewrite multiplies by a monomial s q^e, and a
+    correction also by (q^2 - q^-2), so a word's coefficient is deferred as
+    coeff s q^e (q^2 - q^-2)^k: a swap updates the running pair (e, s), and
+    a correction pushes a copy of the swapped word, with its own pair, and
+    goes on in place with the correction word and k + 1.  The coefficient
+    is expanded once per finished word.  Finished words key the result in
+    the order of this depth-first search, which takes the correction first.
     """
-    N = shape.size
-    N2, odd, table = N * N, shape.odd, shape.rewrites
+    N2, odd, table = shape.size ** 2, shape.odd, shape.rewrites
     coeff = ONE if coeff is None else coeff
-    stack = [(tuple([(i - 1) * N + j - 1 for i, j in word]), coeff.terms, 0)] if coeff else []
+    if not coeff:
+        return {}
+    stack = [(list(word), 0, 1, 0, 0)]  # (word, e, s, k, scan start)
     out: dict = {}
     while stack:
-        w, c, t = stack.pop()
+        w, e, s, k, t = stack.pop()
         last = len(w) - 1
         while t < last:
             a, b = w[t], w[t + 1]
-            if a > b or (a == b and odd[a]):
+            if a < b or (a == b and not odd[a]):
+                t += 1
+                continue
+            rule = table[a * N2 + b]
+            if rule is None:  # an odd square
                 break
-            t += 1
+            re, rs, corr = rule
+            back = t - 1 if t else 0
+            if corr is None:
+                w[t], w[t + 1] = b, a
+                e += re
+                s *= rs
+            else:
+                v = w.copy()
+                v[t], v[t + 1] = b, a
+                stack.append((v, e + re, s * rs, k, back))
+                w[t], w[t + 1] = corr[0], corr[1]
+                s *= corr[2]
+                k += 1
+            t = back
         else:
-            out.setdefault(w, []).append(c)
-            continue
-        rule = table[a * N2 + b]
-        if rule is None:  # an odd square
-            continue
-        e, s, corr = rule
-        head, tail, back = w[:t], w[t + 2:], t - 1 if t else 0
-        stack.append((head + (b, a) + tail,
-                      {x + e: s * v for x, v in c.items()} if e or s != 1 else c, back))
-        if corr is not None:
-            c1, c2, sigma = corr
-            cc: dict = {}
-            for x, v in c.items():
-                cc[x + 2] = cc.get(x + 2, 0) + sigma * v
-                cc[x - 2] = cc.get(x - 2, 0) - sigma * v
-            cc = {x: v for x, v in cc.items() if v}
-            if cc:
-                stack.append((head + (c1, c2) + tail, cc, back))
+            out.setdefault(tuple(w), []).append((e, s, k))
     terms = {}
     for w, cs in out.items():
-        if len(cs) == 1 and cs[0] is coeff.terms:  # the word was ordered
+        if cs == [(0, 1, 0)]:  # the word was ordered
             acc = coeff
         else:
-            acc = {}
-            for c in cs:
-                for x, v in c.items():
-                    acc[x] = acc.get(x, 0) + v
-            acc = LaurentPoly(acc)
-        if acc.terms:
-            M = [0] * N2
-            for k in w:
-                M[k] += 1
-            terms[tuple(M)] = acc
+            sums: dict = {}
+            for e, s, k in cs:
+                for x, y in _qsq_diff_power(k):
+                    sums[x + e] = sums.get(x + e, 0) + s * y
+            acc = LaurentPoly(sums)
+            if coeff is not ONE:
+                acc = acc * coeff
+            if not acc.terms:
+                continue
+        M = [0] * N2
+        for code in w:
+            M[code] += 1
+        terms[tuple(M)] = acc
     return terms
 
 
@@ -433,19 +469,17 @@ class AlgebraElement(LinearElement):
     def from_word(cls, shape: Shape, word, coeff: LaurentPoly = ONE) -> "AlgebraElement":
         """Normal form of coeff times the word; IndexError for a letter
         outside the matrix."""
-        for i, j in word:
-            shape.cell(i, j)
-        return cls(shape, straighten_word(shape, word, coeff))
+        codes = [shape.cell(i, j) for i, j in word]
+        return cls(shape, straighten_word(shape, codes, coeff))
 
     # -- products ----------------------------------------------------------
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        N = self.shape.size
         terms: dict = {}
-        right = [(matrix_to_word(M2, N), c2) for M2, c2 in other.terms.items()]
+        right = [(matrix_codes(M2), c2) for M2, c2 in other.terms.items()]
         for M1, c1 in self.terms.items():
-            w1 = matrix_to_word(M1, N)
+            w1 = matrix_codes(M1)
             for w2, c2 in right:
                 c = c1 * c2
                 for key, sc in _straighten_cached(self.shape, w1 + w2):
@@ -454,13 +488,12 @@ class AlgebraElement(LinearElement):
 
     def bar(self) -> "AlgebraElement":
         """Coefficient-wise q -> q^-1, words reversed with the super sign."""
-        N = self.shape.size
         terms: dict = {}
         for M, c in self.terms.items():
             odd = self.shape.odd_degree(M)
             sign = (-1) ** (odd * (odd - 1) // 2)
             cb = c.bar().scale(sign)
-            for key, sc in _straighten_cached(self.shape, matrix_to_word(M, N)[::-1]):
+            for key, sc in _straighten_cached(self.shape, matrix_codes(M)[::-1]):
                 _put(terms, key, sc * cb)
         return AlgebraElement(self.shape, terms)
 

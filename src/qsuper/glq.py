@@ -17,6 +17,7 @@ words, as on polynomials.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from operator import add
 
 from qsuper.laurent import LaurentPoly, ONE
@@ -117,7 +118,7 @@ def detDprime_poly(shape: Shape, p: int) -> AlgebraElement:
 
 def y_degree(shape: Shape, M) -> int:
     """Number of y-letters of the mixed word of M (its D-block degree)."""
-    return sum(shape.restrict(M, "D"))
+    return sum(compress(M, shape.mask("D")))
 
 
 def _shift_diagonal(shape: Shape, M, a: int, d: int):

@@ -93,47 +93,50 @@ def _times_gen(shape: Shape, b, j: int, star: bool):
 # -- coactions and minors -------------------------------------------------
 
 
-def _path_sums(shape: Shape, a, star: bool, cols) -> dict:
-    """Normal-form terms of the component cols of the coaction of v^a.
+def _path_sums(shape: Shape, a, star: bool, cols=None) -> dict:
+    """Normal-form terms of the coaction of v^a, by component: b -> terms.
 
     The coaction of v_i is sum_j v_j (x) x_ij, so the coaction of
     v^a = v_i1 ... v_ir sums one path j1 ... jr per choice of columns: its
-    word x_i1j1 ... x_irjr is straightened once, with the reorder factors
-    of v_j1 ... v_jr into v^b and the tensor signs, each the space part so
-    far passing the next matrix generator, as its coefficient.  Only paths
-    whose columns make up cols are walked; paths that square an odd
-    variable vanish.
+    word x_i1j1 ... x_irjr, on flat cell codes, is straightened once, with
+    the reorder factors of v_j1 ... v_jr into v^b and the tensor signs,
+    each the space part so far passing the next matrix generator, as its
+    coefficient, and its terms go to the component b of its columns.
+    Given cols, only the paths whose columns make up cols are walked;
+    paths that square an odd variable vanish.
     """
     N = shape.size
     rows = [i for i in range(1, N + 1) for _ in range(a[i - 1])]
-    terms: dict = {}
-    if not valid_vector(shape, a, star) or sum(cols) != len(rows):
-        return terms
+    comps: dict = {}
+    if not valid_vector(shape, a, star) or (cols is not None and sum(cols) != len(rows)):
+        return comps
     vp = [var_parity(shape, j, star) for j in range(1, N + 1)]
     stack = [((0,) * N, 0, (), ONE)]  # (b, parity of v^b, word, coefficient)
     while stack:
         b, pb, word, coeff = stack.pop()
         t = len(word)
         if t == len(rows):
+            terms = comps.setdefault(b, {})
             for M, c in straighten_word(shape, word, coeff).items():
                 _put(terms, M, c)
             continue
         i = rows[t]
         for j in range(1, N + 1):
-            if b[j - 1] == cols[j - 1]:
+            if cols is not None and b[j - 1] == cols[j - 1]:
                 continue
             hit = _times_gen(shape, b, j, star)
             if hit is not None:
                 factor, nb = hit
                 if pb and shape.gen_parity(i, j):
                     factor = -factor
-                stack.append((nb, pb ^ vp[j - 1], word + ((i, j),), coeff * factor))
-    return terms
+                stack.append((nb, pb ^ vp[j - 1], word + ((i - 1) * N + j - 1,),
+                              coeff * factor))
+    return comps
 
 
 @lru_cache(maxsize=1 << 12)
 def _minor_cached(shape: Shape, a, b, star: bool) -> AlgebraElement:
-    return AlgebraElement(shape, _path_sums(shape, a, star, b))
+    return AlgebraElement(shape, _path_sums(shape, a, star, b).get(b))
 
 
 def index_vectors(shape: Shape, deg: int, star: bool):
@@ -143,12 +146,19 @@ def index_vectors(shape: Shape, deg: int, star: bool):
     return [a for a in vectors if valid_vector(shape, a, star)]
 
 
+# Bound: the laplace suite at (3|2) reads 107 coactions, of degree <= 3.
+@lru_cache(maxsize=1 << 10)
+def _coact_cached(shape: Shape, a, star: bool) -> tuple:
+    """Nonzero (b, minor) components of the coaction of v^a, from one walk
+    of its paths, in index_vectors order: descending column vectors."""
+    comps = _path_sums(shape, a, star)
+    minors = ((b, AlgebraElement(shape, comps[b])) for b in sorted(comps, reverse=True))
+    return tuple((b, f) for b, f in minors if not f.is_zero())
+
+
 def _components(shape: Shape, a, star: bool) -> dict:
     """Nonzero components b -> minor of the coaction of v^a."""
-    a = tuple(a)
-    minors = ((b, _minor_cached(shape, a, b, star))
-              for b in index_vectors(shape, sum(a), star))
-    return {b: f for b, f in minors if not f.is_zero()}
+    return dict(_coact_cached(shape, tuple(a), star))
 
 
 def coact(shape: Shape, a) -> dict:

@@ -1,7 +1,9 @@
 import copy
+import hashlib
 import itertools
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,21 +181,79 @@ def ref_straighten_word(shape: Shape, word, coeff=None):
     return out
 
 
+COEFF_KINDS = (None, lp({3: 2, -1: -1}), QSQ_DIFF, LaurentPoly.zero())
+
+
+def codes(shape: Shape, word):
+    return [shape.cell(i, j) for i, j in word]
+
+
 @pytest.mark.parametrize("shape, length", [(S11, 4), (S21, 4), (Shape(1, 2), 4),
-                                           (S22, 3), (Shape(3, 1), 3)], ids=str)
+                                           (S22, 3), (Shape(3, 1), 3), (Shape(3, 2), 3)],
+                         ids=str)
 def test_straighten_word_matches_the_reference(shape, length):
     # every word up to the length, so every overlap of two rewrites and
     # every resumed scan of a three-letter window is exercised
     gens = shape.generators()
-    coeffs = (None, lp({3: 2, -1: -1}), QSQ_DIFF, LaurentPoly.zero())
     words = 0
     for size in range(length + 1):
         for word in itertools.product(gens, repeat=size):
-            for c in coeffs:
-                assert straighten_word(shape, word, c) == ref_straighten_word(shape, word, c), (
-                    word, c)
+            for c in COEFF_KINDS:
+                assert straighten_word(shape, codes(shape, word), c) == ref_straighten_word(
+                    shape, word, c), (word, c)
             words += 1
     assert words == sum(len(gens) ** k for k in range(length + 1))
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+def test_long_words_match_the_reference(shape):
+    # long words chain many in-place swaps between corrections
+    rng = random.Random(10 * shape.m + shape.n)
+    gens = shape.generators()
+    for _ in range(200):
+        word = [rng.choice(gens) for _ in range(rng.randint(5, 8))]
+        for c in COEFF_KINDS:
+            assert straighten_word(shape, codes(shape, word), c) == ref_straighten_word(
+                shape, word, c), (word, c)
+
+
+def key_order_digest(shape: Shape) -> str:
+    """Digest of the term order of normal forms of descending words and of
+    a product and a bar: window rows are numbered in order of first
+    appearance, so the kernel's exploration order is part of its output."""
+    rng = random.Random(10 * shape.m + shape.n)
+    gens = shape.generators()
+    words = [sorted(rng.sample(gens, k), reverse=True) for k in (4, 5, 6, 6, 7, 7)]
+    f, g = (AlgebraElement.from_word(shape, w) for w in words[:2])
+    keys = [list(AlgebraElement.from_word(shape, w).terms) for w in words]
+    keys += [list((f * g).terms), list((g * f).bar().terms)]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("shape, digest", [(S22, "6f0ec4f35c25aba3"),
+                                           (Shape(3, 1), "c3b25cb1fc0f5468"),
+                                           (Shape(3, 2), "849ecf530360f78c")], ids=str)
+def test_normal_form_term_order_is_pinned(shape, digest):
+    assert key_order_digest(shape) == digest
+
+
+def test_straighten_span_sees_exactly_the_cache_misses(monkeypatch):
+    # the benchmark's straightening span wraps the module global that
+    # _straighten_cached calls, so each call through it is one cache miss
+    calls = []
+
+    def counted(shape, word, coeff=None):
+        calls.append(word)
+        return straighten_word(shape, word, coeff)
+
+    f = gen(S22, 4, 1) + gen(S22, 2, 3).scale(lp({1: 1})) + gen(S22, 1, 1)
+    g = AlgebraElement.from_word(S22, ((3, 3), (1, 2)))
+    monkeypatch.setattr(algebra, "straighten_word", counted)
+    algebra._straighten_cached.cache_clear()
+    for h in (f * g, g * f, f * f * g, (f * g).bar(), f.bar(), (g * f).bar()):
+        assert not h.is_zero()
+    info = algebra._straighten_cached.cache_info()
+    assert info.hits > 0 and len(calls) == info.misses > 0
 
 
 def test_rewrite_table_holds_every_descent_once():
