@@ -20,8 +20,6 @@ from operator import mul
 
 from .laurent import LaurentPoly, ONE
 
-QSQ_DIFF = LaurentPoly({2: 1, -2: -1})  # q^2 - q^-2
-
 
 class ShapeMismatch(ValueError):
     pass
@@ -223,47 +221,36 @@ def word_to_matrix(word, N):
 # -- the straightening kernel -------------------------------------------
 
 
-def _pair_rule(shape: Shape, g1, g2):
-    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 > g2:
-    a tuple of (two-letter word, LaurentPoly) pairs, the swap first."""
-    i, j = g1
-    k, l = g2
-    par = shape.parity
-    if i == k:  # same row, j > l
-        s = (-1) ** ((par(i) + par(l)) % 2 * ((par(i) + par(j)) % 2))
-        c = LaurentPoly.q_power(-2 * (-1) ** par(i), s)
-        return (((g2, g1), c),)
-    if j == l:  # same column, i > k
-        s = (-1) ** ((par(k) + par(j)) % 2 * ((par(i) + par(j)) % 2))
-        c = LaurentPoly.q_power(-2 * (-1) ** par(j), s)
-        return (((g2, g1), c),)
-    s1 = (-1) ** (((par(i) + par(j)) % 2) * ((par(k) + par(l)) % 2))
-    if j < l:  # i > k, j < l: sign-commute, no correction
-        return (((g2, g1), LaurentPoly.from_int(s1)),)
-    # i > k, j > l: commute plus a lower correction x_kj x_il
-    s2 = (-1) ** ((par(i) * par(l) + par(i) * par(j) + par(l) * par(j)) % 2)
-    corr = QSQ_DIFF.scale(-s1 * s2)
-    return (((g2, g1), LaurentPoly.from_int(s1)), (((k, j), (i, l)), corr))
-
-
 def _rewrite_table(shape: Shape) -> list:
-    """_pair_rule of every descent of the shape's layout, on flat cell codes.
+    """The straightening rewrite of every descent of the shape's layout, on
+    flat cell codes.
 
     Entry k1 * N^2 + k2, for k1 > k2 or an odd k1 == k2, is None for an odd
     square (zero), else (e, s, corr): x_k1 x_k2 = s q^e x_k2 x_k1, plus
-    sigma (q^2 - q^-2) x_c1 x_c2 when corr = (c1, c2, sigma).
+    sigma (q^2 - q^-2) x_c1 x_c2 when corr = (c1, c2, sigma).  For
+    x_k1 = x_ij and x_k2 = x_kl, with index parities p, the sign s is -1
+    when both letters are odd.  In one row (i = k, j > l) e = -2 (-1)^p(i),
+    in one column (j = l, i > k) e = -2 (-1)^p(j); else e = 0, and for
+    i > k, j > l the correction is x_kj x_il with
+    sigma = -s (-1)^(p(i) p(l) + p(i) p(j) + p(l) p(j)).
     """
     N = shape.size
     N2 = N * N
-    cells = [(k // N + 1, k % N + 1) for k in range(N2)]
+    par, odd = shape.parities, shape.odd
     table = [None] * (N2 * N2)
     for k1 in range(N2):
+        i, j = divmod(k1, N)
         for k2 in range(k1):
-            (_, swap), *rest = _pair_rule(shape, cells[k1], cells[k2])
-            ((e, s),) = swap.terms.items()
-            corr = None
-            for (c1, c2), c in rest:
-                corr = (shape.cell(*c1), shape.cell(*c2), c.terms[2])
+            k, l = divmod(k2, N)
+            s = -1 if odd[k1] and odd[k2] else 1
+            e, corr = 0, None
+            if i == k:
+                e = 2 if par[i] else -2
+            elif j == l:
+                e = 2 if par[j] else -2
+            elif j > l:
+                sigma = -s * (-1) ** (par[i] * par[l] + par[i] * par[j] + par[l] * par[j])
+                corr = (k * N + j, i * N + l, sigma)
             table[k1 * N2 + k2] = (e, s, corr)
     return table
 
@@ -564,47 +551,45 @@ def x_norm(shape: Shape, M) -> AlgebraElement:
 
 
 def enumerate_block(shape: Shape, ro, co):
-    """All exponent matrices with the given row/column sums.
+    """All exponent matrices with the given row/column sums, lexicographically.
 
-    Odd-block entries are capped at 1.  Output is sorted lexicographically
-    by flattened entries, so the order is deterministic.
+    Odd entries are capped at 1.  The cells are filled in flat row-major
+    order, each with its values in increasing order; the last cell of a row
+    takes what its row has left, and each cell of the last row what its
+    column has left, so every matrix found is complete and the list comes
+    out sorted.
     """
     N = shape.size
-    ro = tuple(ro)
-    co = tuple(co)
+    ro, co = tuple(ro), tuple(co)
     if len(ro) != N or len(co) != N:
         raise ValueError("row/column sum length mismatch")
-    if sum(ro) != sum(co):
+    if sum(ro) != sum(co) or any(v < 0 for v in ro + co):
         return []
-    if any(v < 0 for v in ro + co):
-        return []
-    out, odd = [], shape.odd
+    odd, rows, cols = shape.odd, list(ro), list(co)
+    out, acc = [], []
 
-    def fill_row(i, cols_left, acc):
-        if i > N:
-            if all(v == 0 for v in cols_left):
-                out.append(tuple(acc))
+    def rec(idx):
+        if idx == len(odd):
+            out.append(tuple(acc))
             return
-        target = ro[i - 1]
+        i, j = divmod(idx, N)
+        top = min(rows[i], cols[j], 1) if odd[idx] else min(rows[i], cols[j])
+        if i == N - 1 or j == N - 1:
+            left = cols[j] if i == N - 1 else rows[i]
+            values = (left,) if left <= top else ()
+        else:
+            values = range(top + 1)
+        for v in values:
+            rows[i] -= v
+            cols[j] -= v
+            acc.append(v)
+            rec(idx + 1)
+            acc.pop()
+            rows[i] += v
+            cols[j] += v
 
-        def fill_cell(j, left, row_acc):
-            if j > N:
-                if left == 0:
-                    fill_row(i + 1, cols_left, acc + row_acc)
-                return
-            cap = min(left, cols_left[j - 1])
-            if mat_entry(odd, N, i, j):
-                cap = min(cap, 1)
-            # remaining cells must be able to absorb what is left
-            for v in range(cap + 1):
-                cols_left[j - 1] -= v
-                fill_cell(j + 1, left - v, row_acc + [v])
-                cols_left[j - 1] += v
-
-        fill_cell(1, target, [])
-
-    fill_row(1, list(co), [])
-    return sorted(out)
+    rec(0)
+    return out
 
 
 def degree_matrices(shape: Shape, deg: int):

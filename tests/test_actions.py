@@ -632,6 +632,23 @@ def test_window_with_pivots_that_do_not_divide(shape, lefts, rights, counts, det
     assert any(not vec[max(vec)].is_one() for vec in vectors)
 
 
+@pytest.mark.parametrize("shape,degree,vectors", [
+    (S11, 3, 34), (S21, 3, 2032), (S12, 3, 2212), (S22, 2, 5030),
+], ids=str)
+def test_every_single_generator_window_is_solved(shape, degree, vectors):
+    # each E_i and F_i alone, on each side, at a = d = 0 and at a, d in
+    # [-1, 0]: every window has an exact kernel that the generator kills
+    count = 0
+    for g in [E(i) for i in range(1, shape.size)] + [F(i) for i in range(1, shape.size)]:
+        for side, act in (("left", act_left), ("right", act_right)):
+            for det in ((0, 0), (-1, 0)):
+                gens = ((g,), ()) if side == "left" else ((), (g,))
+                inv = invariants_window(shape, *gens, degree, det, det)
+                assert all(act(g, f).is_zero() for f in inv), (g, side, det)
+                count += len(inv)
+    assert count == vectors
+
+
 # the benchmark's four det windows, (a_range, d_range), at degree 2
 DET_WINDOWS = [((-1, 0), (0, 0)), ((0, 0), (-1, 0)), ((-1, 0), (0, 1)), ((-1, 1), (-1, 0))]
 

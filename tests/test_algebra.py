@@ -11,8 +11,6 @@ from hypothesis import given, settings, strategies as st
 from qsuper import algebra
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
-    QSQ_DIFF,
-    _pair_rule,
     _put,
     _rewrite_table,
     AlgebraElement,
@@ -36,6 +34,33 @@ S22 = Shape(2, 2)
 
 def lp(d):
     return LaurentPoly(d)
+
+
+QSQ_DIFF = LaurentPoly({2: 1, -2: -1})  # q^2 - q^-2
+
+
+def _pair_rule(shape: Shape, g1, g2):
+    """Expansion of x_g1 * x_g2 over ordered two-letter words, for g1 > g2:
+    a tuple of (two-letter word, LaurentPoly) pairs, the swap first.  The
+    four relation families, written apart from the kernel's rewrite table."""
+    i, j = g1
+    k, l = g2
+    par = shape.parity
+    if i == k:  # same row, j > l
+        s = (-1) ** ((par(i) + par(l)) % 2 * ((par(i) + par(j)) % 2))
+        c = LaurentPoly.q_power(-2 * (-1) ** par(i), s)
+        return (((g2, g1), c),)
+    if j == l:  # same column, i > k
+        s = (-1) ** ((par(k) + par(j)) % 2 * ((par(i) + par(j)) % 2))
+        c = LaurentPoly.q_power(-2 * (-1) ** par(j), s)
+        return (((g2, g1), c),)
+    s1 = (-1) ** (((par(i) + par(j)) % 2) * ((par(k) + par(l)) % 2))
+    if j < l:  # i > k, j < l: sign-commute, no correction
+        return (((g2, g1), LaurentPoly.from_int(s1)),)
+    # i > k, j > l: commute plus a lower correction x_kj x_il
+    s2 = (-1) ** ((par(i) * par(l) + par(i) * par(j) + par(l) * par(j)) % 2)
+    corr = QSQ_DIFF.scale(-s1 * s2)
+    return (((g2, g1), LaurentPoly.from_int(s1)), (((k, j), (i, l)), corr))
 
 
 def straighten_pair(shape: Shape, g1, g2) -> AlgebraElement:
@@ -268,6 +293,22 @@ def test_rewrite_table_holds_every_descent_once():
                 assert s in (1, -1) and (corr is None or k2 < corr[0] < corr[1] < k1)
             else:  # ordered pairs and odd squares have no rewrite
                 assert entry is None
+
+
+def test_rewrite_table_matches_the_pair_rule():
+    # each entry, read back into LaurentPoly pairs, is the relation itself
+    for shape in TABLE_SHAPES:
+        N = shape.size
+        N2 = N * N
+        cells = [(k // N + 1, k % N + 1) for k in range(N2)]
+        for k1 in range(N2):
+            for k2 in range(k1):
+                e, s, corr = shape.rewrites[k1 * N2 + k2]
+                want = [((cells[k2], cells[k1]), LaurentPoly.q_power(e, s))]
+                if corr is not None:
+                    c1, c2, sigma = corr
+                    want.append(((cells[c1], cells[c2]), QSQ_DIFF.scale(sigma)))
+                assert list(_pair_rule(shape, cells[k1], cells[k2])) == want, (shape, k1, k2)
 
 
 @pytest.mark.parametrize("cell", [(1, 4), (0, 1), (2, 0), (-1, 1), (4, 1)])

@@ -33,7 +33,6 @@ from qsuper.basis import (
     peel,
     psi_power,
     block_element,
-    submatrix_moves,
     y_substitute,
 )
 from test_superspace import c_block_minor
@@ -56,12 +55,75 @@ ANTI = (0, 1, 1, 0)
 
 
 def corner_sums(M, N: int):
-    """North-west partial sums, a dominance proxy for the move order."""
+    """North-west corner sums, summed cell by cell."""
     return tuple(
         sum(M[(u - 1) * N + (v - 1)] for u in range(1, i + 1) for v in range(1, j + 1))
         for i in range(1, N + 1)
         for j in range(1, N + 1)
     )
+
+
+# -- the 2x2-move order, the independent reference for the kernel's order ----
+
+
+def submatrix_moves(shape: Shape, M) -> set:
+    """All results of one 2x2 move: pick i<s, j<t with mass at (i,j) and
+    (s,t); move one unit to (i,t) and (s,j).  Odd entries stay <= 1."""
+    N, odd = shape.size, shape.odd
+    out = set()
+    for i in range(N):
+        for s in range(i + 1, N):
+            for j in range(N):
+                for t in range(j + 1, N):
+                    ij, st, it, sj = i * N + j, s * N + t, i * N + t, s * N + j
+                    if M[ij] < 1 or M[st] < 1 or (odd[it] and M[it] > 0) or (
+                            odd[sj] and M[sj] > 0):
+                        continue
+                    Mp = list(M)
+                    Mp[ij] -= 1
+                    Mp[st] -= 1
+                    Mp[it] += 1
+                    Mp[sj] += 1
+                    out.add(tuple(Mp))
+    return out
+
+
+@lru_cache(maxsize=None)
+def downset(shape: Shape, M) -> frozenset:
+    """M together with everything reachable by downward moves."""
+    out = {M}
+    for Mp in submatrix_moves(shape, M):
+        out |= downset(shape, Mp)
+    return frozenset(out)
+
+
+def ref_below(shape: Shape, S, T) -> bool:
+    """S strictly below T in the move order."""
+    return S != T and S in downset(shape, T)
+
+
+def ref_pick_maximal(shape: Shape, indices):
+    """The least index of the support with nothing above it in the move order."""
+    indices = sorted(indices)
+    for S in indices:
+        if not any(ref_below(shape, S, T) for T in indices):
+            return S
+    raise AssertionError(f"no maximal element among {indices}")
+
+
+def ref_p_strictly_lower(shape: Shape, key, ref) -> bool:
+    """p_strictly_lower on the move order: a'>a, or d'>d at equal a, or a
+    matrix strictly below at equal det powers."""
+    (T, ap, dp), (M, a, d) = key, ref
+    return ap > a if ap != a else dp > d if dp != d else ref_below(shape, T, M)
+
+
+def ref_pick_maximal_global(shape: Shape, keys):
+    """A maximal key: least a, then least d, then ref_pick_maximal."""
+    amin = min(a for (_, a, _) in keys)
+    dmin = min(d for (_, a, d) in keys if a == amin)
+    return (ref_pick_maximal(shape, [T for (T, a, d) in keys if (a, d) == (amin, dmin)]),
+            amin, dmin)
 
 
 def leq(shape: Shape, M, N) -> bool:
@@ -70,12 +132,27 @@ def leq(shape: Shape, M, N) -> bool:
     sz = shape.size
     if row_sums(M, sz) != row_sums(N, sz) or col_sums(M, sz) != col_sums(N, sz):
         raise ValueError("comparable matrices must share row and column sums")
-    return M in basis._downset(shape, N)
+    return M in downset(shape, N)
 
 
-def corner_dominates(M, N, size: int) -> bool:
-    """Entrywise corner-sum comparison, the reference for ``leq``."""
-    return all(a <= b for a, b in zip(corner_sums(M, size), corner_sums(N, size)))
+def certify_corner_order(shape: Shape, block):
+    """On one block: the kernel's corner sums are the direct sums, its order
+    is the move order, every move lowers the corner-sum total, and
+    _pick_maximal picks an index with nothing above it, both on the block
+    and on each downset, whose only maximal index is its top."""
+    N = shape.size
+    height = {}
+    for M in block:
+        assert basis._corner_sums(shape, M) == corner_sums(M, N), M
+        height[M] = sum(corner_sums(M, N))
+    for T in block:
+        below = downset(shape, T)
+        for S in block:
+            assert basis._below(shape, S, T) == (S != T and S in below), (S, T)
+        assert all(height[S] < height[T] for S in submatrix_moves(shape, T)), T
+        assert basis._pick_maximal(shape, below) == T
+    top = basis._pick_maximal(shape, block)
+    assert not any(ref_below(shape, top, T) for T in block)
 
 
 class TestMoves:
@@ -109,18 +186,40 @@ class TestOrder:
         with pytest.raises(ValueError):
             leq(S11, DIAG, (1, 0, 1, 0))
 
+    # the diagonal-margin blocks after the first four: (2|2) w = 2 and 3,
+    # (3|1) and (1|3) w = 2, (3|2) and (2|3) w = 1, (3|3) w = 1; they hold
+    # 162, 440, 183, 183, 120, 120 and 720 matrices
     @pytest.mark.parametrize("shape,ro,co", [
         (S11, (1, 1), (1, 1)),
         (S21, (1, 1, 1), (1, 1, 1)),
         (S21, (2, 1, 1), (1, 2, 1)),
         (S22, (1, 1, 1, 1), (1, 1, 1, 1)),
+        *[(shape, (w,) * shape.size, (w,) * shape.size) for shape, w in [
+            (S22, 2), (S22, 3), (Shape(3, 1), 2), (Shape(1, 3), 2),
+            (Shape(3, 2), 1), (Shape(2, 3), 1), (Shape(3, 3), 1)]],
     ])
     def test_corner_dominance_agrees(self, shape, ro, co):
-        block = enumerate_block(shape, ro, co)
-        assert len(block) <= 200
-        for M in block:
-            for N in block:
-                assert leq(shape, M, N) == corner_dominates(M, N, shape.size)
+        certify_corner_order(shape, enumerate_block(shape, ro, co))
+
+    def test_other_biweight_is_never_below(self):
+        # x22^2 has every corner sum at most x11 x22's, but no move joins
+        # them: a member with a term of another biweight is not triangular
+        low = (0, 0, 0, 2)
+        assert all(a <= b for a, b in zip(corner_sums(low, 2), corner_sums(DIAG, 2)))
+        assert not basis._below(S11, low, DIAG)
+        assert not p_strictly_lower(S11, (low, 0, 0), (DIAG, 0, 0))
+        with pytest.raises(TriangularityViolation, match="not below"):
+            peel(x_norm(S11, DIAG), lambda S: x_norm(S11, S) + x_norm(S11, low),
+                 lambda sup: basis._pick_maximal(S11, sup),
+                 lambda S, T: basis._below(S11, S, T))
+
+    @pytest.mark.parametrize("shape,degree", [
+        (S11, 4), (S21, 4), (Shape(1, 2), 4), (S22, 4), (Shape(3, 1), 4), (Shape(1, 3), 4),
+        (Shape(3, 2), 3), (Shape(2, 3), 3),
+    ], ids=str)
+    def test_corner_order_on_every_small_block(self, shape, degree):
+        for block in all_blocks(shape, degree):
+            certify_corner_order(shape, block)
 
 
 def full_block_element(shape, M, variant=Variant.PLUS_Q):
@@ -147,18 +246,6 @@ class TestSolveBlock:
         clear_caches()
         rev = [full_block_element(S21, M) for M in reversed(block)]
         assert fwd == rev[::-1]
-
-    def test_order_cycle_raises(self, monkeypatch):
-        # a move order in which DIAG and ANTI lie below each other has no
-        # maximal element, a kernel fault rather than a choice; cached
-        # elements would answer without consulting the order
-        clear_caches()
-        monkeypatch.setattr(basis, "_downset", lambda shape, M: frozenset({DIAG, ANTI}))
-        block = enumerate_block(S11, (1, 1), (1, 1))
-        with pytest.raises(TriangularityViolation, match="no maximal element"):
-            basis._pick_maximal(S11, block)
-        with pytest.raises(TriangularityViolation):
-            full_block_element(S11, DIAG)
 
     def test_minus_variant(self):
         expect_diag = gen(S11, 1, 1) * gen(S11, 2, 2) + (
@@ -617,8 +704,8 @@ def test_solve_block_matches_the_residual_recursion(shape, degree):
             index_set = set(indices)
             want = reference_elements(
                 indices, lambda M: monomial(shape, M), lambda f: f.bar(), variant,
-                lambda sup: basis._pick_maximal(shape, sup),
-                lambda S, T: S != T and S in basis._downset(shape, T) and S in index_set)
+                lambda sup: ref_pick_maximal(shape, sup),
+                lambda S, T: ref_below(shape, S, T) and S in index_set)
             got = {M: block_element(shape, M, blocks, variant, monomial) for M in indices}
             assert got == want, (block, blocks, variant)
 
@@ -644,7 +731,7 @@ def test_block_element_builds_only_the_downset():
     # every call made an entry or hit one, so the calls name every entry
     assert cached.cache_info().currsize == len(set(requested))
     built = {T for _, T, blocks, _, _ in requested if blocks == "ABC"}
-    assert M in built and built <= basis._downset(S22, M)
+    assert M in built and built <= downset(S22, M)
     N = S22.size
     region = [T for T in enumerate_block(S22, row_sums(M, N), col_sums(M, N))
               if S22.restrict(T, "ABC") == T]
@@ -666,7 +753,7 @@ def test_omega_global_matches_the_residual_recursion(shape, degree):
                 for variant in Variant:
                     want = reference_elements(
                         [key], lambda k: n_ad(shape, *k), bar_local, variant,
-                        lambda sup: basis._pick_maximal_global(shape, sup),
-                        lambda S, T: p_strictly_lower(shape, S, T))[key]
+                        lambda sup: ref_pick_maximal_global(shape, sup),
+                        lambda S, T: ref_p_strictly_lower(shape, S, T))[key]
                     assert omega_global(shape, M, a, d, variant).expansion == want, (
                         key, variant)

@@ -16,7 +16,6 @@ KERNEL_MODULES = sorted(p.stem for p in (Path(qsuper.__file__).parent).glob("*.p
 DOCUMENTED_SCOPE = {
     ("glq", "_detA_power_alg"): "one power of detA per shape and exponent",
     ("glq", "detDprime_poly"): "one power of detD' per shape and exponent",
-    ("basis", "_downset"): "one downset per shape and matrix of a compared block",
     ("basis", "block_element"): "one basis element per requested index, region and lower index",
     ("basis", "n_ad"): "one N-family element per requested index and those below it",
     ("basis", "omega_global"): "one basis element per requested index, variant and lower index",

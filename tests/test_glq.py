@@ -6,7 +6,6 @@ import qsuper
 from qsuper import actions, exactlinalg, glq, superspace
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
-    QSQ_DIFF,
     _put,
     AlgebraElement,
     LinearElement,
@@ -37,6 +36,7 @@ from qsuper.glq import (
     word_poly,
     y_times_detA,
 )
+from test_algebra import QSQ_DIFF
 from test_superspace import perm_coefficients, sub_minor_A
 
 
