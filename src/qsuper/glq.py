@@ -7,11 +7,13 @@ each keep at least one zero diagonal entry.  The kernel computes on
 polynomials over a power of detA: y_uv detA is the quantum minor of the
 dual superspace on rows 1..m, u and columns 1..m, v, and y_uv commutes
 with detA, so a mixed word with r y-letters times detA^r is a polynomial.
-Products and to_mixed write g detA^-K over the constrained family by
-peeling leading terms: each member, times a power of detA, is a unit at
-one leading monomial plus lex-lower monomials, so no linear system is
-solved; from_mixed divides by detA^K the same way.  Bar reverses mixed
-words, as on polynomials.
+to_mixed maps x^M to the word-order product of its letters' mixed
+images, each found once per shape and cell.  A letter's image, and a
+product of mixed words that is not already an ordered word, write
+g detA^-K over the constrained family by peeling leading terms: each
+member, times a power of detA, is a unit at one leading monomial plus
+lex-lower monomials, so no linear system is solved; from_mixed divides
+by detA^K the same way.  Bar reverses mixed words, as on polynomials.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from qsuper.algebra import (
     format_terms,
     mat_from_json,
     mat_rows,
+    matrix_codes,
     matrix_to_word,
     row_sums,
     unit_matrix,
@@ -102,13 +105,12 @@ def detDprime_poly(shape: Shape, p: int) -> AlgebraElement:
     """(detD' detA^n)^p for p >= 0.
 
     detD' is the q^-1-determinant of the y-matrix.  The y_uv keep the
-    relations of the D block's x_uv, so detD' detA^n is the D-block minor
-    read in y-letters, each of which takes one detA.
+    relations of the D block's x_uv, so (detD' detA^n)^p is the p-th
+    power of the D-block minor read in y-letters, each of which takes one
+    detA.
     """
-    if p != 1:
-        return detDprime_poly(shape, 1) ** p
     out = AlgebraElement.zero(shape)
-    for M, c in det_qinv_D(shape).terms.items():
+    for M, c in (det_qinv_D(shape) ** p).terms.items():
         out = out + word_poly(shape, M).scale(c)
     return out
 
@@ -334,9 +336,39 @@ class LocalElement(LinearElement):
         return sum((cls.monomial(shape, *t) for t in terms), cls.zero(shape))
 
 
+# one entry per (shape, cell): N^2 letters per shape
+@lru_cache(maxsize=1 << 9)
+def _letter_image(shape: Shape, k: int) -> LocalElement:
+    """Mixed image of the generator at flat cell k: y_uv plus its
+    correction for a D-block letter, detA for x11 at m = 1, else the
+    letter itself."""
+    i, j = divmod(k, shape.size)
+    x = AlgebraElement.generator(shape, i + 1, j + 1)
+    return LocalElement(shape, express_in_basis(shape, x, 0))
+
+
 def to_mixed(f: AlgebraElement) -> LocalElement:
-    """Rewrite a polynomial element over the mixed constrained family."""
-    return LocalElement(f.shape, express_in_basis(f.shape, f, 0))
+    """Rewrite a polynomial element over the mixed constrained family.
+
+    x^M is the ordered product of its letters, so its image is the
+    word-order product of their mixed images, multiplied in the
+    localization: an ordered pair of words is re-keyed, any other goes
+    through _reduce_pair.  A constrained M without a D-block letter is
+    already the mixed word W(M), its own key (M, 0, 0).
+    """
+    shape = f.shape
+    lower = shape.mask("D")
+    out: dict = {}
+    for M, c in f.terms.items():
+        if is_constrained(shape, M) and not any(compress(M, lower)):
+            _put(out, (M, 0, 0), c)
+            continue
+        term = LocalElement.one(shape)
+        for k in matrix_codes(M):
+            term = term * _letter_image(shape, k)
+        for key, b in term.terms.items():
+            _put(out, key, b * c)
+    return LocalElement(shape, out)
 
 
 def peel(f, column, pick_max, strictly_lower) -> dict:

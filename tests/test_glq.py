@@ -391,6 +391,8 @@ class TestPolynomialBuilders:
         for p in range(top + 1):
             raw = detDprime_power(shape, p)
             assert detDprime_poly(shape, p) == expand_raw(shape, raw, n * p), p
+        # p = top + 1 against the power of the checked p = 1
+        assert detDprime_poly(shape, top + 1) == detDprime_poly(shape, 1) ** (top + 1)
 
     @pytest.mark.parametrize("shape", [Shape(m, n) for m in range(1, 5)
                                        for n in range(1, 6 - m)], ids=str)
@@ -443,6 +445,20 @@ class TestMixedForm:
     def test_roundtrip_rank_three_lower(self):
         f = gen(S22, 3, 3) * gen(S22, 3, 4) * gen(S22, 4, 4)
         assert from_mixed(to_mixed(f)) == f
+
+    @pytest.mark.parametrize("shape,degree", [
+        (S11, 4), (S21, 3), (S12, 3), (S22, 3), (S31, 2),
+    ], ids=str)
+    def test_letter_product_matches_peeling(self, fresh_caches, shape, degree):
+        # to_mixed(x^M) is the word-order product of its letters' mixed
+        # images; on every monomial it equals peeling x^M whole, and
+        # from_mixed inverts it (degree 3 at (3|1) passes too, in 3 s)
+        for deg in range(degree + 1):
+            for M in degree_matrices(shape, deg):
+                f = AlgebraElement.monomial(shape, M)
+                image = to_mixed(f)
+                assert image == LocalElement(shape, glq.express_in_basis(shape, f, 0)), M
+                assert from_mixed(image) == f, M
 
     def test_x_gen_lower_block_rejected(self):
         with pytest.raises(ValueError):
@@ -649,6 +665,7 @@ def _cached_values(shape):
     for M in mats:
         out[("word", M)] = word_poly(shape, M)
     out["member"] = glq._member(shape, mats[1], 0, 0)
+    out["letter"] = glq._letter_image(shape, shape.cell(N, N))
     # the images of the letters y_NN and detA are _act_key entries
     out["y act"] = actions._act_key(shape, "F", m, "L", mats[1], 0)
     out["detA act"] = actions._act_key(shape, "F", m, "L", zero_matrix(N), 1)
@@ -656,7 +673,7 @@ def _cached_values(shape):
 
 
 CACHES = (superspace._minor_cached, glq.word_poly, glq.detDprime_poly,
-          glq._member, glq._reduce_pair, actions._act_key)
+          glq._member, glq._reduce_pair, glq._letter_image, actions._act_key)
 
 
 @pytest.mark.parametrize("shape", [S21, S22])
@@ -687,7 +704,8 @@ def test_cached_elements_are_never_mutated(shape):
         assert v is not before[k] and v.terms == snapshot[k], k
 
 
-@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq.word_poly],
+@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq.word_poly,
+                                   glq._letter_image],
                          ids=lambda f: f.__name__)
 def test_clear_caches_empties_the_bounded_memo(cache):
     def warm():
