@@ -449,7 +449,7 @@ class TestMixedForm:
     @pytest.mark.parametrize("shape,degree", [
         (S11, 4), (S21, 3), (S12, 3), (S22, 3), (S31, 2),
     ], ids=str)
-    def test_letter_product_matches_peeling(self, fresh_caches, shape, degree):
+    def test_letter_product_matches_peeling(self, shape, degree):
         # to_mixed(x^M) is the word-order product of its letters' mixed
         # images; on every monomial it equals peeling x^M whole, and
         # from_mixed inverts it (degree 3 at (3|1) passes too, in 3 s)
