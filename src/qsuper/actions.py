@@ -40,7 +40,7 @@ from .algebra import (
     zero_matrix,
 )
 from .superspace import det_q_A
-from .glq import LocalElement, to_mixed, is_constrained
+from .glq import LocalElement, to_mixed, is_constrained, times_ber
 from .basis import omega_global
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from .exactlinalg import nullspace, solve_in_span
@@ -331,13 +331,6 @@ def _act_key(shape, kind, i, side, M, s):
     return out + (LocalElement.monomial(shape, aM, a_s) * image).scale(c)
 
 
-def _times_ber(key, k):
-    """The key of the basis element at key times Ber^k: Ber = detA detD'^-1
-    is central and even, so it only moves the det powers."""
-    T, alpha, delta = key
-    return T, alpha + k, delta - k
-
-
 def _k_exponent(gen, side, biweight):
     """K_i (Kinv_i) acts on a key of this biweight by q^(2 w_i)
     (q^(-2 w_i)), w its row (left) or column (right) sums."""
@@ -356,7 +349,7 @@ def _act_terms(shape, kind, i, side, f):
         else:
             M, a, d = key
             image = _act_key(shape, kind, i, side, M, a + d)
-            out = out + cls(shape, {_times_ber(k, -d): c * coeff for k, c in image.terms.items()})
+            out = out + cls(shape, {times_ber(k, -d): c * coeff for k, c in image.terms.items()})
     return out
 
 
@@ -437,7 +430,7 @@ def invariants_window(
         for gi, (g, side) in enumerate(gens):
             if g.kind in ("E", "F"):
                 for T, c in _act_key(shape, g.kind, g.index, side, M, a + d).terms.items():
-                    col[(gi, ids.setdefault(_times_ber(T, -d), len(ids)))] = c
+                    col[(gi, ids.setdefault(times_ber(T, -d), len(ids)))] = c
         columns.append(col)
     return [LocalElement(shape, {basis[j]: c for j, c in vec.items()})
             for vec in nullspace(columns)]

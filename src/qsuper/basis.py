@@ -10,7 +10,9 @@ are ordered by dominance of their corner sums (_corner_sums), which the
 tests certify equal to the order the 2x2 moves generate.  Each staged
 sub-block element (block_element) and each global element (omega_global)
 is one cached Lusztig element per index, built only when an index above it
-needs it: no block is solved as a whole.
+needs it: no block is solved as a whole.  The N family and the global
+basis are built at d = 0 only: (M, a, d) is the member (M, a + d, 0) of
+its orbit under the central Berezinian, re-keyed by Ber^-d (times_ber).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import le
 
-from qsuper.laurent import LaurentPoly, ONE, Variant, solve_bar_equation
+from qsuper.laurent import LaurentPoly, Variant, solve_bar_equation
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
@@ -38,6 +40,7 @@ from qsuper.glq import (
     bar_local,
     is_constrained,
     peel,
+    times_ber,
     to_mixed,
 )
 
@@ -233,15 +236,19 @@ def psi_power(shape: Shape, M, a: int, d: int) -> int:
 
 @lru_cache(maxsize=None)
 def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
-    """q^Psi detA^a Omega_ABC Omega_D' detD'^d as a reduced element."""
-    M = tuple(M)
+    """q^Psi detA^a Omega_ABC Omega_D' detD'^d as a reduced element, built
+    at d = 0 only: Ber is central, and detD'^d passing the k odd letters of
+    M gives q^(2dk) = q^(Psi(M, a, d) - Psi(M, a + d, 0)), so it is
+    Ber^-d n_ad(M, a + d, 0), every key moved by times_ber(key, -d)."""
+    if d:
+        rep = n_ad(shape, M, a + d, 0)
+        return LocalElement(shape, {times_ber(k, -d): c for k, c in rep.terms.items()})
     if not is_constrained(shape, M):
         raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
     zero = zero_matrix(shape.size)
-    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
+    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, 0))})
     out = out * to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
-    out = out * y_substitute(block_element(shape, shape.restrict(M, "D"), "D", *_REGIONS["D"]))
-    return out * LocalElement(shape, {(zero, 0, d): ONE})
+    return out * y_substitute(block_element(shape, shape.restrict(M, "D"), "D", *_REGIONS["D"]))
 
 
 def express_in_n(shape: Shape, f: LocalElement) -> dict:
@@ -275,8 +282,17 @@ def _pick_maximal_global(shape: Shape, keys):
 
 @lru_cache(maxsize=None)
 def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement:
-    """Dual canonical basis element of the localization."""
+    """Dual canonical basis element of the localization: Ber^-d times the
+    element at (M, a + d, 0), so only d = 0 runs Lusztig's lemma.  That run
+    ends: n_ad(M, a, 0), its bar and the elements below have no negative
+    detD' power (to_mixed, y_substitute, products and bar_local make none),
+    so a key (S, a', d') below (M, a, 0) has d' >= 0, and the member
+    (S, a' + d', 0) of its orbit, built in its place, is below (M, a, 0)."""
     key = (tuple(M), a, d)
+    if d:
+        rep = omega_global(shape, M, a + d, 0, variant).expansion
+        return CBElement(key, variant, LocalElement(
+            shape, {times_ber(k, -d): c for k, c in rep.terms.items()}))
     elem = lusztig_element(key, lambda k: n_ad(shape, *k),
                            lambda k: omega_global(shape, *k, variant).expansion,
                            bar_local, variant, lambda sup: _pick_maximal_global(shape, sup),

@@ -451,6 +451,13 @@ def berezinian(shape: Shape) -> LocalElement:
     return LocalElement(shape, {(zero_matrix(shape.size), 1, -1): ONE})
 
 
+def times_ber(key, k: int):
+    """The key of W(M) detA^a detD'^d times Ber^k, with coefficient 1:
+    Ber = detA detD'^-1 is central and even, so only the det powers move."""
+    M, a, d = key
+    return M, a + k, d - k
+
+
 def det_a_local(shape: Shape) -> LocalElement:
     return LocalElement(shape, {(zero_matrix(shape.size), 1, 0): ONE})
 
@@ -460,10 +467,11 @@ def det_dprime_local(shape: Shape) -> LocalElement:
 
 
 def sl_project(f: LocalElement) -> LocalElement:
-    """Normal form modulo Ber = 1: fold the detD' power into detA."""
+    """Normal form modulo Ber = 1: each key goes to the member of its Ber
+    orbit with no detD' power, (M, a + d, 0)."""
     out: dict = {}
-    for (M, a, d), c in f.terms.items():
-        _put(out, (M, a + d, 0), c)
+    for key, c in f.terms.items():
+        _put(out, times_ber(key, key[2]), c)
     return LocalElement(f.shape, out)
 
 

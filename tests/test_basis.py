@@ -403,6 +403,17 @@ class TestOmegaABC:
         assert lhs == rhs
 
 
+@lru_cache(maxsize=None)
+def direct_n_ad(shape, M, a, d):
+    """q^Psi(M,a,d) detA^a Omega_ABC Omega_D' detD'^d, built at every d:
+    the independent reference for the kernel's re-keyed n_ad."""
+    zero = zero_matrix(shape.size)
+    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
+    out = out * glq.to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
+    out = out * omega_Dprime(shape, shape.restrict(M, "D")).expansion
+    return out * LocalElement(shape, {(zero, 0, d): ONE})
+
+
 class TestNad:
     def test_psi_example(self):
         M = (0, 1, 1, 0)
@@ -427,13 +438,17 @@ class TestNad:
         ((0, 1, 0, 0), 1, -1),
     ])
     def test_berezinian_shift(self, M, a, d):
+        # the kernel re-keys d != 0 from its orbit's d = 0 member; the
+        # reference multiplies by detD'^d
+        assert n_ad(S11, M, a, d) == direct_n_ad(S11, M, a, d)
         lhs = n_ad(S11, M, a, d) * berezinian(S11)
-        assert lhs == n_ad(S11, M, a + 1, d - 1)
+        assert lhs == direct_n_ad(S11, M, a + 1, d - 1)
 
     def test_berezinian_shift_rank_two(self):
         M = (0, 0, 1, 0, 0, 0, 0, 1, 0)
         lhs = n_ad(S21, M, 0, 0) * berezinian(S21)
-        assert lhs == n_ad(S21, M, 1, -1)
+        assert lhs == direct_n_ad(S21, M, 1, -1)
+        assert n_ad(S21, M, 1, -1) == direct_n_ad(S21, M, 1, -1)
 
     def test_psi_row_term(self):
         # x_21 y_22 at (1|2): a C-letter and a y-letter share the odd row 2,
@@ -447,7 +462,9 @@ class TestNad:
 ], ids=str)
 def test_n_family_bar_certificate(shape):
     # bar(n_ad(K)) is n_ad(K) plus strictly p-lower members of the N family,
-    # for every constrained key of degree <= 2 in three det sectors
+    # for every constrained key of degree <= 2 in three det sectors; at
+    # d = 0 none has a negative detD' power, so the member of its Ber orbit
+    # that omega_global builds in its place is also below K
     for deg in range(3):
         for M in degree_matrices(shape, deg):
             if not is_constrained(shape, M):
@@ -458,6 +475,7 @@ def test_n_family_bar_certificate(shape):
                 assert coords.get(key) == ONE, key
                 for T in coords:
                     assert T == key or p_strictly_lower(shape, T, key), (key, T)
+                    assert d or T[2] >= 0, (key, T)
 
 
 class TestOmegaGlobal:
@@ -752,8 +770,35 @@ def test_omega_global_matches_the_residual_recursion(shape, degree):
                 key = (M, a, d)
                 for variant in Variant:
                     want = reference_elements(
-                        [key], lambda k: n_ad(shape, *k), bar_local, variant,
+                        [key], lambda k: direct_n_ad(shape, *k), bar_local, variant,
                         lambda sup: ref_pick_maximal_global(shape, sup),
                         lambda S, T: ref_p_strictly_lower(shape, S, T))[key]
                     assert omega_global(shape, M, a, d, variant).expansion == want, (
                         key, variant)
+
+
+def test_one_lusztig_run_per_ber_orbit():
+    # the elements at (M, -1, 1) and (M, 1, -1) re-key the one at (M, 0, 0)
+    # and run no Lusztig recursion of their own
+    M = (0, 0, 1, 0, 0, 0, 0, 1, 0)
+    runs = []
+    clear_caches()
+    traced = basis.lusztig_element
+
+    def counting(T, *args):
+        runs.append(T)
+        return traced(T, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis, "lusztig_element", counting)
+        for variant in Variant:
+            omega_global(S21, M, 0, 0, variant)
+        before = len(runs)
+        assert (M, 0, 0) in runs
+        for variant in Variant:
+            for a, d in [(-1, 1), (1, -1)]:
+                cb = omega_global(S21, M, a, d, variant)
+                assert cb.index == (M, a, d)
+                assert cb.expansion * berezinian(S21) == omega_global(
+                    S21, M, a + 1, d - 1, variant).expansion
+    assert len(runs) == before

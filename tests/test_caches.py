@@ -17,8 +17,10 @@ DOCUMENTED_SCOPE = {
     ("glq", "_detA_power_alg"): "one power of detA per shape and exponent",
     ("glq", "detDprime_poly"): "one power of detD' per shape and exponent",
     ("basis", "block_element"): "one basis element per requested index, region and lower index",
-    ("basis", "n_ad"): "one N-family element per requested index and those below it",
-    ("basis", "omega_global"): "one basis element per requested index, variant and lower index",
+    ("basis", "n_ad"): ("one N-family element per requested index, the d = 0 member "
+                        "of its Ber orbit and the d = 0 indices below that"),
+    ("basis", "omega_global"): ("one basis element per requested index and variant, the "
+                                "d = 0 member of its Ber orbit and the indices below that"),
     ("actions", "_window_matrices"): "one matrix list per shape and window degree",
 }
 
