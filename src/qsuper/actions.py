@@ -8,12 +8,15 @@ term.  A mixed word W(M) detA^s applies it once, at its last factor b:
 detA^s when M and s are nonzero, else one detA^(+-1) or the last letter
 of W(M).  The rest of the word and b are shorter keys, memoized like
 the word; a lone letter or detA^(+-1) is the base case, whose image is
-computed once as its own key's entry.  Actions on localized letters
-(detA^-1, Schur-complement entries) are derived from the generator
-tables and the derivation rule for inverses, not postulated.  Powers of
-detD' act through the Berezinian: the key W(M) detA^a detD'^d is
-W(M) detA^(a+d) times Ber^-d, and Ber is central, even, of weight zero
-and killed by every E_i and F_i.
+computed once as its own key's entry.  Every letter l has a polynomial
+numerator P = l detA^r (a generator, detA, the minor y_uv detA, or 1 for
+detA^-1), and its image is the polynomial action on P read back in the
+localization, solved for X.l by the coproduct rule at P = l detA when
+r = 1.  So the images of y_uv and detA^-1 are not postulated: they follow
+from CONVENTIONS and the generator table alone.  Powers of detD' act
+through the Berezinian: the key W(M) detA^a detD'^d is W(M) detA^(a+d)
+times Ber^-d, and Ber is central, even, of weight zero and killed by
+every E_i and F_i.
 
 The module also computes invariant subalgebras on finite windows, checks
 that n=1 invariant windows are spanned by dual canonical basis elements,
@@ -40,7 +43,7 @@ from .algebra import (
     zero_matrix,
 )
 from .superspace import det_q_A
-from .glq import LocalElement, to_mixed, is_constrained, times_ber
+from .glq import LocalElement, is_constrained, times_ber, to_mixed, word_poly, y_degree
 from .basis import omega_global
 # solve_in_span is unused here; qbench/tracing.py hooks this binding
 from .exactlinalg import nullspace, solve_in_span
@@ -188,56 +191,31 @@ def _x_letter_act(kind: str, i: int, side: str, k: int, l: int):
     return (k, i) if l == i + 1 else None
 
 
-def _x_image(shape: Shape, kind: str, i: int, side: str, k: int, l: int) -> LocalElement:
-    """E_i/F_i on the generator x_kl as a mixed element; an image in the
-    D block is not a mixed letter, so to_mixed rewrites it."""
-    cell = _x_letter_act(kind, i, side, k, l)
-    if cell is None:
-        return LocalElement.zero(shape)
-    if shape.block(*cell) == "D":
-        return to_mixed(AlgebraElement.generator(shape, *cell))
-    return LocalElement.x_gen(shape, *cell)
+def _letter_act(shape: Shape, kind: str, i: int, side: str, M, s: int):
+    """E_i/F_i on one letter l of a mixed word, the key W(M) detA^s of one
+    x_kl, y_uv or detA^(+-1), from its polynomial numerator P = l detA^r.
 
-
-def _y_letter_act(shape: Shape, kind: str, i: int, side: str, mu: int, nu: int):
-    """Action on a Schur-complement entry, derived from its x-expansion.
-
-    y_{mu,nu} = x_{mu,nu} - corr, with corr in upper-block letters and
-    powers of detA, so the action is the table's on x_{mu,nu} minus
-    _act_key's on each key of corr, and the entry tables are a theorem
-    here, not an input.  No key of corr holds a y-letter, so _act_key
-    never comes back here from one.
+    P is det_q_A for detA (r = 0), else word_poly(M) = W(M) detA^r: the
+    generator x_kl (r = 0), the starred minor y_uv detA (r = 1), or 1 for
+    detA^-1 (r = 1).  X.P is the polynomial action, and at r = 0, X.l is
+    to_mixed(X.P).  At r = 1 the coproduct rule at P = l detA gives
+    X.P = (X.l) detA q^(2 c_tail w(detA)) + l (X.detA) q^(2 c_head w(l)),
+    with no sign: l and detA are even.  So X.l is to_mixed(X.P) less the
+    second term, times detA^-1 q^(-2 c_tail w(detA)).  X.detA is the
+    _act_key entry of detA, whose numerator has r = 0.
     """
-    corr = to_mixed(AlgebraElement.generator(shape, mu, nu)) - LocalElement.y_gen(shape, mu, nu)
-    out = _x_image(shape, kind, i, side, mu, nu)
-    for (M, a, d), c in corr.terms.items():
-        assert d == 0 and not any(shape.restrict(M, "D"))
-        out = out - _act_key(shape, kind, i, side, M, a).scale(c)
-    return out
-
-
-def _det_letter_act(shape: Shape, kind: str, i: int, side: str):
-    """Action on detA, computed on the expanded determinant."""
-    return to_mixed(_act_terms(shape, kind, i, side, det_q_A(shape)))
-
-
-def _det_inverse_act(shape: Shape, kind: str, i: int, side: str):
-    """Action on detA^{-1} via the derivation rule.
-
-    From X.(u u^{-1}) = 0:  X.u^{-1} = -q^{-2(c_head + c_tail) w(u)}
-    u^{-1} (X.u) u^{-1}, with u = detA and w(u) its K-pair weight; X.u is
-    the _act_key entry of detA.
-    """
+    P = det_q_A(shape) if s > 0 else word_poly(shape, M)
+    out = to_mixed(_act_terms(shape, kind, i, side, P))
+    r = y_degree(shape, M) + (s < 0)
+    if not r:
+        return out
     zero = zero_matrix(shape.size)
-    hit = _act_key(shape, kind, i, side, zero, 1)
-    if hit.is_zero():
-        return hit
     c_tail, c_head = CONVENTIONS[kind]
-    w = _key_weight(shape, zero, 1, i, side)
-    inv = LocalElement(shape, {(zero, -1, 0): ONE})
-    return (inv * hit * inv).scale(
-        LaurentPoly.q_power(-2 * (c_tail + c_head) * w, -1)
-    )
+    hit = _act_key(shape, kind, i, side, zero, 1)
+    c = LaurentPoly.q_power(2 * c_head * _key_weight(shape, M, s, i, side))
+    out = out - (LocalElement.monomial(shape, M, s) * hit).scale(c)
+    c = LaurentPoly.q_power(-2 * c_tail * _key_weight(shape, zero, 1, i, side))
+    return LocalElement(shape, {(T, a - 1, d): v * c for (T, a, d), v in out.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +270,22 @@ def _act_key(shape, kind, i, side, M, s):
     (-1)^[b] on the first term on the right and (-1)^[a] on the second
     on the left.  b is detA^s when M and s are nonzero, one detA^(+-1)
     when M is zero, and the last letter of W(M) when s is zero; a and b
-    are shorter keys, and a lone letter or detA^(+-1) is the base case.
+    are shorter keys, and a lone letter or detA^(+-1) is the base case,
+    _letter_act.
     detA^k on the right only raises each key's detA power.
     """
+    if sum(M) + abs(s) == 1:
+        return _letter_act(shape, kind, i, side, M, s)
     N = shape.size
     zero = zero_matrix(N)
     if s:
         step = s if any(M) else (1 if s > 0 else -1)
         aM, a_s = M, s - step
-        if not (a_s or any(aM)):
-            return (_det_letter_act if s > 0 else _det_inverse_act)(shape, kind, i, side)
         b = zero, step
         w_b, p_b = _key_weight(shape, zero, step, i, side), 0
     elif any(M):
         k = max(p for p, v in enumerate(M) if v)
         cell, aM, a_s = (k // N + 1, k % N + 1), M[:k] + (M[k] - 1,) + M[k + 1:], 0
-        if not any(aM):
-            return (_y_letter_act if shape.block(*cell) == "D" else _x_image)(
-                shape, kind, i, side, *cell)
         b = unit_matrix(N, *cell), 0
         w_b, p_b = _pair_weight(shape, *cell, i, side), shape.gen_parity(*cell)
     else:
@@ -500,13 +476,6 @@ def minor_power_expansion(shape: Shape, i, j, k, l, s: int) -> AlgebraElement:
     return out
 
 
-def _minor(shape: Shape, j: int, k: int) -> AlgebraElement:
-    x = AlgebraElement.generator
-    return x(shape, 1, j) * x(shape, 2, k) - (
-        x(shape, 1, k) * x(shape, 2, j)
-    ).scale(LaurentPoly.q_power(2))
-
-
 @dataclass(frozen=True)
 class AdaptedElement:
     shape: Shape
@@ -530,7 +499,7 @@ class AdaptedElement:
         f = AlgebraElement.one(shape)
         for (j, k), e in self.minors:
             for _ in range(e):
-                f = f * _minor(shape, j, k)
+                f = f * minor_power_expansion(shape, 1, j, 2, k, 1)
         return f * x_norm(shape, (0,) * (2 * shape.size) + self.tail)
 
     def expansion(self) -> AlgebraElement:

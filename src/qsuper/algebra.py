@@ -528,20 +528,14 @@ class AlgebraElement(LinearElement):
 
 
 def norm_exponent(shape: Shape, M) -> int:
-    """q-exponent of the normalized monomial x(M)."""
-    N = shape.size
-    expo = 0
-    for i in range(1, N + 1):
-        si = (-1) ** shape.parity(i)
-        for j in range(1, N + 1):
-            for k in range(j + 1, N + 1):
-                expo += si * mat_entry(M, N, i, j) * mat_entry(M, N, i, k)
-    for l in range(1, N + 1):
-        sl = (-1) ** shape.parity(l)
-        for s in range(1, N + 1):
-            for t in range(s + 1, N + 1):
-                expo += sl * mat_entry(M, N, s, l) * mat_entry(M, N, t, l)
-    return -expo
+    """q-exponent of the normalized monomial x(M): minus the sum over each
+    index i, signed by (-1)^[i], of the pairs of letters in row i and in
+    column i, a line with sum r and entries v holding (r^2 - sum v^2) / 2."""
+    N, expo = shape.size, 0
+    for i, p in enumerate(shape.parities):
+        for line in (M[i * N:(i + 1) * N], M[i::N]):
+            expo -= (-1) ** p * (sum(line) ** 2 - sum(v * v for v in line))
+    return expo // 2
 
 
 def x_norm(shape: Shape, M) -> AlgebraElement:

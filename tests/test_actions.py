@@ -13,6 +13,7 @@ from qsuper.algebra import (
     Shape,
     enumerate_block,
     mat_entry,
+    unit_matrix,
     word_to_matrix,
     x_norm,
 )
@@ -366,12 +367,26 @@ def ref_y_letter_act(shape, kind, i, side, mu, nu):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def ref_det_act(shape, kind, i, side, s):
+    """detA: to_mixed of the polynomial action on det_q_A.  detA^-1: from
+    X.(u u^-1) = 0, X.u^-1 = -q^(-2 (c_head + c_tail) w(u)) u^-1 (X.u) u^-1
+    with u = detA and w(u) its pair weight."""
+    act = act_left if side == "L" else act_right
+    hit = to_mixed(act(GenSymbol(kind, i), det_q_A(shape)))
+    if s == 1 or hit.is_zero():
+        return hit
+    c_tail, c_head = actions.CONVENTIONS[kind]
+    w = ref_letter_weight(shape, ("dA", 1), i, side)
+    inv = LocalElement.monomial(shape, (0,) * shape.size ** 2, -1)
+    return (inv * hit * inv).scale(qp(-2 * (c_tail + c_head) * w, -1))
+
+
 def ref_letter_image(shape, kind, i, side, L):
     if L[0] == "y":
         return ref_y_letter_act(shape, kind, i, side, L[1], L[2])
     if L[0] == "dA":
-        det_act = actions._det_letter_act if L[1] == 1 else actions._det_inverse_act
-        return det_act(shape, kind, i, side)
+        return ref_det_act(shape, kind, i, side, L[1])
     cell = actions._x_letter_act(kind, i, side, L[1], L[2])
     if cell is None:
         return LocalElement.zero(shape)
@@ -408,6 +423,22 @@ def permutation_detDprime_act(shape, kind, i, side):
         letters = tuple(("y", m + 1 + r, m + 1 + tau[r]) for r in range(n))
         out = out + ref_act_word(shape, kind, i, side, letters).scale(c)
     return out
+
+
+@pytest.mark.parametrize("shape", [S11, S21, S12, S22, Shape(3, 1), Shape(1, 3)])
+def test_letter_act_matches_the_letter_rules(shape):
+    # every lone letter's image from its numerator equals the generator
+    # table on x_kl, the x-expansion loop on y_uv, to_mixed of the action on
+    # det_q_A for detA and the inverse rule for detA^-1
+    N = shape.size
+    zero = (0,) * N ** 2
+    letters = [(("y" if shape.block(k, l) == "D" else "x", k, l), unit_matrix(N, k, l), 0)
+               for k in range(1, N + 1) for l in range(1, N + 1)]
+    letters += [(("dA", 1), zero, 1), (("dA", -1), zero, -1)]
+    for kind, i, side in itertools.product("EF", range(1, N), "LR"):
+        for L, M, s in letters:
+            got = actions._letter_act(shape, kind, i, side, M, s)
+            assert got == ref_letter_image(shape, kind, i, side, L), (L, kind, i, side)
 
 
 @pytest.mark.parametrize("shape", [S11, S21, S12, S22, Shape(3, 1), Shape(1, 3)])
@@ -936,6 +967,23 @@ class TestAdaptedBasis:
     def test_empty_block(self, ro, co):
         # mismatched totals, and a negative row sum
         assert adapted_basis_tworow(S21, ro, co) == ([], {})
+
+    @pytest.mark.parametrize("shape", [S21, Shape(3, 1)], ids=str)
+    def test_two_row_blocks_are_the_upper_dual_canonical_basis(self, shape):
+        # on a block with rows >= 3 empty, each adapted element is the
+        # dual canonical element of the subalgebra on rows 1..m at its
+        # leading matrix, degree <= 3
+        N = shape.size
+        for deg in range(4):
+            for r1 in range(deg + 1):
+                ro = (r1, deg - r1) + (0,) * (N - 2)
+                for co in itertools.product(range(deg + 1), repeat=N):
+                    if sum(co) != deg:
+                        continue
+                    for el in adapted_basis_tworow(shape, ro, co)[0]:
+                        M = el.leading_matrix()
+                        assert el.expansion() == basis.block_element(
+                            shape, M, "AB", Variant.PLUS_Q, x_norm), M
 
     def test_shape_preconditions(self):
         with pytest.raises(ValueError):

@@ -486,6 +486,33 @@ class TestNormalizedMonomials:
             S11, {(0, 1, 0, 1): lp({1: 1})}
         )
 
+    def test_norm_exponent_matches_the_pair_loop(self):
+        # the closed form over row and column sums against the loop over
+        # every pair of letters in one row or one column: 11,598 matrices
+        sweep = [(S11, 4), (S21, 4), (Shape(1, 2), 4), (S22, 4), (Shape(3, 1), 4),
+                 (Shape(3, 2), 3)]
+        count = 0
+        for shape, max_degree in sweep:
+            for deg in range(max_degree + 1):
+                for M in degree_matrices(shape, deg):
+                    assert algebra.norm_exponent(shape, M) == ref_norm_exponent(shape, M), M
+                    count += 1
+        assert count == 11598
+
+
+def ref_norm_exponent(shape, M):
+    """Minus the (-1)^[i]-signed count of the pairs of letters j < k in
+    row i, and of those in column i."""
+    N = shape.size
+    expo = 0
+    for i in range(1, N + 1):
+        si = (-1) ** shape.parity(i)
+        for j in range(1, N + 1):
+            for k in range(j + 1, N + 1):
+                expo += si * mat_entry(M, N, i, j) * mat_entry(M, N, i, k)
+                expo += si * mat_entry(M, N, j, i) * mat_entry(M, N, k, i)
+    return -expo
+
 
 class TestBiweight:
     def test_monomials(self):
