@@ -229,6 +229,9 @@ def psi_power(shape: Shape, M, a: int, d: int) -> int:
     row u and odd column v (x_uv x_uj = q^2 x_uj x_uv; an even row would give
     q^-2), 2 c(B).c(D) + 2 r(C).r(D) in all, for the column sums c and row
     sums r of the blocks; other pairs commute modulo lower terms.
+
+    When X or Y is 1 and d = 0, the bar is exact: each term c (T, alpha,
+    delta) of q^Psi P becomes c q^(-2 Psi - 2a k(T)), k = odd_degree (n_bar).
     """
     return (_cross(shape, M, "B", "D", col_sums) + _cross(shape, M, "C", "D", row_sums)
             + (d - a) * shape.odd_degree(M))
@@ -280,6 +283,20 @@ def _pick_maximal_global(shape: Shape, keys):
     return max(keys, key=lambda k: (-k[1], -k[2], sum(_corner_sums(shape, k[0])), k[0]))
 
 
+def n_bar(shape: Shape, M, a: int):
+    """The bar of n_ad(M, a, 0) = q^Psi detA^a X Y, X = Omega_ABC and
+    Y = Omega_D'.  When M has an empty ABC or D part, one factor is 1 and
+    the other, Z, is bar-invariant, so the bar is q^-Psi Z detA^a; detA^a
+    passes a term W(T) of Z with q^(2a k(T)), k = odd_degree, so each term
+    c (T, alpha, delta) becomes c q^(-2 Psi - 2a k(T)) at the same key.
+    Else bar_local reverses every word."""
+    if shape.restrict(M, "ABC") != M and shape.restrict(M, "D") != M:
+        return bar_local
+    shift = -2 * psi_power(shape, M, a, 0)
+    return lambda f: LocalElement(shape, {
+        k: c.shift(shift - 2 * a * shape.odd_degree(k[0])) for k, c in f.terms.items()})
+
+
 @lru_cache(maxsize=None)
 def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement:
     """Dual canonical basis element of the localization: Ber^-d times the
@@ -287,15 +304,21 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
     ends: n_ad(M, a, 0), its bar and the elements below have no negative
     detD' power (to_mixed, y_substitute, products and bar_local make none),
     so a key (S, a', d') below (M, a, 0) has d' >= 0, and the member
-    (S, a' + d', 0) of its orbit, built in its place, is below (M, a, 0)."""
-    key = (tuple(M), a, d)
+    (S, a' + d', 0) of its orbit, built in its place, is below (M, a, 0).
+
+    The bar of n_ad(M, a, 0) is n_bar: a q-power per term, c (T, alpha,
+    delta) to c q^(-2 Psi - 2a k(T)), when M has an empty ABC or D part,
+    else bar_local, which reverses every word."""
+    M = tuple(M)
+    key = (M, a, d)
     if d:
         rep = omega_global(shape, M, a + d, 0, variant).expansion
         return CBElement(key, variant, LocalElement(
             shape, {times_ber(k, -d): c for k, c in rep.terms.items()}))
     elem = lusztig_element(key, lambda k: n_ad(shape, *k),
                            lambda k: omega_global(shape, *k, variant).expansion,
-                           bar_local, variant, lambda sup: _pick_maximal_global(shape, sup),
+                           n_bar(shape, M, a), variant,
+                           lambda sup: _pick_maximal_global(shape, sup),
                            lambda S, T: p_strictly_lower(shape, S, T))
     return CBElement(key, variant, elem)
 

@@ -802,3 +802,68 @@ def test_one_lusztig_run_per_ber_orbit():
                 assert cb.expansion * berezinian(S21) == omega_global(
                     S21, M, a + 1, d - 1, variant).expansion
     assert len(runs) == before
+
+
+@pytest.mark.parametrize("shape,degree,one_factor,constrained", [
+    (S11, 3, 4, 4), (S21, 3, 120, 120), (Shape(1, 2), 3, 44, 120),
+    (S22, 2, 95, 143), (Shape(3, 1), 2, 130, 130), (Shape(1, 3), 2, 76, 130),
+], ids=str)
+def test_one_factor_bar_is_a_rescale(shape, degree, one_factor, constrained):
+    # when M has an empty ABC or an empty D part, omega_global reads the bar
+    # of n_ad(M, a, 0) as a q-power per term; bar_local, which reverses
+    # every word, is the reference.  At n = 1 a constrained M leaves the
+    # 1x1 D block empty, so every index has one factor.
+    indices = [M for deg in range(degree + 1) for M in degree_matrices(shape, deg)
+               if is_constrained(shape, M)]
+    ones = [M for M in indices
+            if shape.restrict(M, "ABC") == M or shape.restrict(M, "D") == M]
+    assert (len(ones), len(indices)) == (one_factor, constrained)
+    for M in indices:
+        for a in range(-2, 3):
+            bar = basis.n_bar(shape, M, a)
+            if M not in ones:
+                assert bar is bar_local
+                continue
+            assert bar is not bar_local
+            f = n_ad(shape, M, a, 0)
+            assert bar(f) == bar_local(f), (M, a)
+
+
+def test_one_factor_indices_never_reverse_words():
+    def refuse(f):
+        raise AssertionError("bar_local called on a one-factor index")
+
+    S31 = Shape(3, 1)
+    block = [M for M in enumerate_block(S31, (2,) * 4, (2,) * 4) if is_constrained(S31, M)]
+    assert len(block) == 54
+    small = [M for deg in range(3) for M in degree_matrices(S21, deg)
+             if is_constrained(S21, M)]
+    clear_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis, "bar_local", refuse)
+        for variant in Variant:
+            for M in block:
+                omega_global(S31, M, 0, 0, variant)
+            for M in small:
+                for a in (-1, 0):
+                    omega_global(S21, M, a, 0, variant)
+
+
+def test_two_factor_index_reverses_words():
+    # x12 y34 at (2|2) has an A letter and a y-letter: its bar goes
+    # through bar_local
+    M = (0, 1, 0, 0,
+         0, 0, 0, 0,
+         0, 0, 0, 1,
+         0, 0, 0, 0)
+    seen = []
+
+    def recording(f):
+        seen.append(f)
+        return bar_local(f)
+
+    clear_caches()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(basis, "bar_local", recording)
+        omega_global(S22, M, 0, 0, Variant.PLUS_Q)
+    assert n_ad(S22, M, 0, 0) in seen
