@@ -99,6 +99,11 @@ class Shape:
         return _rewrite_table(self)
 
     @cached_property
+    def local_rewrites(self) -> list:
+        """The rewrites of mixed words, D-block codes read as y_uv."""
+        return _rewrite_table(self, mixed=True)
+
+    @cached_property
     def diagonals(self) -> tuple:
         """Slices of a flat matrix onto the diagonal cells of A and of D."""
         step = self.size + 1
@@ -221,7 +226,7 @@ def word_to_matrix(word, N):
 # -- the straightening kernel -------------------------------------------
 
 
-def _rewrite_table(shape: Shape) -> list:
+def _rewrite_table(shape: Shape, mixed: bool = False) -> list:
     """The straightening rewrite of every descent of the shape's layout, on
     flat cell codes.
 
@@ -233,10 +238,11 @@ def _rewrite_table(shape: Shape) -> list:
     in one column (j = l, i > k) e = -2 (-1)^p(j); else e = 0, and for
     i > k, j > l the correction is x_kj x_il with
     sigma = -s (-1)^(p(i) p(l) + p(i) p(j) + p(l) p(j)).
+    The mixed table reads a D-block code as y_uv, which commutes with the A
+    block: there a D code over an A code is the pure swap (0, 1, None).
     """
-    N = shape.size
+    N, par, odd, blocks = shape.size, shape.parities, shape.odd, shape.blocks
     N2 = N * N
-    par, odd = shape.parities, shape.odd
     table = [None] * (N2 * N2)
     for k1 in range(N2):
         i, j = divmod(k1, N)
@@ -248,7 +254,7 @@ def _rewrite_table(shape: Shape) -> list:
                 e = 2 if par[i] else -2
             elif j == l:
                 e = 2 if par[j] else -2
-            elif j > l:
+            elif j > l and not (mixed and blocks[k1] == "D" and blocks[k2] == "A"):
                 sigma = -s * (-1) ** (par[i] * par[l] + par[i] * par[j] + par[l] * par[j])
                 corr = (k * N + j, i * N + l, sigma)
             table[k1 * N2 + k2] = (e, s, corr)
@@ -272,7 +278,7 @@ def _qsq_diff_power(k: int) -> tuple:
     return tuple((2 * k - 4 * j, (-1) ** j * comb(k, j)) for j in range(k + 1))
 
 
-def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
+def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None, table=None):
     """Normal form of coeff times a word of flat cell codes: dict matrix ->
     LaurentPoly.
 
@@ -287,8 +293,9 @@ def straighten_word(shape: Shape, word, coeff: LaurentPoly | None = None):
     goes on in place with the correction word and k + 1.  The coefficient
     is expanded once per finished word.  Finished words key the result in
     the order of this depth-first search, which takes the correction first.
+    The table defaults to shape.rewrites (shape.local_rewrites: mixed words).
     """
-    N2, odd, table = shape.size ** 2, shape.odd, shape.rewrites
+    N2, odd, table = shape.size ** 2, shape.odd, table or shape.rewrites
     coeff = ONE if coeff is None else coeff
     if not coeff:
         return {}

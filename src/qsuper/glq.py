@@ -7,20 +7,19 @@ each keep at least one zero diagonal entry.  The kernel computes on
 polynomials over a power of detA: y_uv detA is the quantum minor of the
 dual superspace on rows 1..m, u and columns 1..m, v, and y_uv commutes
 with detA, so a mixed word with r y-letters times detA^r is a polynomial.
-to_mixed maps x^M to the word-order product of its letters' mixed
-images, each found once per shape and cell.  A letter's image, and a
-product of mixed words that is not already an ordered word, write
-g detA^-K over the constrained family by peeling leading terms: each
+Products and bar straighten mixed words on the polynomial rewrites, less
+the corrections of y_uv past the A block.  An unconstrained ordered word,
+and a letter's image (to_mixed takes the word-order product of those),
+write g detA^-K over the constrained family by peeling leading terms: each
 member, times a power of detA, is a unit at one leading monomial plus
-lex-lower monomials, so no linear system is solved; from_mixed divides
-by detA^K the same way.  Bar reverses mixed words, as on polynomials.
+lex-lower monomials, so no linear system is solved; from_mixed divides by
+detA^K the same way.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import add
 
 from qsuper.laurent import LaurentPoly, ONE
 from qsuper.algebra import (
@@ -36,6 +35,7 @@ from qsuper.algebra import (
     matrix_codes,
     matrix_to_word,
     row_sums,
+    straighten_word,
     unit_matrix,
     word_to_matrix,
     zero_matrix,
@@ -73,9 +73,9 @@ def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     return minor_star(shape, block + [mu], block + [nu])
 
 
-# Bounds of word_poly, _member and _reduce_pair: the degree-3 invariant
-# window at (2|2) (left E_i and F_i, a in [-1, 1], d in [-1, 0]) fills
-# them with 2,838, 2,676 and 3,219 entries.
+# Bounds of word_poly, _member, _reduce_pair and _det_rule: the degree-3
+# invariant window at (2|2) (left E_i and F_i, a in [-1, 1], d in [-1, 0])
+# fills them with 668, 478, 4,949 and 226 entries.
 @lru_cache(maxsize=1 << 13)
 def word_poly(shape: Shape, M) -> AlgebraElement:
     """W(M) detA^r, with W(M) the mixed word of M and r = y_degree(M).
@@ -130,13 +130,6 @@ def _shift_diagonal(shape: Shape, M, a: int, d: int):
     for diag, shift in zip(shape.diagonals, (a, d)):
         out[diag] = [v + shift for v in out[diag]]
     return tuple(out)
-
-
-def _letter_span(M):
-    """(first, last) flat cell holding a letter of M, (len(M), -1) for
-    the empty word."""
-    cells = [k for k, v in enumerate(M) if v]
-    return (cells[0], cells[-1]) if cells else (len(M), -1)
 
 
 def is_constrained(shape: Shape, M) -> bool:
@@ -207,19 +200,32 @@ def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
     return out
 
 
-@lru_cache(maxsize=1 << 14)
-def _reduce_pair(shape: Shape, M1, M2):
-    """Constrained expansion of the word product W(M1) * W(M2).
+@lru_cache(maxsize=1 << 12)
+def _det_rule(shape: Shape, T):
+    """Constrained expansion of the ordered mixed word W(T) of an unconstrained
+    T: W(T) detA^r = word_poly(T), r = y_degree(T), peeled over the family."""
+    return tuple(express_in_basis(shape, word_poly(shape, T), y_degree(shape, T)).items())
 
-    detA^r1 W(M2) = q^(2 r1 k2) W(M2) detA^r1 with r1 = y_degree(M1) and
-    k2 = shape.odd_degree(M2), so W(M1) W(M2) detA^(r1 + r2) is
-    q^(-2 r1 k2) word_poly(M1) word_poly(M2).
+
+@lru_cache(maxsize=1 << 14)
+def _reduce_pair(shape: Shape, codes):
+    """Constrained expansion of the mixed word of flat cell codes, a D-block
+    code read as y_uv, straightened on shape.local_rewrites.
+
+    That search ends because the polynomial one does: where the polynomial
+    search pushes the swapped word with (e, s) = (0, 1) and goes on with a
+    y-A correction, the mixed search goes on with the swapped word alone, so
+    it visits a subset of the polynomial states.  A finished W(T) is its own
+    key (T, 0, 0) when T is constrained, else the det rule expands it.
     """
-    r1, r2 = y_degree(shape, M1), y_degree(shape, M2)
-    g = (word_poly(shape, M1) * word_poly(shape, M2)).scale(
-        LaurentPoly.q_power(-2 * r1 * shape.odd_degree(M2))
-    )
-    return tuple(express_in_basis(shape, g, r1 + r2).items())
+    out: dict = {}
+    for T, c in straighten_word(shape, codes, table=shape.local_rewrites).items():
+        if is_constrained(shape, T):
+            _put(out, (T, 0, 0), c)
+        else:
+            for key, b in _det_rule(shape, T):
+                _put(out, key, b * c)
+    return tuple(out.items())
 
 
 # -- public elements ---------------------------------------------------------
@@ -241,11 +247,8 @@ class LocalElement(LinearElement):
         M = tuple(M)
         if is_constrained(shape, M):
             return cls(shape, {(M, a, d): coeff})
-        zero = zero_matrix(shape.size)
-        out = {}
-        for (Mt, alpha, delta), c in _reduce_pair(shape, zero, M):
-            out[(Mt, alpha + a, delta + d)] = c * coeff
-        return cls(shape, out)
+        return cls(shape, {(Mt, alpha + a, delta + d): c * coeff
+                           for (Mt, alpha, delta), c in _reduce_pair(shape, matrix_codes(M))})
 
     @classmethod
     def x_gen(cls, shape: Shape, i: int, j: int) -> "LocalElement":
@@ -264,28 +267,20 @@ class LocalElement(LinearElement):
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         """Term by term: detA^a detD'^d passes W(M2) with q^(2 (a + d) k2),
-        k2 = odd_degree(M2), and W(M1) W(M2) is re-keyed when it is the
-        ordered word W(M1 + M2) of a constrained M1 + M2, else expanded by
-        _reduce_pair.  It is ordered when no letter of M1 comes after one
-        of M2 and no odd letter (whose square is zero) is in both."""
+        k2 = odd_degree(M2), and W(M1) W(M2) is the mixed word of the
+        concatenated codes, expanded by _reduce_pair."""
         self._check(other)
         shape = self.shape
-        odd = shape.odd
-        right = [(M2, a2, d2, c2, _letter_span(M2)[0], shape.odd_degree(M2))
+        right = [(matrix_codes(M2), a2, d2, c2, shape.odd_degree(M2))
                  for (M2, a2, d2), c2 in other.terms.items()]
         out: dict = {}
         for (M1, a, d), c1 in self.terms.items():
-            last = _letter_span(M1)[1]
-            for M2, a2, d2, c2, first, k2 in right:
+            w1 = matrix_codes(M1)
+            for w2, a2, d2, c2, k2 in right:
                 c = (c1 * c2).shift(2 * (a + d) * k2)
-                if last < first or (last == first and not odd[last]):
-                    T = tuple(map(add, M1, M2))
-                    if is_constrained(shape, T):
-                        _put(out, (T, a + a2, d + d2), c)
-                        continue
-                for (Mt, alpha, delta), r in _reduce_pair(shape, M1, M2):
+                for (Mt, alpha, delta), r in _reduce_pair(shape, w1 + w2):
                     _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
-        return LocalElement(self.shape, out)
+        return LocalElement(shape, out)
 
     def __repr__(self):
         return f"LocalElement({format_local(self)})"
@@ -352,9 +347,8 @@ def to_mixed(f: AlgebraElement) -> LocalElement:
 
     x^M is the ordered product of its letters, so its image is the
     word-order product of their mixed images, multiplied in the
-    localization: an ordered pair of words is re-keyed, any other goes
-    through _reduce_pair.  A constrained M without a D-block letter is
-    already the mixed word W(M), its own key (M, 0, 0).
+    localization.  A constrained M without a D-block letter is already
+    the mixed word W(M), its own key (M, 0, 0).
     """
     shape = f.shape
     lower = shape.mask("D")
@@ -432,19 +426,18 @@ def bar_local(f: LocalElement) -> LocalElement:
 
     Both determinants are even and commute, so with k = odd_degree(M)
     odd letters, bar(c W(M) detA^a detD'^d) = bar(c) (-1)^(k(k-1)/2)
-    detA^a detD'^d times the letters of M in reverse order.
+    detA^a detD'^d times the letters of M in reverse order; the determinants
+    pass each reduced key (T, alpha, delta) with q^(2 (a + d) odd_degree(T)).
     """
     shape = f.shape
-    N = shape.size
-    out = LocalElement.zero(shape)
+    out: dict = {}
     for (M, a, d), c in f.terms.items():
         k = shape.odd_degree(M)
-        sign = (-1) ** (k * (k - 1) // 2)
-        term = LocalElement(shape, {(zero_matrix(N), a, d): c.bar().scale(sign)})
-        for (i, j) in reversed(matrix_to_word(M, N)):
-            term = term * LocalElement.monomial(shape, unit_matrix(N, i, j))
-        out = out + term
-    return out
+        cb = c.bar().scale((-1) ** (k * (k - 1) // 2))
+        for (T, alpha, delta), r in _reduce_pair(shape, matrix_codes(M)[::-1]):
+            _put(out, (T, alpha + a, delta + d),
+                 (r * cb).shift(2 * (a + d) * shape.odd_degree(T)))
+    return LocalElement(shape, out)
 
 
 def berezinian(shape: Shape) -> LocalElement:

@@ -136,18 +136,23 @@ class TestCellTable:
         assert Shape(shape.m, shape.n) is Shape(shape.m, shape.n) is shape
         built = []
 
-        def counted(s):
-            built.append(s)
-            return _rewrite_table(s)
+        def counted(s, mixed=False):
+            built.append((s, mixed))
+            return _rewrite_table(s, mixed)
 
         monkeypatch.setattr(algebra, "_rewrite_table", counted)
-        for name in ("blocks", "odd", "rewrites"):
+        for name in ("blocks", "odd", "rewrites", "local_rewrites"):
             monkeypatch.delitem(vars(shape), name, raising=False)
-        tables = [(s.blocks, s.odd, s.rewrites) for s in (Shape(shape.m, shape.n),) * 2]
-        assert built == [shape]  # the rewrite table is built once
+        tables = [(s.blocks, s.odd, s.rewrites, s.local_rewrites)
+                  for s in (Shape(shape.m, shape.n),) * 2]
+        # the polynomial and the mixed rewrite tables are built once each
+        assert built == [(shape, False), (shape, True)]
         assert all(t is u for t, u in zip(*tables))
+        word = (shape.cell(shape.size, shape.size), shape.cell(1, 1))
         AlgebraElement.from_word(shape, ((shape.size, 1), (1, shape.size)))
-        assert built == [shape] and shape.rewrites is tables[0][2]
+        straighten_word(shape, word, table=shape.local_rewrites)
+        assert built == [(shape, False), (shape, True)]
+        assert shape.rewrites is tables[0][2] and shape.local_rewrites is tables[0][3]
 
 
 class TestInterning:
@@ -293,6 +298,27 @@ def test_rewrite_table_holds_every_descent_once():
                 assert s in (1, -1) and (corr is None or k2 < corr[0] < corr[1] < k1)
             else:  # ordered pairs and odd squares have no rewrite
                 assert entry is None
+
+
+@pytest.mark.parametrize("m, n", itertools.product((1, 2, 3), repeat=2))
+def test_mixed_table_drops_only_the_y_a_corrections(m, n):
+    # the mixed table is the polynomial one but at the m^2 n^2 descents of a
+    # D-block code over an A-block code: there y_uv passes x_ij (i, j <= m)
+    # by the pure swap, where x_uv leaves a correction; so the mixed search
+    # visits a subset of the polynomial search's states and ends with it
+    shape = Shape(m, n)
+    N2, blocks = shape.size ** 2, shape.blocks
+    poly, mixed = shape.rewrites, shape.local_rewrites
+    dropped = 0
+    for k1, k2 in itertools.product(range(N2), repeat=2):
+        entry = poly[k1 * N2 + k2]
+        if blocks[k1] == "D" and blocks[k2] == "A":
+            assert entry[:2] == (0, 1) and entry[2] is not None
+            assert mixed[k1 * N2 + k2] == (0, 1, None)
+            dropped += 1
+        else:
+            assert mixed[k1 * N2 + k2] == entry
+    assert dropped == m * m * n * n
 
 
 def test_rewrite_table_matches_the_pair_rule():

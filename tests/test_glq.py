@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,7 @@ from qsuper.algebra import (
     col_sums,
     degree_matrices,
     enumerate_block,
+    matrix_codes,
     matrix_to_word,
     row_sums,
     unit_matrix,
@@ -538,12 +540,16 @@ class TestLocalArithmetic:
 def test_pure_det_factors_re_key(shape, degree, keys):
     # W(T) detA^a detD'^d times detA^a2 detD'^d2, on either side, is the key
     # (T, a + a2, d + d2) with q^(2 (a + d) k) for k odd letters in front:
-    # the product skips _reduce_pair, which is the identity on those pairs
+    # the reducer keeps the ordered word W(T) of a constrained T as its own
+    # key, as the round trip does
     zero = zero_matrix(shape.size)
     window = actions._window_matrices(shape, degree)
     for T in window:
-        assert glq._reduce_pair(shape, T, zero) == glq._reduce_pair(shape, zero, T) == (
+        codes = matrix_codes(T)
+        assert glq._reduce_pair(shape, codes + ()) == glq._reduce_pair(shape, () + codes) == (
             ((T, 0, 0), ONE),)
+        assert ref_reduce_pair(shape, T, zero) == ref_reduce_pair(shape, zero, T) == {
+            (T, 0, 0): ONE}
         f = LocalElement(shape, {(T, 1, -1): lp({1: 2})})
         g = LocalElement(shape, {(zero, -2, 1): lp({-1: 1})})
         k = shape.odd_degree(T)
@@ -552,17 +558,59 @@ def test_pure_det_factors_re_key(shape, degree, keys):
     assert len(window) == keys
 
 
+def ref_reduce_pair(shape, M1, M2):
+    """Constrained expansion of W(M1) W(M2) by the polynomial round trip,
+    the reference of the mixed-word reducer.
+
+    detA^r1 W(M2) = q^(2 r1 k2) W(M2) detA^r1 with r1 = y_degree(M1) and
+    k2 = shape.odd_degree(M2), so W(M1) W(M2) detA^(r1 + r2) is
+    q^(-2 r1 k2) word_poly(M1) word_poly(M2), peeled with K = r1 + r2.
+    """
+    r1, r2 = glq.y_degree(shape, M1), glq.y_degree(shape, M2)
+    g = (word_poly(shape, M1) * word_poly(shape, M2)).scale(
+        LaurentPoly.q_power(-2 * r1 * shape.odd_degree(M2)))
+    return glq.express_in_basis(shape, g, r1 + r2)
+
+
 def ref_local_mul(f, g):
-    """The product that sends every pair of words through _reduce_pair:
-    the reference of LocalElement.__mul__'s re-keying of ordered words."""
+    """The product that sends every pair of words through the polynomial
+    round trip: the reference of LocalElement.__mul__."""
     shape = f.shape
     out = {}
     for (M1, a, d), c1 in f.terms.items():
         for (M2, a2, d2), c2 in g.terms.items():
             c = (c1 * c2).shift(2 * (a + d) * shape.odd_degree(M2))
-            for (Mt, alpha, delta), r in glq._reduce_pair(shape, M1, M2):
+            for (Mt, alpha, delta), r in ref_reduce_pair(shape, M1, M2).items():
                 _put(out, (Mt, alpha + a + a2, delta + d + d2), r * c)
     return LocalElement(shape, out)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 2),
+                                  (2, 3)])
+def test_letter_descents_reduce_as_the_round_trip(m, n):
+    # every descent of two single letters, the only words the mixed rewrite
+    # table rewrites in one step, against the polynomial round trip
+    shape = Shape(m, n)
+    N, N2 = shape.size, shape.size ** 2
+    letters = [unit_matrix(N, k // N + 1, k % N + 1) for k in range(N2)]
+    for k1 in range(N2):
+        for k2 in range(k1):
+            got = dict(glq._reduce_pair(shape, (k1, k2)))
+            assert got == ref_reduce_pair(shape, letters[k1], letters[k2]), (k1, k2)
+
+
+@pytest.mark.parametrize("shape", [S11, S21, S12, S22, S31, Shape(1, 3)], ids=str)
+def test_letter_triples_are_associative(shape):
+    # every overlap of two rewrites on mixed letters resolves: for all
+    # letters a, b, c, (a b) c = a (b c) = the reducer on the word a b c
+    N = shape.size
+    letters = [LocalElement.monomial(shape, unit_matrix(N, k // N + 1, k % N + 1))
+               for k in range(N * N)]
+    for (ka, la), (kb, lb) in itertools.product(enumerate(letters), repeat=2):
+        ab = la * lb
+        for kc, lc in enumerate(letters):
+            word = LocalElement(shape, dict(glq._reduce_pair(shape, (ka, kb, kc))))
+            assert ab * lc == la * (lb * lc) == word, (ka, kb, kc)
 
 
 @pytest.mark.parametrize("shape, degree, counts", [
@@ -673,7 +721,8 @@ def _cached_values(shape):
 
 
 CACHES = (superspace._minor_cached, glq.word_poly, glq.detDprime_poly,
-          glq._member, glq._reduce_pair, glq._letter_image, actions._act_key)
+          glq._member, glq._reduce_pair, glq._det_rule, glq._letter_image,
+          actions._act_key)
 
 
 @pytest.mark.parametrize("shape", [S21, S22])
@@ -704,13 +753,15 @@ def test_cached_elements_are_never_mutated(shape):
         assert v is not before[k] and v.terms == snapshot[k], k
 
 
-@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq.word_poly,
-                                   glq._letter_image],
+@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq._det_rule,
+                                   glq.word_poly, glq._letter_image],
                          ids=lambda f: f.__name__)
 def test_clear_caches_empties_the_bounded_memo(cache):
     def warm():
+        # x11 x22 has a full A diagonal, so its product runs the det rule
         f = to_mixed(gen(S22, 4, 4) * gen(S22, 1, 4))
-        return f * LocalElement.y_gen(S22, 4, 3), from_mixed(f)
+        x11, x22 = LocalElement.x_gen(S22, 1, 1), LocalElement.x_gen(S22, 2, 2)
+        return f * LocalElement.y_gen(S22, 4, 3), from_mixed(f), x11 * x22
 
     first = warm()
     assert cache.cache_info().maxsize is not None
@@ -781,7 +832,8 @@ def test_reduce_pair_matches_window_solver(shape):
             cols = tuple(a + b for a, b in zip(col_sums(M1, N), col_sums(M2, N)))
             raw = rho(shape, M1) * rho(shape, M2)
             expect = window_express_in_basis(shape, raw, rows, cols)
-            assert dict(glq._reduce_pair(shape, M1, M2)) == expect, (M1, M2)
+            codes = matrix_codes(M1) + matrix_codes(M2)
+            assert dict(glq._reduce_pair(shape, codes)) == expect, (M1, M2)
 
 
 @pytest.fixture
