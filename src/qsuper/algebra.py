@@ -199,11 +199,11 @@ def validate_matrix(shape: Shape, M) -> None:
 
 
 def row_sums(M, N):
-    return tuple(sum(M[r * N : (r + 1) * N]) for r in range(N))
+    return tuple(sum(M[r:r + N]) for r in range(0, N * N, N))
 
 
 def col_sums(M, N):
-    return tuple(sum(M[r * N + c] for r in range(N)) for c in range(N))
+    return tuple(sum(M[c::N]) for c in range(N))
 
 
 def matrix_codes(M):

@@ -25,17 +25,14 @@ from qsuper.laurent import LaurentPoly, Variant, solve_bar_equation
 from qsuper.algebra import (
     AlgebraElement,
     Shape,
-    col_sums,
     mat_entry,
-    row_sums,
     x_norm,
-    zero_matrix,
 )
 from qsuper.superspace import covariant_minor, covariant_minor_star
 from qsuper.glq import (
     LocalElement,
     TriangularityViolation,
-    # unused here; qbench/tracing.py hooks this binding
+    # unused here; qbench/tracing.py hooks these bindings
     _candidates as _global_candidates,
     bar_local,
     is_constrained,
@@ -182,12 +179,11 @@ def y_substitute(f: AlgebraElement) -> LocalElement:
     return LocalElement.from_terms(f.shape, [(M, 0, 0, c) for M, c in f.terms.items()])
 
 
-def _cross(shape: Shape, M, x: str, y: str, sums) -> int:
-    """Dot product of the row (sums=row_sums) or column (col_sums) sums of
-    M on the blocks x and on the blocks y."""
-    N = shape.size
-    return sum(p * q for p, q in zip(sums(shape.restrict(M, x), N),
-                                     sums(shape.restrict(M, y), N)))
+def _column_dot(shape: Shape, M, cols) -> int:
+    """Sum over the columns j in cols of M's sum over its first m rows
+    times its sum over the last n rows."""
+    N, top = shape.size, shape.m * shape.size
+    return sum(sum(M[j:top:N]) * sum(M[top + j::N]) for j in cols)
 
 
 def n_abc(shape: Shape, M) -> AlgebraElement:
@@ -195,7 +191,7 @@ def n_abc(shape: Shape, M) -> AlgebraElement:
     q^-(c(A).c(C)) over the column sums of the A and C blocks."""
     top, low = shape.restrict(M, "AB"), shape.restrict(M, "C")
     f = omega_H(shape, top).expansion * block_element(shape, low, "C", *_REGIONS["C"])
-    return f.scale(LaurentPoly.q_power(-_cross(shape, M, "A", "C", col_sums)))
+    return f.scale(LaurentPoly.q_power(-_column_dot(shape, M, range(shape.m))))
 
 
 # region, the blocks its indices are supported on -> (the variant of its
@@ -228,13 +224,41 @@ def psi_power(shape: Shape, M, a: int, d: int) -> int:
     its row) with q^2 each, since it keeps the relations of x_uv in the odd
     row u and odd column v (x_uv x_uj = q^2 x_uj x_uv; an even row would give
     q^-2), 2 c(B).c(D) + 2 r(C).r(D) in all, for the column sums c and row
-    sums r of the blocks; other pairs commute modulo lower terms.
-
-    When X or Y is 1 and d = 0, the bar is exact: each term c (T, alpha,
-    delta) of q^Psi P becomes c q^(-2 Psi - 2a k(T)), k = odd_degree (n_bar).
+    sums r of the blocks; other pairs commute modulo lower terms.  Each sum
+    is one slice of M.  At d = 0, n_bar builds the bar from Y X exactly.
     """
-    return (_cross(shape, M, "B", "D", col_sums) + _cross(shape, M, "C", "D", row_sums)
-            + (d - a) * shape.odd_degree(M))
+    m, N = shape.m, shape.size
+    rows = sum(sum(M[r:r + m]) * sum(M[r + m:r + N]) for r in range(m * N, N * N, N))
+    return _column_dot(shape, M, range(m, N)) + rows + (d - a) * shape.odd_degree(M)
+
+
+# one entry per constrained index M: its ABC and D parts' factors
+@lru_cache(maxsize=1 << 12)
+def _factor_products(shape: Shape, M) -> tuple:
+    """(X Y, Y X) for X = to_mixed(Omega_ABC) at M's ABC part and
+    Y = Omega_D' at its D part.  When either part is empty that factor is
+    1, so both orders are the other factor and no product is taken."""
+    if not is_constrained(shape, M):
+        raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
+    top, low = shape.restrict(M, "ABC"), shape.restrict(M, "D")
+    if low == M:
+        Y = y_substitute(block_element(shape, low, "D", *_REGIONS["D"]))
+        return Y, Y
+    X = to_mixed(omega_ABC(shape, top).expansion)
+    if top == M:
+        return X, X
+    Y = y_substitute(block_element(shape, low, "D", *_REGIONS["D"]))
+    return X * Y, Y * X
+
+
+def _times_det_a(f: LocalElement, a: int, power: int, odd_weight: int) -> LocalElement:
+    """Each term c (T, alpha, delta) of f to c q^(power + odd_weight k(T))
+    at (T, alpha + a, delta), k = odd_degree: the keys are distinct, so
+    nothing is added."""
+    odd_degree = f.shape.odd_degree
+    return LocalElement(f.shape, {
+        (T, alpha + a, delta): c.shift(power + odd_weight * odd_degree(T))
+        for (T, alpha, delta), c in f.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -242,16 +266,16 @@ def n_ad(shape: Shape, M, a: int, d: int) -> LocalElement:
     """q^Psi detA^a Omega_ABC Omega_D' detD'^d as a reduced element, built
     at d = 0 only: Ber is central, and detD'^d passing the k odd letters of
     M gives q^(2dk) = q^(Psi(M, a, d) - Psi(M, a + d, 0)), so it is
-    Ber^-d n_ad(M, a + d, 0), every key moved by times_ber(key, -d)."""
+    Ber^-d n_ad(M, a + d, 0), every key moved by times_ber(key, -d).
+
+    At d = 0 it re-keys the product X Y (_factor_products): detA^a passes
+    W(T) with q^(2a k(T)), k = odd_degree, so a term c (T, alpha, delta)
+    becomes c q^(Psi + 2a k(T)) at (T, alpha + a, delta)."""
     if d:
         rep = n_ad(shape, M, a + d, 0)
         return LocalElement(shape, {times_ber(k, -d): c for k, c in rep.terms.items()})
-    if not is_constrained(shape, M):
-        raise NotConstrained("even diagonal blocks each need a zero diagonal entry")
-    zero = zero_matrix(shape.size)
-    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, 0))})
-    out = out * to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
-    return out * y_substitute(block_element(shape, shape.restrict(M, "D"), "D", *_REGIONS["D"]))
+    xy, _ = _factor_products(shape, M)
+    return _times_det_a(xy, a, psi_power(shape, M, a, 0), 2 * a)
 
 
 def express_in_n(shape: Shape, f: LocalElement) -> dict:
@@ -283,18 +307,13 @@ def _pick_maximal_global(shape: Shape, keys):
     return max(keys, key=lambda k: (-k[1], -k[2], sum(_corner_sums(shape, k[0])), k[0]))
 
 
-def n_bar(shape: Shape, M, a: int):
+def n_bar(shape: Shape, M, a: int) -> LocalElement:
     """The bar of n_ad(M, a, 0) = q^Psi detA^a X Y, X = Omega_ABC and
-    Y = Omega_D'.  When M has an empty ABC or D part, one factor is 1 and
-    the other, Z, is bar-invariant, so the bar is q^-Psi Z detA^a; detA^a
-    passes a term W(T) of Z with q^(2a k(T)), k = odd_degree, so each term
-    c (T, alpha, delta) becomes c q^(-2 Psi - 2a k(T)) at the same key.
-    Else bar_local reverses every word."""
-    if shape.restrict(M, "ABC") != M and shape.restrict(M, "D") != M:
-        return bar_local
-    shift = -2 * psi_power(shape, M, a, 0)
-    return lambda f: LocalElement(shape, {
-        k: c.shift(shift - 2 * a * shape.odd_degree(k[0])) for k, c in f.terms.items()})
+    Y = Omega_D' bar-invariant: q^-Psi Y X detA^a, where detA^a only moves
+    each key (T, alpha, delta) of Y X to (T, alpha + a, delta).  When M has
+    an empty ABC or D part, Y X = X Y and this is the rescale of n_ad."""
+    _, yx = _factor_products(shape, M)
+    return _times_det_a(yx, a, -psi_power(shape, M, a, 0), 0)
 
 
 @lru_cache(maxsize=None)
@@ -302,13 +321,12 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
     """Dual canonical basis element of the localization: Ber^-d times the
     element at (M, a + d, 0), so only d = 0 runs Lusztig's lemma.  That run
     ends: n_ad(M, a, 0), its bar and the elements below have no negative
-    detD' power (to_mixed, y_substitute, products and bar_local make none),
-    so a key (S, a', d') below (M, a, 0) has d' >= 0, and the member
-    (S, a' + d', 0) of its orbit, built in its place, is below (M, a, 0).
+    detD' power (to_mixed, y_substitute and products make none), so a key
+    (S, a', d') below (M, a, 0) has d' >= 0, and the member (S, a' + d', 0)
+    of its orbit, built in its place, is below (M, a, 0).
 
-    The bar of n_ad(M, a, 0) is n_bar: a q-power per term, c (T, alpha,
-    delta) to c q^(-2 Psi - 2a k(T)), when M has an empty ABC or D part,
-    else bar_local, which reverses every word."""
+    The bar of n_ad(M, a, 0) is n_bar, built from the same factors in the
+    other order: no word of n_ad is reversed (bar_local)."""
     M = tuple(M)
     key = (M, a, d)
     if d:
@@ -317,7 +335,7 @@ def omega_global(shape: Shape, M, a: int, d: int, variant: Variant) -> CBElement
             shape, {times_ber(k, -d): c for k, c in rep.terms.items()}))
     elem = lusztig_element(key, lambda k: n_ad(shape, *k),
                            lambda k: omega_global(shape, *k, variant).expansion,
-                           n_bar(shape, M, a), variant,
+                           lambda _: n_bar(shape, M, a), variant,
                            lambda sup: _pick_maximal_global(shape, sup),
                            lambda S, T: p_strictly_lower(shape, S, T))
     return CBElement(key, variant, elem)

@@ -16,11 +16,13 @@ from qsuper.algebra import (
     AlgebraElement,
     NonHomogeneous,
     Shape,
+    col_sums,
     count_monomials,
     degree_matrices,
     enumerate_block,
     mat_entry,
     matrix_to_word,
+    row_sums,
     straighten_word,
     validate_matrix,
     word_to_matrix,
@@ -97,6 +99,19 @@ def test_matrix_to_word_matches_the_cell_loop(shape):
                 for j in range(1, N + 1):
                     word.extend([(i, j)] * mat_entry(M, N, i, j))
             assert matrix_to_word(M, N) == tuple(word)
+
+
+@pytest.mark.parametrize("shape", [S11, S21, Shape(1, 2), S22, Shape(3, 1)], ids=str)
+def test_row_and_column_sums_match_the_entries(shape):
+    """One slice per row or column gives the entry-by-entry sums."""
+    N = shape.size
+    cells = range(1, N + 1)
+    for deg in range(4):
+        for M in degree_matrices(shape, deg):
+            assert row_sums(M, N) == tuple(sum(mat_entry(M, N, i, j) for j in cells)
+                                           for i in cells)
+            assert col_sums(M, N) == tuple(sum(mat_entry(M, N, i, j) for i in cells)
+                                           for j in cells)
 
 
 TABLE_SHAPES = [Shape(1, 1), Shape(2, 1), Shape(1, 2), Shape(2, 2), Shape(3, 1), Shape(3, 2)]

@@ -403,12 +403,27 @@ class TestOmegaABC:
         assert lhs == rhs
 
 
+def ref_cross(shape, M, x: str, y: str, sums) -> int:
+    """Dot product of the row (sums=row_sums) or column (col_sums) sums of
+    M on the blocks x and on the blocks y."""
+    N = shape.size
+    return sum(p * q for p, q in zip(sums(shape.restrict(M, x), N),
+                                     sums(shape.restrict(M, y), N)))
+
+
+def ref_psi_power(shape, M, a, d) -> int:
+    """Psi from the block sums: c(B).c(D) + r(C).r(D) + (d - a) k(M)."""
+    return (ref_cross(shape, M, "B", "D", col_sums) + ref_cross(shape, M, "C", "D", row_sums)
+            + (d - a) * shape.odd_degree(M))
+
+
 @lru_cache(maxsize=None)
 def direct_n_ad(shape, M, a, d):
-    """q^Psi(M,a,d) detA^a Omega_ABC Omega_D' detD'^d, built at every d:
-    the independent reference for the kernel's re-keyed n_ad."""
+    """q^Psi(M,a,d) detA^a Omega_ABC Omega_D' detD'^d, built at every d by
+    products from the unit: the independent reference for the kernel's
+    n_ad, which re-keys its factors."""
     zero = zero_matrix(shape.size)
-    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(psi_power(shape, M, a, d))})
+    out = LocalElement(shape, {(zero, a, 0): LaurentPoly.q_power(ref_psi_power(shape, M, a, d))})
     out = out * glq.to_mixed(omega_ABC(shape, shape.restrict(M, "ABC")).expansion)
     out = out * omega_Dprime(shape, shape.restrict(M, "D")).expansion
     return out * LocalElement(shape, {(zero, 0, d): ONE})
@@ -455,6 +470,30 @@ class TestNad:
         # and y_22 x_21 = q^2 x_21 y_22 adds 1 to Psi
         M = (0, 0, 0, 1, 1, 0, 0, 0, 0)
         assert psi_power(Shape(1, 2), M, 0, 0) == 1
+
+
+# shapes and the degree up to which every matrix is checked
+N_FAMILY_RANGE = [(S11, 3), (S21, 3), (Shape(1, 2), 3), (S22, 2), (Shape(3, 1), 2),
+                  (Shape(1, 3), 2)]
+
+
+@pytest.mark.parametrize("shape,degree", N_FAMILY_RANGE, ids=str)
+def test_psi_power_matches_the_block_sums(shape, degree):
+    for deg in range(degree + 1):
+        for M in degree_matrices(shape, deg):
+            for a in range(-2, 3):
+                for d in range(-2, 3):
+                    assert psi_power(shape, M, a, d) == ref_psi_power(shape, M, a, d), (M, a, d)
+
+
+@pytest.mark.parametrize("shape,degree", N_FAMILY_RANGE, ids=str)
+def test_n_ad_matches_the_direct_product(shape, degree):
+    # the kernel re-keys X Y; the reference multiplies q^Psi detA^a, X and Y
+    for deg in range(degree + 1):
+        for M in degree_matrices(shape, deg):
+            if is_constrained(shape, M):
+                for a in range(-2, 3):
+                    assert n_ad(shape, M, a, 0) == direct_n_ad(shape, M, a, 0), (M, a)
 
 
 @pytest.mark.parametrize("shape", [
@@ -809,10 +848,11 @@ def test_one_lusztig_run_per_ber_orbit():
     (S22, 2, 95, 143), (Shape(3, 1), 2, 130, 130), (Shape(1, 3), 2, 76, 130),
 ], ids=str)
 def test_one_factor_bar_is_a_rescale(shape, degree, one_factor, constrained):
-    # when M has an empty ABC or an empty D part, omega_global reads the bar
-    # of n_ad(M, a, 0) as a q-power per term; bar_local, which reverses
-    # every word, is the reference.  At n = 1 a constrained M leaves the
-    # 1x1 D block empty, so every index has one factor.
+    # omega_global reads the bar of n_ad(M, a, 0) off its factors in the
+    # other order (n_bar); bar_local, which reverses every word, is the
+    # reference at every index.  When M has an empty ABC or an empty D part,
+    # that bar is also a q-power per term of n_ad.  At n = 1 a constrained M
+    # leaves the 1x1 D block empty, so every index has one factor.
     indices = [M for deg in range(degree + 1) for M in degree_matrices(shape, deg)
                if is_constrained(shape, M)]
     ones = [M for M in indices
@@ -820,13 +860,14 @@ def test_one_factor_bar_is_a_rescale(shape, degree, one_factor, constrained):
     assert (len(ones), len(indices)) == (one_factor, constrained)
     for M in indices:
         for a in range(-2, 3):
-            bar = basis.n_bar(shape, M, a)
-            if M not in ones:
-                assert bar is bar_local
-                continue
-            assert bar is not bar_local
             f = n_ad(shape, M, a, 0)
-            assert bar(f) == bar_local(f), (M, a)
+            bar = basis.n_bar(shape, M, a)
+            assert bar == bar_local(f), (M, a)
+            if M in ones:
+                shift = -2 * ref_psi_power(shape, M, a, 0)
+                assert bar == LocalElement(shape, {
+                    k: c.shift(shift - 2 * a * shape.odd_degree(k[0]))
+                    for k, c in f.terms.items()}), (M, a)
 
 
 def test_one_factor_indices_never_reverse_words():
@@ -849,21 +890,29 @@ def test_one_factor_indices_never_reverse_words():
                     omega_global(S21, M, a, 0, variant)
 
 
-def test_two_factor_index_reverses_words():
-    # x12 y34 at (2|2) has an A letter and a y-letter: its bar goes
-    # through bar_local
-    M = (0, 1, 0, 0,
-         0, 0, 0, 0,
-         0, 0, 0, 1,
-         0, 0, 0, 0)
-    seen = []
+def test_two_factor_blocks_never_reverse_words():
+    # at an index with both an ABC and a D part, omega_global builds the bar
+    # of n_ad from its factors too, so no word is reversed: x12 y34 at
+    # (2|2), and the (2,2,2,2) blocks at (2|2), where all indices but one
+    # have both parts, and at (1|3), where every index has both
+    def refuse(f):
+        raise AssertionError("bar_local called by omega_global")
 
-    def recording(f):
-        seen.append(f)
-        return bar_local(f)
-
+    S13 = Shape(1, 3)
+    x12_y34 = (0, 1, 0, 0,
+               0, 0, 0, 0,
+               0, 0, 0, 1,
+               0, 0, 0, 0)
+    blocks = {shape: [M for M in enumerate_block(shape, (2,) * 4, (2,) * 4)
+                      if is_constrained(shape, M)] for shape in (S22, S13)}
+    two = {shape: sum(shape.restrict(M, "ABC") != M and shape.restrict(M, "D") != M
+                      for M in block) for shape, block in blocks.items()}
+    assert [(len(blocks[s]), two[s]) for s in (S22, S13)] == [(70, 69), (54, 54)]
+    blocks[S22].append(x12_y34)
     clear_caches()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(basis, "bar_local", recording)
-        omega_global(S22, M, 0, 0, Variant.PLUS_Q)
-    assert n_ad(S22, M, 0, 0) in seen
+        patch.setattr(basis, "bar_local", refuse)
+        patch.setattr(glq, "bar_local", refuse)
+        built = [omega_global(shape, M, 0, 0, Variant.PLUS_Q).expansion
+                 for shape, block in blocks.items() for M in block]
+    assert all(bar_local(f) == f for f in built)
