@@ -3,17 +3,16 @@
 Elements live in the mixed normal form: monomials in the generators x_ij
 (i <= m or j <= m) and the Schur-complement entries y_uv, times
 detA^a * detD'^d, where the even diagonal blocks of the exponent matrix
-each keep at least one zero diagonal entry.  The kernel computes on
-polynomials over a power of detA: y_uv detA is the quantum minor of the
-dual superspace on rows 1..m, u and columns 1..m, v, and y_uv commutes
-with detA, so a mixed word with r y-letters times detA^r is a polynomial.
-Products and bar straighten mixed words on the polynomial rewrites, less
-the corrections of y_uv past the A block.  An unconstrained ordered word,
-and a letter's image (to_mixed takes the word-order product of those),
-write g detA^-K over the constrained family by peeling leading terms: each
-member, times a power of detA, is a unit at one leading monomial plus
-lex-lower monomials, so no linear system is solved; from_mixed divides by
-detA^K the same way.
+each keep at least one zero diagonal entry.  Products and bar straighten
+mixed words on the polynomial rewrites, less the corrections of y_uv past
+the A block, and stay in mixed letters: a word with a full A or D diagonal
+is peeled as detA or detD' times the word less that diagonal, a unit at it
+plus lex-lower words, so no linear system is solved.  A letter's image is
+its mixed word, less constrained words over detA for a y-letter.  Only
+from_mixed and the letter actions' numerators compute on polynomials:
+y_uv detA is the quantum minor of the dual superspace on rows 1..m, u and
+columns 1..m, v, so a mixed word with r y-letters times detA^r is a
+polynomial.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ def y_times_detA(shape: Shape, mu: int, nu: int) -> AlgebraElement:
     return minor_star(shape, block + [mu], block + [nu])
 
 
-# Bounds of word_poly, _member, _reduce_pair and _det_rule: the degree-3
-# invariant window at (2|2) (left E_i and F_i, a in [-1, 1], d in [-1, 0])
-# fills them with 668, 478, 4,949 and 226 entries.
+# Bounds of word_poly, _member, _reduce_pair and express_in_basis: the
+# degree-3 invariant window at (2|2) (left E_i and F_i, a in [-1, 1],
+# d in [-1, 0]) fills them with 17, 0, 4,949 and 226 entries; word_poly and
+# _member serve only from_mixed and the numerators of the letter actions.
 @lru_cache(maxsize=1 << 13)
 def word_poly(shape: Shape, M) -> AlgebraElement:
     """W(M) detA^r, with W(M) the mixed word of M and r = y_degree(M).
@@ -164,47 +164,42 @@ def _member(shape: Shape, Mt, delta: int, e: int) -> AlgebraElement:
     return word_poly(shape, Mt) * detDprime_poly(shape, delta) * _detA_power_alg(shape, e)
 
 
-def express_in_basis(shape: Shape, g: AlgebraElement, K: int) -> dict:
-    """Coordinates of g detA^-K over the constrained mixed family.
-
-    Returns dict (M, a, d) -> LaurentPoly, found by peeling leading terms
-    off rest = g.  The lex-largest monomial S of rest names one member:
-    lo_a and delta are the least diagonal entries of the A and D blocks of
-    S, and Mt is S minus both diagonal shifts (so Mt is constrained).  The
-    member W(Mt) detD'^delta detA^lo_a = word_poly(Mt) detDprime_poly(delta)
-    detA^e, e = lo_a - y_degree(Mt) - n delta, is a unit at S plus lex-lower
-    monomials, so it cancels S; when e < 0, rest is multiplied by detA^-e
-    and K grows.  The loop ends only at zero, so the coordinates are exact.
-    """
-    n = shape.n
-    rest = dict(g.terms)
-    out: dict = {}
-    while rest:
-        S = max(rest)
-        lo_a, delta = (min(S[diag]) for diag in shape.diagonals)
-        Mt = _shift_diagonal(shape, S, -lo_a, -delta)
-        e = lo_a - y_degree(shape, Mt) - n * delta
-        if e < 0:
-            # the member needs a higher clearing power: raise K for all of rest
-            rest = dict((AlgebraElement(shape, rest) * _detA_power_alg(shape, -e)).terms)
-            K -= e
-            continue
-        col = _member(shape, Mt, delta, e).terms
-        u = col.get(S)
-        if u is None or not u.is_unit() or max(col) != S:
-            raise TriangularityViolation(f"member {Mt} is not unitriangular at {S}")
-        c = rest[S] * u.bar()
-        for T, b in col.items():
-            _put(rest, T, -(c * b))
-        out[(Mt, lo_a - K, delta)] = c
-    return out
-
-
 @lru_cache(maxsize=1 << 12)
-def _det_rule(shape: Shape, T):
-    """Constrained expansion of the ordered mixed word W(T) of an unconstrained
-    T: W(T) detA^r = word_poly(T), r = y_degree(T), peeled over the family."""
-    return tuple(express_in_basis(shape, word_poly(shape, T), y_degree(shape, T)).items())
+def express_in_basis(shape: Shape, T):
+    """Constrained expansion of the ordered mixed word W(T) of an
+    unconstrained T, as (key, coefficient) pairs, by peeling the words of
+    its biweight in lex order.  A constrained S is its own key (S, 0, 0).
+    An unconstrained S stands for det W(S'), a unit at S plus lex-lower
+    words on shape.local_rewrites: det is detA (det_q_A) if S's A diagonal
+    is full, else detD' (det_qinv_D in y-letters), and S' is S less one on
+    that diagonal.  Its keys are those of W(S') with that det power raised
+    by one, times q^(2 odd_degree(S)), as det passes W(S') in a product.
+    """
+    factors = {}  # unconstrained S -> (0 for detA or 1 for detD', S')
+
+    def column(S):
+        if is_constrained(shape, S):
+            return LinearElement(shape, {S: ONE})
+        which = int(0 in S[shape.diagonals[0]])
+        Sp = _shift_diagonal(shape, S, which - 1, -which)
+        factors[S], out = (which, Sp), {}
+        for D, c in (det_q_A, det_qinv_D)[which](shape).terms.items():
+            for W, b in straighten_word(shape, matrix_codes(D) + matrix_codes(Sp), c,
+                                        shape.local_rewrites).items():
+                _put(out, W, b)
+        return LinearElement(shape, out)
+
+    out: dict = {}
+    for S, c in peel(LinearElement(shape, {T: ONE}), column, max, lambda U, S: U < S).items():
+        if S not in factors:
+            _put(out, (S, 0, 0), c)
+            continue
+        which, Sp = factors[S]
+        c = c.shift(2 * shape.odd_degree(S))
+        sub = (((Sp, 0, 0), ONE),) if is_constrained(shape, Sp) else express_in_basis(shape, Sp)
+        for (Mt, alpha, delta), b in sub:
+            _put(out, (Mt, alpha + 1 - which, delta + which), b * c)
+    return tuple(out.items())
 
 
 @lru_cache(maxsize=1 << 14)
@@ -216,14 +211,14 @@ def _reduce_pair(shape: Shape, codes):
     search pushes the swapped word with (e, s) = (0, 1) and goes on with a
     y-A correction, the mixed search goes on with the swapped word alone, so
     it visits a subset of the polynomial states.  A finished W(T) is its own
-    key (T, 0, 0) when T is constrained, else the det rule expands it.
+    key (T, 0, 0) when T is constrained, else express_in_basis expands it.
     """
     out: dict = {}
     for T, c in straighten_word(shape, codes, table=shape.local_rewrites).items():
         if is_constrained(shape, T):
             _put(out, (T, 0, 0), c)
         else:
-            for key, b in _det_rule(shape, T):
+            for key, b in express_in_basis(shape, T):
                 _put(out, key, b * c)
     return tuple(out.items())
 
@@ -334,12 +329,16 @@ class LocalElement(LinearElement):
 # one entry per (shape, cell): N^2 letters per shape
 @lru_cache(maxsize=1 << 9)
 def _letter_image(shape: Shape, k: int) -> LocalElement:
-    """Mixed image of the generator at flat cell k: y_uv plus its
-    correction for a D-block letter, detA for x11 at m = 1, else the
-    letter itself."""
+    """Mixed image of the generator at flat cell k: its mixed word, less
+    R detA^-1 with R = y_uv detA - x_uv detA for a D-block cell (u, v).
+    Every word of R has one B, one C and m - 1 A letters: its own key."""
     i, j = divmod(k, shape.size)
+    image = LocalElement.monomial(shape, unit_matrix(shape.size, i + 1, j + 1))
+    if shape.block(i + 1, j + 1) != "D":
+        return image
     x = AlgebraElement.generator(shape, i + 1, j + 1)
-    return LocalElement(shape, express_in_basis(shape, x, 0))
+    R = y_times_detA(shape, i + 1, j + 1) - x * det_q_A(shape)
+    return image - LocalElement(shape, {(M, -1, 0): c for M, c in R.terms.items()})
 
 
 def to_mixed(f: AlgebraElement) -> LocalElement:

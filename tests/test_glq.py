@@ -459,7 +459,7 @@ class TestMixedForm:
             for M in degree_matrices(shape, deg):
                 f = AlgebraElement.monomial(shape, M)
                 image = to_mixed(f)
-                assert image == LocalElement(shape, glq.express_in_basis(shape, f, 0)), M
+                assert image == LocalElement(shape, ref_express_in_basis(shape, f, 0)), M
                 assert from_mixed(image) == f, M
 
     def test_x_gen_lower_block_rejected(self):
@@ -558,6 +558,67 @@ def test_pure_det_factors_re_key(shape, degree, keys):
     assert len(window) == keys
 
 
+def ref_express_in_basis(shape, g, K):
+    """Coordinates of g detA^-K over the constrained mixed family, by the
+    polynomial peel: the reference of glq.express_in_basis and of the
+    letter images.
+
+    The lex-largest monomial S of the residual names one member: lo_a and
+    delta are the least diagonal entries of the A and D blocks of S, and
+    Mt is S minus both diagonal shifts.  The member W(Mt) detD'^delta
+    detA^lo_a = word_poly(Mt) detDprime_poly(delta) detA^e, e = lo_a -
+    y_degree(Mt) - n delta, is a unit at S plus lex-lower monomials; when
+    e < 0, the residual is multiplied by detA^-e and K grows.
+    """
+    n = shape.n
+    rest = dict(g.terms)
+    out = {}
+    while rest:
+        S = max(rest)
+        lo_a, delta = (min(S[diag]) for diag in shape.diagonals)
+        Mt = glq._shift_diagonal(shape, S, -lo_a, -delta)
+        e = lo_a - glq.y_degree(shape, Mt) - n * delta
+        if e < 0:
+            rest = dict((AlgebraElement(shape, rest) * glq._detA_power_alg(shape, -e)).terms)
+            K -= e
+            continue
+        col = glq._member(shape, Mt, delta, e).terms
+        u = col.get(S)
+        assert u is not None and u.is_unit() and max(col) == S, (Mt, S)
+        c = rest[S] * u.bar()
+        for T, b in col.items():
+            _put(rest, T, -(c * b))
+        out[(Mt, lo_a - K, delta)] = c
+    return out
+
+
+def ref_det_rule(shape, T):
+    """W(T) detA^r = word_poly(T), r = y_degree(T), peeled as a polynomial."""
+    return ref_express_in_basis(shape, word_poly(shape, T), glq.y_degree(shape, T))
+
+
+@pytest.mark.parametrize("shape, degree, count", [
+    (S11, 4, 37), (S21, 4, 221), (S12, 3, 60), (S22, 3, 34), (S31, 3, 148), (Shape(1, 3), 3, 148),
+], ids=str)
+def test_det_rule_matches_polynomial_peel(shape, degree, count):
+    # the mixed det rule against the polynomial round trip on every
+    # unconstrained matrix up to the degree
+    words = [M for deg in range(degree + 1) for M in degree_matrices(shape, deg)
+             if not glq.is_constrained(shape, M)]
+    for T in words:
+        assert dict(glq.express_in_basis(shape, T)) == ref_det_rule(shape, T), T
+    assert len(words) == count
+
+
+@pytest.mark.parametrize("shape", [Shape(m, n) for m in (1, 2, 3) for n in (1, 2, 3)], ids=str)
+def test_letter_images_match_polynomial_peel(shape):
+    # the closed form of every letter's mixed image against peeling the
+    # generator as a polynomial
+    for k, (i, j) in enumerate(shape.generators()):
+        expect = ref_express_in_basis(shape, gen(shape, i, j), 0)
+        assert glq._letter_image(shape, k) == LocalElement(shape, expect), (i, j)
+
+
 def ref_reduce_pair(shape, M1, M2):
     """Constrained expansion of W(M1) W(M2) by the polynomial round trip,
     the reference of the mixed-word reducer.
@@ -569,7 +630,7 @@ def ref_reduce_pair(shape, M1, M2):
     r1, r2 = glq.y_degree(shape, M1), glq.y_degree(shape, M2)
     g = (word_poly(shape, M1) * word_poly(shape, M2)).scale(
         LaurentPoly.q_power(-2 * r1 * shape.odd_degree(M2)))
-    return glq.express_in_basis(shape, g, r1 + r2)
+    return ref_express_in_basis(shape, g, r1 + r2)
 
 
 def ref_local_mul(f, g):
@@ -721,7 +782,7 @@ def _cached_values(shape):
 
 
 CACHES = (superspace._minor_cached, glq.word_poly, glq.detDprime_poly,
-          glq._member, glq._reduce_pair, glq._det_rule, glq._letter_image,
+          glq._member, glq._reduce_pair, glq.express_in_basis, glq._letter_image,
           actions._act_key)
 
 
@@ -753,7 +814,7 @@ def test_cached_elements_are_never_mutated(shape):
         assert v is not before[k] and v.terms == snapshot[k], k
 
 
-@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq._det_rule,
+@pytest.mark.parametrize("cache", [glq._member, glq._reduce_pair, glq.express_in_basis,
                                    glq.word_poly, glq._letter_image],
                          ids=lambda f: f.__name__)
 def test_clear_caches_empties_the_bounded_memo(cache):
@@ -848,15 +909,15 @@ def fresh_caches():
 @pytest.mark.parametrize("corrupt", [
     lambda r: r.scale(LaurentPoly({0: 1, 2: 1})),
     lambda r: r.scale(LaurentPoly({0: 2})),
-    lambda r: r + AlgebraElement.monomial(r.shape, unit_matrix(2, 1, 1)),
+    lambda r: r + AlgebraElement.monomial(r.shape, (2, 0, 0, 0)),
 ], ids=["lead_1_plus_q2", "lead_2", "term_above_lead"])
 def test_non_triangular_member_raises(fresh_caches, monkeypatch, corrupt):
-    # a member that is not a unit at its leading monomial, or that has a
-    # monomial above it, cannot be peeled; the loop must raise, never spin
-    word_poly = glq.word_poly
-    monkeypatch.setattr(glq, "word_poly", lambda shape, M: corrupt(word_poly(shape, M)))
+    # a det column that is not a unit at its leading word, or that has a
+    # word above it, cannot be peeled; the loop must raise, never spin
+    monkeypatch.setattr(glq, "det_q_A", lambda shape: corrupt(det_q_A(shape)))
     with pytest.raises(TriangularityViolation):
-        glq.express_in_basis(S11, AlgebraElement.monomial(S11, unit_matrix(2, 2, 2)), 0)
+        # x11 y22 at (1|1): a full A diagonal, so its column is detA y22
+        glq.express_in_basis(S11, (1, 0, 0, 1))
 
 
 # -- the clearing bar and the blockwise division, as references ---------------
